@@ -3,10 +3,11 @@
 Usage:
     python benchmarks/bench_kernels.py [--quick]
 
-Times the batch analyzer across problem sizes, the exact enumerator, and an
-end-to-end simulate() call, printing a table with speedups.  Both backends
-are imported directly, so the comparison runs regardless of which one the
-package selected at import time.
+Times the batch analyzer across problem sizes (from enumeration-sized rows
+of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call,
+printing a table with speedups.  Both backends are imported directly, so the
+comparison runs regardless of which one the package selected at import time;
+the compiled column is filled only when the extension imports.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _time(fn, repeats=3):
 
 def bench_batch(quick: bool):
     print(f"{'batch analyze':<28}{'rows x n':>16}{'numpy':>10}{'cython':>10}{'speedup':>9}")
-    cases = [(2000, 100), (2000, 1000), (500, 10_000)]
+    cases = [(2000, 6), (2000, 100), (2000, 1000), (500, 10_000)]
     if not quick:
         cases.append((100, 100_000))
     rng = np.random.default_rng(0)
@@ -61,26 +62,20 @@ def bench_enumerate(quick: bool):
 
 
 def bench_simulate(quick: bool):
-    import importlib
-    import os
-
-    from randmap import mapping_sim
+    from randmap import _kernels, mapping_sim
 
     n, trials = (2000, 2000) if quick else (10_000, 5000)
     print(f"{'simulate n=%d trials=%d' % (n, trials):<28}{'backend':>16}{'time':>10}")
-    for force in (False, True):
-        if force:
-            os.environ["RANDMAP_FORCE_FALLBACK"] = "1"
-        else:
-            os.environ.pop("RANDMAP_FORCE_FALLBACK", None)
-        import randmap._kernels as kernels
-
-        importlib.reload(kernels)
-        importlib.reload(mapping_sim)
-        t = _time(lambda: mapping_sim.simulate(n, trials, seed=1), repeats=1)
-        print(f"{'':<28}{kernels.BACKEND:>16}{t:>9.2f}s")
-    os.environ.pop("RANDMAP_FORCE_FALLBACK", None)
-    importlib.reload(importlib.import_module("randmap._kernels"))
+    backends = [_fallback] if _core is None else [_core, _fallback]
+    selected = _kernels.batch_stats
+    try:
+        for backend in backends:
+            # simulate looks up _kernels.batch_stats at call time
+            _kernels.batch_stats = backend.batch_stats
+            t = _time(lambda: mapping_sim.simulate(n, trials, seed=1, workers=1), repeats=1)
+            print(f"{'':<28}{backend.BACKEND:>16}{t:>9.2f}s")
+    finally:
+        _kernels.batch_stats = selected
 
 
 def main():

@@ -1,9 +1,16 @@
 """Pure-NumPy kernels for functional-graph analysis and exact enumeration.
 
-Selected when the compiled core is unavailable.  The batch analyzer finds
-cyclic points by iterated self-composition (log-doubling: after ceil(log2 n)
-squarings every node maps into the cyclic core of its component), walks the
-cycles, and labels components by the cycle their trajectory lands in.
+Selected when the compiled core is unavailable.  A batch of mappings is
+analyzed in one component pass with no per-row Python loop: the rows are
+flattened into a single functional graph on the nodes row*n + v, and
+squaring it ceil(log2 n) times maps every node onto the cycle of its
+component, so the image of the result is the set of cyclic nodes.  Min-label
+doubling on the compressed cyclic nodes names each cycle by its smallest
+node, and each node's component is the name at its landing point.  Bincounts
+give cycle lengths, component sizes and per-row counts; one integer sort
+ranks the cycle lengths and a per-row maximum picks the largest component.
+Rows are processed in blocks of at most _BLOCK nodes, which keeps the int32
+temporary arrays small.
 """
 
 from __future__ import annotations
@@ -15,62 +22,58 @@ BACKEND = "numpy"
 # per-row output columns of batch_stats
 _COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
 
-
-def _doubled(images: np.ndarray) -> np.ndarray:
-    """f^(2^k) with 2^k >= n: maps each node to a cyclic node of its component."""
-    n = images.shape[1]
-    g = images
-    steps = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    for _ in range(steps):
-        g = np.take_along_axis(g, g, axis=1)
-    return g
+_BLOCK = 1 << 16  # nodes per component pass (a single row may exceed it)
 
 
-def _row_cycles(image: np.ndarray, landing: np.ndarray, cyc_id: np.ndarray):
-    """Walk the cycles of one mapping.
+def _components(block: np.ndarray):
+    """Cycles of a block of 0-based mappings, one entry per component.
 
-    Returns (lengths, min_labels) per cycle and fills cyc_id for cyclic nodes.
-    landing[j] is a cyclic node in j's component.
+    Returns (row, cycle length, component size) with rows ascending, plus
+    the per-row cyclic-point counts.  Gathers use np.take, which reads int32
+    indices directly where fancy indexing first converts them to intp.
     """
-    lengths = []
-    min_labels = []
-    for v in np.unique(landing):
-        if cyc_id[v] >= 0:
-            continue
-        cid = len(lengths)
-        u = int(v)
-        length = 0
-        label_min = u
-        while cyc_id[u] < 0:
-            cyc_id[u] = cid
-            length += 1
-            if u < label_min:
-                label_min = u
-            u = int(image[u])
-        lengths.append(length)
-        min_labels.append(label_min)
-    return np.asarray(lengths, dtype=np.int64), np.asarray(min_labels, dtype=np.int64)
+    rows, n = block.shape
+    f = (block.astype(np.int32) + np.arange(0, rows * n, n, dtype=np.int32)[:, None]).ravel()
+    steps = max(1, (n - 1).bit_length())  # 2^steps >= n bounds tails and cycles
+    land = f
+    for _ in range(steps):
+        land = np.take(land, land)
+    cyclic = np.zeros(f.size, dtype=bool)
+    cyclic[land] = True
+    cyc = np.flatnonzero(cyclic)
+    pos = np.cumsum(cyclic, dtype=np.int32) - 1  # compressed index of each cyclic node
+    del cyclic
+    succ = np.take(pos, np.take(f, cyc))
+    label = np.arange(cyc.size, dtype=np.int32)
+    for _ in range(steps):
+        label = np.minimum(label, np.take(label, succ))
+        succ = np.take(succ, succ)
+    comp = np.take(label, np.take(pos, land))
+    del pos, land, succ
+    reps = np.flatnonzero(label == np.arange(cyc.size))
+    length = np.bincount(label, minlength=cyc.size)[reps]
+    size = np.bincount(comp, minlength=cyc.size)[reps]
+    return cyc[reps] // n, length, size, np.bincount(cyc // n, minlength=rows)
 
 
-def _row_summary(image, landing, want_arrays=False):
-    n = image.shape[0]
-    cyc_id = np.full(n, -1, dtype=np.int64)
-    lengths, _ = _row_cycles(image, landing, cyc_id)
-    m_comp = len(lengths)
-    comp_ids = cyc_id[landing]
-    comp_sizes = np.bincount(comp_ids, minlength=m_comp)
-    comp_minlab = np.full(m_comp, n, dtype=np.int64)
-    np.minimum.at(comp_minlab, comp_ids, np.arange(n, dtype=np.int64))
-    # largest component: size desc, then cycle length desc, then min label asc
-    order = np.lexsort((comp_minlab, -lengths, -comp_sizes))
-    best = order[0]
-    lam_sorted = np.sort(lengths)[::-1]
-    flag = int(lengths[best] == lam_sorted[0])
-    if want_arrays:
-        return lam_sorted, np.sort(comp_sizes)[::-1], flag
-    top = np.zeros(4, dtype=np.int64)
-    top[: min(4, len(lam_sorted))] = lam_sorted[:4]
-    return top, int(lam_sorted.sum()), m_comp, flag
+def _stats(n, row, length, size, n_cyclic):
+    """batch_stats columns from the per-component arrays of _components."""
+    rows = n_cyclic.size
+    out = np.zeros((rows, _COLS), dtype=np.int64)
+    m_comp = np.bincount(row, minlength=rows)
+    first = np.cumsum(m_comp) - m_comp  # index of each row's first component
+    # one integer key per component sorts by row, then cycle length descending
+    ranked = n - np.sort(row * (n + 1) + (n - length)) % (n + 1)
+    rank = np.arange(row.size) - first[row]
+    top = rank < 4
+    out[row[top], rank[top]] = ranked[top]
+    # largest component: size desc, then cycle length desc; a remaining tie
+    # (the min-label rule) cannot change the flag, as the lengths are equal
+    best = np.maximum.reduceat(size * (n + 1) + length, first) % (n + 1)
+    out[:, 4] = n_cyclic
+    out[:, 5] = m_comp
+    out[:, 6] = best == out[:, 0]
+    return out
 
 
 def batch_stats(images: np.ndarray) -> np.ndarray:
@@ -80,25 +83,22 @@ def batch_stats(images: np.ndarray) -> np.ndarray:
     with zeros), cyclic-point count, component count, and a 0/1 flag telling
     whether the largest component contains a longest cycle.
     """
-    images = np.ascontiguousarray(images, dtype=np.int64)
-    m = images.shape[0]
+    images = np.asarray(images)
+    m, n = images.shape
     out = np.empty((m, _COLS), dtype=np.int64)
-    landing = _doubled(images)
-    for i in range(m):
-        top, n_cyc, m_comp, flag = _row_summary(images[i], landing[i])
-        out[i, 0:4] = top
-        out[i, 4] = n_cyc
-        out[i, 5] = m_comp
-        out[i, 6] = flag
+    step = max(1, _BLOCK // max(n, 1))
+    for start in range(0, m, step):
+        out[start : start + step] = _stats(n, *_components(images[start : start + step]))
     return out
 
 
 def analyze_arrays(image: np.ndarray):
     """Full per-mapping digest: (cycle lengths desc, component sizes desc, flag)."""
-    image = np.ascontiguousarray(image, dtype=np.int64)[None, :]
-    landing = _doubled(image)
-    lengths, sizes, flag = _row_summary(image[0], landing[0], want_arrays=True)
-    return lengths, sizes, flag
+    image = np.asarray(image)
+    parts = _components(image[None, :])
+    flag = int(_stats(image.size, *parts)[0, 6])
+    _, length, size, _ = parts
+    return np.sort(length)[::-1], np.sort(size)[::-1], flag
 
 
 def enumerate_tally(n: int, first: int | None = None):
@@ -108,27 +108,15 @@ def enumerate_tally(n: int, first: int | None = None):
     integer arrays.  Mappings are unranked from mixed-radix indices in chunks
     and pushed through the batch analyzer.
     """
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
     joint = np.zeros((n + 1,) * 4, dtype=np.int64)
-    connected = 0
-    if first is None:
-        total = n**n
-        base = None
-    else:
-        total = n ** (n - 1)
-        base = int(first)
+    # mixed-radix index i has image[j] = (i // n^j) % n; the slice
+    # image[0] = first is every n-th index from first
+    start, stride = (0, 1) if first is None else (int(first), n)
     powers = n ** np.arange(n, dtype=np.int64)
-    chunk = max(1, min(1 << 15, total))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        if base is None:
-            images = (idx[:, None] // powers[None, :]) % n
-        else:
-            images = np.empty((len(idx), n), dtype=np.int64)
-            images[:, 0] = base
-            images[:, 1:] = (idx[:, None] // powers[None, : n - 1]) % n
-        stats = batch_stats(images)
-        np.add.at(counts, (stats[:, 5], stats[:, 4]), 1)
+    chunk = (1 << 15) * stride
+    for lo in range(start, n**n, chunk):
+        idx = np.arange(lo, min(lo + chunk, n**n), stride, dtype=np.int64)
+        stats = batch_stats(idx[:, None] // powers % n)
         np.add.at(joint, (stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), 1)
-        connected += int(np.sum(stats[:, 5] == 1))
-    return counts, joint, connected
+    counts = joint.sum(axis=(2, 3))
+    return counts, joint, int(counts[1].sum())

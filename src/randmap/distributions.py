@@ -139,14 +139,16 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
 
     Integral of the regime's N-density against rho_r(nu/b), with panels split
     at the integrand's kink abscissae nu = b, 2b, ... and truncated where the
-    Gaussian weight is below 3e-17.
+    Gaussian weight is below 3e-17.  The integrand is 0 past nu = x_max b, so
+    kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
+    and small b costs no more than b = 8.75 / (x_max + 1).
     """
     if b <= 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     sol = _rank_solution(r)
-    kinks = [k * b for k in range(1, int(_NU_CUT / b) + 1)]
+    kinks = [k * b for k in range(1, int(min(_NU_CUT / b, sol.x_max + 1.0)) + 1)]
     edges = np.unique(np.concatenate([[0.0], kinks, [_NU_CUT]]))
     edges = edges[edges <= _NU_CUT]
     if edges[-1] < _NU_CUT:

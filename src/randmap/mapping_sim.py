@@ -84,7 +84,8 @@ def sample_mapping(n: int, rng) -> Mapping:
 
 
 def analyze(mapping: Mapping) -> GraphSummary:
-    """Cyclic points by in-degree peeling, components, ranked cycle lengths."""
+    """Ranked cycle lengths, component sizes and the largest-component flag,
+    computed by the selected kernel backend (see randmap._kernels)."""
     lengths, sizes, flag = _kernels.analyze_arrays(mapping.image - 1)
     return GraphSummary(
         n=mapping.n,

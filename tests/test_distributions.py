@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from randmap import dde
+from randmap import dde, distributions
 from randmap.distributions import (
     JointPoint,
     Regime,
@@ -131,6 +132,34 @@ class TestMappingCycleCdf:
         for b in [0.4, 0.9]:
             vals = [mapping_longest_cycle_cdf(b, r, Regime.rayleigh()) for r in (1, 2, 3, 4)]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+
+    def test_tiny_b_is_bounded(self):
+        # one kink panel per multiple of b used to mean 8.75e9 panels here
+        t0 = time.perf_counter()
+        value = mapping_longest_cycle_cdf(1e-9, 1, Regime.rayleigh())
+        assert time.perf_counter() - t0 < 1.0
+        assert 0.0 <= value < 1e-12
+
+    @pytest.mark.parametrize("b", [0.01, 0.1, 1.0])
+    def test_kink_cap_drops_only_zero_panels(self, b):
+        # the same Gauss-Legendre panel sum with a kink at every multiple of
+        # b up to the Gaussian cutoff, as before the kinks were capped
+        x, w = np.polynomial.legendre.leggauss(32)
+        for r in (1, 2):
+            sol = dde.dickman_solution(r)
+            cut = distributions._NU_CUT
+            kinks = [k * b for k in range(1, int(cut / b) + 1)]
+            edges = np.unique(np.concatenate([[0.0], kinks, [cut]]))
+            edges = edges[edges <= cut]
+            for reg in (Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)):
+                total = 0.0
+                for lo, hi in zip(edges, edges[1:]):
+                    nu = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                    rho = np.where(nu / b <= sol.x_max, sol(np.minimum(nu / b, sol.x_max)), 0.0)
+                    total += 0.5 * (hi - lo) * float(
+                        np.sum(w * cyclic_points_density(nu, reg) * rho)
+                    )
+                assert mapping_longest_cycle_cdf(b, r, reg) == min(max(total, 0.0), 1.0)
 
     def test_cdf_matches_joint_density_double_integral(self):
         # integrate the joint density over {lambda <= b} and compare

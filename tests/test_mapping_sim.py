@@ -83,8 +83,8 @@ class TestAnalyze:
         assert 1 <= s.component_count <= s.cyclic_point_count <= n
         assert sum(s.cycle_lengths) == s.cyclic_point_count
         assert sum(s.component_sizes) == n
-        # one cycle per component: the walk count and the union-find
-        # component count must coincide
+        # one cycle per component: the cycle count and the component count
+        # must coincide
         assert len(s.cycle_lengths) == s.component_count
         assert len(s.component_sizes) == s.component_count
         assert all(a >= b for a, b in zip(s.cycle_lengths, s.cycle_lengths[1:]))
@@ -109,6 +109,123 @@ class TestBackendParity:
         assert np.array_equal(ca, cb)
         assert np.array_equal(ja, jb)
         assert na == nb
+
+
+def _reference_digest(image):
+    """(cycle lengths desc, component sizes desc, flag) of one 0-based mapping.
+
+    A plain dict walk, independent of both kernel backends: each walk from an
+    unvisited node either closes a new cycle or joins a known component.  The
+    largest component is chosen by size, then cycle length, then smallest
+    node; the flag says whether its cycle is a longest one.
+    """
+    comp = {}
+    cycle_len = []
+    for start in range(len(image)):
+        seen = {}
+        v = start
+        while v not in comp and v not in seen:
+            seen[v] = len(seen)
+            v = int(image[v])
+        if v in comp:
+            cid = comp[v]
+        else:
+            cid = len(cycle_len)
+            cycle_len.append(len(seen) - seen[v])
+        for u in seen:
+            comp[u] = cid
+    size = [0] * len(cycle_len)
+    min_node = [len(image)] * len(cycle_len)
+    for node, cid in comp.items():
+        size[cid] += 1
+        min_node[cid] = min(min_node[cid], node)
+    best = min(range(len(size)), key=lambda c: (-size[c], -cycle_len[c], min_node[c]))
+    lengths = sorted(cycle_len, reverse=True)
+    return lengths, sorted(size, reverse=True), int(cycle_len[best] == lengths[0])
+
+
+def _reference_row(image):
+    lengths, _, flag = _reference_digest(image)
+    return [*(lengths + [0, 0, 0])[:4], sum(lengths), len(lengths), flag]
+
+
+def _structured_images(n):
+    """Identity, one n-cycle, a path of length n - 1 into a fixed point, and a
+    tail of length n - 2 into a 2-cycle: the extremes of the doubling depth."""
+    nodes = np.arange(n)
+    path = np.maximum(nodes - 1, 0)
+    tail = path.copy()
+    if n > 2:
+        tail[0], tail[1] = 1, 0
+    return np.stack([nodes, np.roll(nodes, -1), path, tail])
+
+
+class TestReferenceParity:
+    """The selected backend against the dict-walk reference, row by row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 17, 64, 257, 1024])
+    def test_batch_stats_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        imgs = np.concatenate(
+            [rng.integers(0, n, size=(48, n), dtype=np.int64), _structured_images(n)]
+        )
+        stats = _kernels.batch_stats(imgs)
+        assert stats.shape == (len(imgs), 7)
+        assert stats.dtype == np.int64
+        for image, row in zip(imgs, stats):
+            assert row.tolist() == _reference_row(image)
+
+    @pytest.mark.parametrize("n", [6, 17, 1000])
+    def test_batch_stats_across_block_seams(self, n):
+        # rows * n spans several analysis blocks, with a partial last block
+        rows = 2 * _fallback._BLOCK // n + 7
+        imgs = np.random.default_rng(n).integers(0, n, size=(rows, n), dtype=np.int64)
+        stats = _kernels.batch_stats(imgs)
+        step = max(1, _fallback._BLOCK // n)
+        seams = {k for s in range(0, rows, step) for k in (s - 1, s) if 0 <= k < rows}
+        for k in sorted(seams | set(range(0, rows, 97))):
+            assert stats[k].tolist() == _reference_row(imgs[k]), k
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64, 257])
+    def test_analyze_arrays_matches_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        imgs = np.concatenate(
+            [rng.integers(0, n, size=(12, n), dtype=np.int64), _structured_images(n)]
+        )
+        for image in imgs:
+            lengths, sizes, flag = _kernels.analyze_arrays(image)
+            ref_lengths, ref_sizes, ref_flag = _reference_digest(image)
+            assert lengths.tolist() == ref_lengths
+            assert sizes.tolist() == ref_sizes
+            assert flag == ref_flag
+
+    def test_enumerate_matches_closed_form_and_reference(self):
+        def stirling1(l, m):
+            if l == m:
+                return 1
+            if m == 0 or m > l:
+                return 0
+            return stirling1(l - 1, m - 1) + (l - 1) * stirling1(l - 1, m)
+
+        n = 4
+        counts, joint, connected = _kernels.enumerate_tally(n)
+        # a mapping is a permutation of its l cyclic points plus a forest of
+        # rooted trees on the rest: C(n,l) l n^(n-l-1) c(l,m) of them
+        for m in range(n + 1):
+            for l in range(n + 1):
+                if m == 0 or l < m:
+                    expected = 0
+                elif l == n:
+                    expected = stirling1(n, m)
+                else:
+                    expected = math.comb(n, l) * l * n ** (n - l - 1) * stirling1(l, m)
+                assert counts[m, l] == expected, (m, l)
+        ref_joint = np.zeros_like(joint)
+        for image in itertools.product(range(n), repeat=n):
+            lam1, lam2, _, _, n_cyc, m_comp, _ = _reference_row(image)
+            ref_joint[m_comp, n_cyc, lam1, lam2] += 1
+        assert np.array_equal(joint, ref_joint)
+        assert connected == 142  # OEIS A001865
 
 
 class TestSimulate:
