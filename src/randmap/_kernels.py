@@ -1,7 +1,7 @@
 """Kernel backend selection: compiled core if importable, NumPy otherwise.
 
-Set RANDMAP_FORCE_FALLBACK=1 to insist on the NumPy kernels (used by the
-parity tests and the benchmark).
+Set RANDMAP_FORCE_FALLBACK=1 to insist on the NumPy kernels even when the
+compiled core is built; the benchmark records the variable in its provenance.
 """
 
 from __future__ import annotations

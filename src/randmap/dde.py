@@ -227,11 +227,6 @@ class PiecewiseSolution:
         return np.concatenate(pts) if pts else np.empty(0)
 
 
-def eval(sol: PiecewiseSolution, x):  # noqa: A001 - spec operation name
-    """Evaluate a solution; 0 below the support, error beyond x_max."""
-    return sol(x)
-
-
 def sigma_tilde(sol: PiecewiseSolution, x):
     """sqrt(x) times the solution value."""
     return np.sqrt(x) * sol(x)

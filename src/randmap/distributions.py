@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as _leg
 
-from . import dde
+from . import _quad, dde
 from .specfun import SpecfunDomainError
 
 __all__ = [
@@ -118,11 +117,6 @@ def connected_cycle_cdf(b: float) -> float:
     return math.erf(b / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    return _leg.leggauss(n)
-
-
 def _rank_values(sol, x):
     """rho_r at possibly deep arguments: treat anything past the solved
     domain as 0 (the solution there is below the Gaussian weight's noise)."""
@@ -141,9 +135,11 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     at the integrand's kink abscissae nu = b, 2b, ... and truncated where the
     Gaussian weight is below 3e-17.  The integrand is 0 past nu = x_max b, so
     kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
-    and small b costs no more than b = 8.75 / (x_max + 1).
+    and small b costs no more than b = 8.75 / (x_max + 1).  For subnormal b
+    the nodes of [0, b] may round to 0; that panel adds less than b and is
+    skipped, and nu / b may overflow to inf, where rho_r is 0.
     """
-    if b <= 0.0:
+    if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -153,14 +149,18 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     edges = edges[edges <= _NU_CUT]
     if edges[-1] < _NU_CUT:
         edges = np.append(edges, _NU_CUT)
-    x, w = _gl_nodes(32)
+    x, w = _quad.gl_rule(32)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nu = mid + half * x
+        if nu[0] <= 0.0:
+            continue
+        with np.errstate(over="ignore"):
+            ratio = nu / b
         total += half * float(
-            np.sum(w * cyclic_points_density(nu, regime) * _rank_values(sol, nu / b))
+            np.sum(w * cyclic_points_density(nu, regime) * _rank_values(sol, ratio))
         )
     return min(max(total, 0.0), 1.0)
 

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import legendre as _leg
 from scipy.special import erfcx
 
+from . import _quad
 from .dde import theta_delay_integral
 from .specfun import SpecfunDomainError, arctanh, dilog, e1_complex, e1_real
 
@@ -70,18 +69,6 @@ class MethodMismatchError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """Forward transform tail did not fall below tolerance."""
-
-
-@lru_cache(maxsize=8)
-def _gl(n: int):
-    return _leg.leggauss(n)
-
-
-def _gl_panel(f, a: float, b: float, n: int = 24):
-    x, w = _gl(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * np.sum(w * f(mid + half * x))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,7 @@ def forward_laplace(
     quiet = 0
     for lo, hi in zip(edges, edges[1:]):
         sub = _refined_edges(lo, hi, left=lo in bp_set, right=hi in bp_set)
-        piece = sum(_gl_panel(integrand, a, b, 24) for a, b in zip(sub, sub[1:]))
+        piece = _quad.gl_panels(integrand, sub, 24)
         total += piece
         if hi >= 1.0 and hi > last_bp and abs(piece) <= tol * max(abs(total), tol):
             quiet += 1
@@ -327,9 +314,7 @@ def _invert_line_subtracted(
 
     n_panels = max(40, int(t_max * max(xi, 1.0) / math.pi) * 4 + 40)
     edges = np.linspace(0.0, t_max, n_panels + 1)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges, edges[1:]):
-        total += _gl_panel(remainder, a, b, panel_nodes)
+    total = _quad.gl_panels(remainder, edges, panel_nodes)
     value = math.exp(gamma * xi) / math.pi * total.real
     for p_, c_ in terms:
         value += c_ * xi ** (p_ - 1.0) / math.gamma(p_)
@@ -519,25 +504,20 @@ class _ConvolutionFamily:
             {1.0, t_hi}
             | {xi - j for j in range(k - 1, int(math.floor(xi)) + 1) if 1.0 < xi - j < t_hi}
         )
+
+        def integrand(t):
+            return np.array([self._inner(k - 1, xi - tv) / tv for tv in t])
+
+        if not self.sqrt_base:
+            return _quad.gl_panels(integrand, breaks, 32)
+        # inner has a half-integer branch as xi - t approaches each break
+        # offset from above, i.e. t -> b^-; substitute t = b - u^2
         total = 0.0
-        x, w = _gl(32)
+        x, w = _quad.gl_rule(32)
         for a, b in zip(breaks, breaks[1:]):
-            if self.sqrt_base:
-                # inner has a half-integer branch as xi - t approaches each
-                # break offset from above, i.e. t -> b^-; substitute t = b-u^2
-                u_hi = math.sqrt(b - a)
-                mid = 0.5 * u_hi
-                half = 0.5 * u_hi
-                u = mid + half * x
-                t = b - u * u
-                vals = np.array([self._inner(k - 1, xi - tv) / tv for tv in t])
-                total += float(half * np.sum(w * vals * 2.0 * u))
-            else:
-                mid = 0.5 * (a + b)
-                half = 0.5 * (b - a)
-                t = mid + half * x
-                vals = np.array([self._inner(k - 1, xi - tv) / tv for tv in t])
-                total += float(half * np.sum(w * vals))
+            half = 0.5 * math.sqrt(b - a)
+            u = half + half * x
+            total += float(half * np.sum(w * integrand(b - u * u) * 2.0 * u))
         return total
 
     def _ensure(self, k: int, xi: float):

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as _leg
 from scipy.optimize import brentq
 
-from . import distributions
+from . import _quad, dde, distributions
 from .distributions import Regime
 from .specfun import e1_real
 
@@ -42,21 +41,6 @@ __all__ = [
 _RANKS = (1, 2, 3, 4)
 
 
-@lru_cache(maxsize=8)
-def _gl(n: int):
-    return _leg.leggauss(n)
-
-
-def _panels(f, edges, nodes=48):
-    x, w = _gl(nodes)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * float(np.sum(w * f(mid + half * x)))
-    return total
-
-
 @lru_cache(maxsize=64)
 def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
     """G(r, h) by panel quadrature.
@@ -64,7 +48,8 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
     Near zero the integrand behaves like x^(h-1) (-ln x)^(r-1) e^gamma x; the
     substitution x = e^(-u) maps that tail to u^(r-1) e^(-(h+1)u), tamed on
     exponentially spaced panels.  The upper tail is cut where e^(-x) E(x)^(r-1)
-    is below 1e-18.
+    is below 1e-18.  The panels and the 48-point rule are fixed: ``tol`` must
+    be positive but does not change them (``moment_table`` passes it on).
     """
     if r not in _RANKS or h not in (1, 2):
         raise ValueError(f"supported ranks 1..4 and heights 1..2, got r={r} h={h}")
@@ -72,8 +57,7 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
         raise ValueError("tol must be positive")
 
     def integrand(x):
-        x = np.asarray(x)
-        e1 = np.array([e1_real(float(t)) for t in x])
+        e1 = e1_real(x)
         val = x ** (h - 1) * np.exp(-e1 - x)
         if r > 1:
             val = val * e1 ** (r - 1)
@@ -81,15 +65,15 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
 
     def integrand_log(u):
         # x = exp(-u) for the (0, 1/2] end
-        x = np.exp(-np.asarray(u))
-        e1 = np.array([e1_real(float(t)) for t in x])
-        val = np.exp(-h * np.asarray(u)) * np.exp(-e1 - x)
+        x = np.exp(-u)
+        e1 = e1_real(x)
+        val = np.exp(-h * u) * np.exp(-e1 - x)
         if r > 1:
             val = val * e1 ** (r - 1)
         return val
 
-    lower = _panels(integrand_log, [math.log(2.0), 4.0, 8.0, 16.0, 32.0, 48.0])
-    upper = _panels(integrand, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 45.0])
+    lower = _quad.gl_panels(integrand_log, [math.log(2.0), 4.0, 8.0, 16.0, 32.0, 48.0], 48)
+    upper = _quad.gl_panels(integrand, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 45.0], 48)
     return (lower + upper) / (math.factorial(h) * math.factorial(r - 1))
 
 
@@ -110,19 +94,18 @@ def cross_rank_moment(r: int, s: int) -> float:
     def outer(xs):
         vals = np.empty_like(xs)
         for i, x in enumerate(xs):
-            e1x = e1_real(float(x))
+            e1x = e1_real(x)
 
             def inner(ys):
-                e1y = np.array([e1_real(float(t)) for t in ys])
-                res = np.exp(-e1y - ys) * (e1y - e1x) ** (s - r - 1)
-                return res
+                e1y = e1_real(ys)
+                return np.exp(-e1y - ys) * (e1y - e1x) ** (s - r - 1)
 
             edges_y = [e for e in [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0] if e < x] + [float(x)]
-            vals[i] = _panels(inner, edges_y) * np.exp(-x) * e1x ** (r - 1)
+            vals[i] = _quad.gl_panels(inner, edges_y, 48) * np.exp(-x) * e1x ** (r - 1)
         return vals
 
     edges_x = [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    total = _panels(outer, edges_x, nodes=48)
+    total = _quad.gl_panels(outer, edges_x, 48)
     return total / (2.0 * math.factorial(r - 1) * math.factorial(s - r - 1))
 
 
@@ -205,7 +188,7 @@ def _mode_balance(lam: float) -> float:
         + nu/(nu-lam) rho((nu-2 lam)/lam) ] nu exp(-nu^2/2) dnu.
     The second term vanishes for nu < 2 lam, cancelling the nu/(nu-lam) pole.
     """
-    sol = distributions._rank_solution(1)
+    sol = dde.dickman_solution(1)
     cut = 8.75
 
     def term1(nu):
@@ -222,10 +205,10 @@ def _mode_balance(lam: float) -> float:
 
     kinks = [k * lam for k in range(1, int(cut / lam) + 2)]
     edges1 = sorted({lam, cut} | {k for k in kinks if lam < k < cut})
-    integral = _panels(term1, edges1)
+    integral = _quad.gl_panels(term1, edges1, 48)
     if 2.0 * lam < cut:
         edges2 = sorted({2.0 * lam, cut} | {k for k in kinks if 2.0 * lam < k < cut})
-        integral += _panels(term2, edges2)
+        integral += _quad.gl_panels(term2, edges2, 48)
     return math.exp(-lam * lam / 2.0) - integral / (lam * lam)
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestMappingCycleCdf:
                         np.sum(w * cyclic_points_density(nu, reg) * rho)
                     )
                 assert mapping_longest_cycle_cdf(b, r, reg) == min(max(total, 0.0), 1.0)
+
+    @pytest.mark.parametrize("b", [5e-324, 1e-310])
+    @pytest.mark.parametrize("reg", [Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)])
+    def test_subnormal_b(self, b, reg):
+        # the nodes of [0, b] round to 0 at 5e-324 and nu / b overflows at 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mapping_longest_cycle_cdf(b, 1, reg)
+        assert 0.0 <= value <= 1e-300
+
+    def test_nan_b_is_domain_error(self):
+        with pytest.raises(SpecfunDomainError):
+            mapping_longest_cycle_cdf(float("nan"))
 
     def test_cdf_matches_joint_density_double_integral(self):
         # integrate the joint density over {lambda <= b} and compare

@@ -62,6 +62,23 @@ class TestE1Real:
                 continue
             assert e1_real(float(x)) == pytest.approx(ref, rel=1e-14)
 
+    def test_array_matches_scalar_calls(self):
+        xs = np.geomspace(1e-300, 800.0, 500).reshape(25, 20)
+        out = e1_real(xs)
+        assert out.shape == xs.shape
+        assert all(a == e1_real(float(x)) for a, x in zip(out.ravel(), xs.ravel()))
+
+    @pytest.mark.parametrize("x", [2.0, np.float64(2.0), np.array(2.0)])
+    def test_scalar_gives_python_float(self, x):
+        assert type(e1_real(x)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, math.nan])
+    def test_array_domain(self, bad):
+        with pytest.raises(SpecfunDomainError):
+            e1_real(float(bad))
+        with pytest.raises(SpecfunDomainError):
+            e1_real(np.array([1.0, 2.0, bad, 3.0]))
+
 
 class TestE1Complex:
     def test_real_axis_consistency(self):
