@@ -7,7 +7,10 @@ Times the batch analyzer across problem sizes (from enumeration-sized rows
 of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call,
 printing a table with speedups.  Both backends are imported directly, so the
 comparison runs regardless of which one the package selected at import time;
-the compiled column is filled only when the extension imports.
+the compiled column is filled only when the extension imports.  A last
+section times the analytic layer on warm (already solved) DDE solutions:
+scalar rho on the head, the series segment and the Chebyshev body, one
+1000-point vector evaluation, and the mixture CDF of the longest cycle.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ except ImportError:
     _core = None
 
 
-def _time(fn, repeats=3):
+def _time(fn, repeats=3, number=1):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / number)
     return best
 
 
@@ -78,6 +82,25 @@ def bench_simulate(quick: bool):
         _kernels.batch_stats = selected
 
 
+def bench_analytic(quick: bool):
+    from randmap import dde, distributions
+
+    number = 20 if quick else 200
+    rho = dde.dickman_solution(1)
+    for r in (2, 3, 4):
+        dde.dickman_solution(r)  # solve outside the timed region
+    print(f"{'analytic (warm solutions)':<28}{'case':>16}{'best of 5':>14}")
+    for x in (0.5, 1.5, 10.3):
+        t = _time(lambda: rho(x), repeats=5, number=number)
+        print(f"{'rho(x) scalar':<28}{'x=%g' % x:>16}{t * 1e6:>11.1f} us")
+    xs = np.linspace(0.5, 60.0, 1000)
+    t = _time(lambda: rho(xs), repeats=5, number=number)
+    print(f"{'rho(x) vector':<28}{'1000 points':>16}{t * 1e3:>11.3f} ms")
+    for b in (0.01, 0.6842, 4.0):
+        t = _time(lambda: distributions.mapping_longest_cycle_cdf(b), repeats=5, number=number)
+        print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
@@ -89,6 +112,8 @@ def main():
     bench_enumerate(args.quick)
     print()
     bench_simulate(args.quick)
+    print()
+    bench_analytic(args.quick)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ functions, CDFs, moment-constant tables, numerical transform inversion,
 Monte Carlo simulation, exact enumeration, and the divisibility report.
 Records are emitted as JSON (one object) or CSV (name/value table); all
 numbers are encoded with shortest round-trip precision (17 significant
-digits suffice to reparse them exactly).
+digits suffice to reparse them exactly).  JSON has no NaN or infinity, so a
+non-finite number (an argument such as ``--b nan``) is written as the string
+"nan", "inf" or "-inf".
 
 Exit codes: 0 success, 1 computation error (the reason lands in the record),
 2 usage error.
@@ -17,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,6 +34,15 @@ _COMPUTE_ERRORS = (
     ArithmeticError,
     RuntimeError,
 )
+
+
+def _strict(value):
+    """The payload with every non-finite float replaced by its repr string."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
 
 
 @dataclass
@@ -56,7 +68,7 @@ class OutputRecord:
         return out
 
     def to_json(self, quiet: bool = False) -> str:
-        return json.dumps(self._payload(quiet))
+        return json.dumps(_strict(self._payload(quiet)), allow_nan=False)
 
     def to_csv(self, quiet: bool = False) -> str:
         payload = self._payload(quiet)

@@ -23,7 +23,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -126,20 +126,58 @@ def _theta_segment(theta: float, x):
     return x ** (theta - 1.0) * (1.0 - theta * theta_delay_integral(theta, u))
 
 
-@dataclass
-class _Piece:
-    lo: float
-    coef: np.ndarray  # Chebyshev coefficients in zeta = 2*s - 1, s = (x-lo)^(1/4)
+def _segment(spec: DdeSpec, x):
+    """Exact solution on (1,2] of either family."""
+    if spec.kind == "theta-family":
+        return _theta_segment(spec.theta, x)
+    if spec.rank == 1:
+        return _theta_segment(1.0, x)
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _clenshaw(rows, z):
+    """chebval's recurrence with one coefficient row per point.
+
+    ``rows`` is an (m, width) array paired with the m values ``z``, or a single
+    Python list paired with a Python float.  The operations are chebval's, in
+    its order, so zero padding on top of a row leaves the value bitwise equal.
+    """
+    cols = rows.T if isinstance(rows, np.ndarray) else rows
+    z2 = 2.0 * z
+    c0 = cols[-2]
+    c1 = cols[-1]
+    for i in range(3, len(cols) + 1):
+        c0, c1 = cols[-i] - c1, c0 + c1 * z2
+    return c0 + c1 * z
 
 
 @dataclass
 class PiecewiseSolution:
-    """A solved DDE: exact head and series segment plus Chebyshev pieces."""
+    """A solved DDE: exact head on [0,1], exact series segment on (1,2] and one
+    Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
+
+    ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
+    zeta = 2*s - 1, s = (x - k)^(1/4).  They are stored as one table: row j of
+    ``coef`` is the piece starting at ``lo[j] = j + 2``, zero-padded on top to
+    the widest piece (49 coefficients, or 97 after a retried fit).  A call
+    evaluates every point x > 2 in one Clenshaw pass over the rows its points
+    select; a Python float in (2, x_max] takes a scalar path through the same
+    recurrence.  Both give chebval's values bitwise.
+    """
 
     spec: DdeSpec
-    pieces: list[_Piece]
+    pieces: InitVar[list]
     closed_form_head: str
     _prev: "PiecewiseSolution | None" = None  # lower rank, generalized family only
+    coef: np.ndarray = field(init=False, repr=False)
+    lo: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, pieces):
+        width = max((len(c) for c in pieces), default=2)
+        self.coef = np.zeros((len(pieces), width))
+        for row, c in zip(self.coef, pieces):
+            row[: len(c)] = c
+        self.lo = 2.0 + np.arange(len(pieces), dtype=float)
 
     @property
     def x_max(self) -> float:
@@ -150,13 +188,6 @@ class PiecewiseSolution:
         if self.spec.kind == "theta-family":
             return self.spec.theta
         return 1.0
-
-    def _segment(self, x):
-        if self.spec.kind == "theta-family":
-            return _theta_segment(self.spec.theta, x)
-        if self.spec.rank == 1:
-            return _theta_segment(1.0, x)
-        return np.ones_like(np.asarray(x, dtype=float))
 
     def _head(self, x):
         x = np.asarray(x, dtype=float)
@@ -169,11 +200,17 @@ class PiecewiseSolution:
             return x ** (theta - 1.0)
 
     def __call__(self, x):
+        if isinstance(x, float) and 2.0 < x <= self.spec.x_max:
+            j = min(int(x - 2.0), len(self.lo) - 1)
+            s = float(np.power(x - self.lo[j], 1.0 / _STRETCH))
+            v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
+            return 0.0 if abs(v) < _UNDERFLOW else v
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs > self.spec.x_max * (1.0 + 1e-12)):
+        outside = ~(xs <= self.spec.x_max * (1.0 + 1e-12))
+        if np.any(outside):
             raise EvaluationRangeError(
-                f"x={xs.max()} beyond solved domain x_max={self.spec.x_max}"
+                f"x={xs[outside][0]} outside the solved domain (x <= x_max={self.spec.x_max})"
             )
         out = np.zeros_like(xs)
         head = (xs >= 0.0) & (xs <= 1.0)
@@ -181,18 +218,13 @@ class PiecewiseSolution:
             out[head] = self._head(xs[head])
         seg = (xs > 1.0) & (xs <= 2.0)
         if np.any(seg):
-            out[seg] = self._segment(xs[seg])
+            out[seg] = _segment(self.spec, xs[seg])
         body = xs > 2.0
-        if np.any(body) and self.pieces:
+        if np.any(body) and len(self.lo):
             xb = xs[body]
-            idx = np.clip(np.floor(xb - 2.0).astype(int), 0, len(self.pieces) - 1)
-            vb = np.empty_like(xb)
-            for k in np.unique(idx):
-                piece = self.pieces[k]
-                sel = idx == k
-                s = np.power(xb[sel] - piece.lo, 1.0 / _STRETCH)
-                vb[sel] = _cheb.chebval(2.0 * s - 1.0, piece.coef)
-            out[body] = vb
+            idx = np.minimum(np.floor(xb - 2.0).astype(int), len(self.lo) - 1)
+            s = np.power(xb - self.lo[idx], 1.0 / _STRETCH)
+            out[body] = _clenshaw(self.coef[idx], 2.0 * s - 1.0)
         np.copyto(out, 0.0, where=np.abs(out) < _UNDERFLOW)
         return float(out[0]) if scalar else out
 
@@ -200,10 +232,9 @@ class PiecewiseSolution:
         """d/dx of the stored interpolant (pieces region only, x > 2)."""
         if not 2.0 < x <= self.spec.x_max:
             raise EvaluationRangeError("interpolant derivative defined on (2, x_max]")
-        idx = min(int(math.floor(x - 2.0)), len(self.pieces) - 1)
-        piece = self.pieces[idx]
-        s = (x - piece.lo) ** (1.0 / _STRETCH)
-        dcoef = _cheb.chebder(piece.coef)
+        idx = min(int(math.floor(x - 2.0)), len(self.lo) - 1)
+        s = (x - float(self.lo[idx])) ** (1.0 / _STRETCH)
+        dcoef = _cheb.chebder(self.coef[idx])
         dg_dzeta = _cheb.chebval(2.0 * s - 1.0, dcoef)
         return float(dg_dzeta * 2.0 / (_STRETCH * s ** (_STRETCH - 1)))
 
@@ -220,11 +251,8 @@ class PiecewiseSolution:
 
     def residual_grid(self) -> np.ndarray:
         """Interior sample points away from breakpoints, one set per piece."""
-        pts = []
-        for piece in self.pieces:
-            s = np.linspace(0.3, 0.98, 9)
-            pts.append(piece.lo + s**_STRETCH)
-        return np.concatenate(pts) if pts else np.empty(0)
+        s = np.linspace(0.3, 0.98, 9)
+        return (self.lo[:, None] + s**_STRETCH).ravel()
 
 
 def sigma_tilde(sol: PiecewiseSolution, x):
@@ -252,11 +280,7 @@ def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
     if spec.kind != "theta-family":
         raise DdeError("solve_theta_dde requires a theta-family spec")
     theta = spec.theta
-    sol = PiecewiseSolution(
-        spec=spec,
-        pieces=[],
-        closed_form_head=f"x**(theta-1) with theta={theta} on (0,1]",
-    )
+    pieces = []
     n_pieces = max(0, math.ceil(spec.x_max) - 2)
 
     def rhs_builder(k, g_at_k, s, q):
@@ -264,8 +288,7 @@ def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
         if k == 2:
             delayed = _theta_segment(theta, x_delay)
         else:
-            prev = sol.pieces[k - 3]
-            delayed = _cheb.chebval(2.0 * s - 1.0, prev.coef)
+            delayed = _cheb.chebval(2.0 * s - 1.0, pieces[k - 3])
         w = _STRETCH * s ** (_STRETCH - 1) / (k + s**_STRETCH)
         a = (1.0 - theta) * w
         b = theta * w * delayed
@@ -276,9 +299,13 @@ def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
     for j in range(n_pieces):
         k = 2 + j
         coef = _fit_piece(k, g_end, rhs_builder, spec.tol)
-        sol.pieces.append(_Piece(lo=float(k), coef=coef))
+        pieces.append(coef)
         g_end = float(_cheb.chebval(1.0, coef))
-    return sol
+    return PiecewiseSolution(
+        spec=spec,
+        pieces=pieces,
+        closed_form_head=f"x**(theta-1) with theta={theta} on (0,1]",
+    )
 
 
 def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
@@ -289,20 +316,15 @@ def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     prev = None
     if rank > 1:
         prev = dickman_solution(rank - 1, x_max=spec.x_max, tol=spec.tol)
-    sol = PiecewiseSolution(
-        spec=spec,
-        pieces=[],
-        closed_form_head="1 on [0,1]",
-        _prev=prev,
-    )
+    pieces = []
     n_pieces = max(0, math.ceil(spec.x_max) - 2)
 
     def rhs_builder(k, g_at_k, s, q):
         x_delay = (k - 1.0) + s**_STRETCH
         if k == 2:
-            own = sol._segment(x_delay)
+            own = _segment(spec, x_delay)
         else:
-            own = _cheb.chebval(2.0 * s - 1.0, sol.pieces[k - 3].coef)
+            own = _cheb.chebval(2.0 * s - 1.0, pieces[k - 3])
         lower = prev(x_delay) if prev is not None else np.zeros_like(x_delay)
         w = _STRETCH * s ** (_STRETCH - 1) / (k + s**_STRETCH)
         return g_at_k + q @ (w * (lower - own))
@@ -312,9 +334,11 @@ def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     for j in range(n_pieces):
         k = 2 + j
         coef = _fit_piece(k, g_end, rhs_builder, spec.tol)
-        sol.pieces.append(_Piece(lo=float(k), coef=coef))
+        pieces.append(coef)
         g_end = float(_cheb.chebval(1.0, coef))
-    return sol
+    return PiecewiseSolution(
+        spec=spec, pieces=pieces, closed_form_head="1 on [0,1]", _prev=prev
+    )
 
 
 def rho_closed_form(x: float) -> float:

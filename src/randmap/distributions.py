@@ -135,9 +135,12 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     at the integrand's kink abscissae nu = b, 2b, ... and truncated where the
     Gaussian weight is below 3e-17.  The integrand is 0 past nu = x_max b, so
     kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
-    and small b costs no more than b = 8.75 / (x_max + 1).  For subnormal b
-    the nodes of [0, b] may round to 0; that panel adds less than b and is
-    skipped, and nu / b may overflow to inf, where rho_r is 0.
+    and small b costs no more than b = 8.75 / (x_max + 1).  The 32 nodes of
+    every panel go into one (panels, 32) array, so there is one density call
+    and one solution call for all panels; each panel's sum is
+    sum(w * density * rho), and the panel sums are added in edge order.  For
+    subnormal b the nodes of [0, b] may round to 0; that panel adds less than
+    b and is skipped, and nu / b may overflow to inf, where rho_r is 0.
     """
     if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
@@ -150,18 +153,18 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     if edges[-1] < _NU_CUT:
         edges = np.append(edges, _NU_CUT)
     x, w = _quad.gl_rule(32)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nu = mid[:, None] + half[:, None] * x
+    keep = nu[:, 0] > 0.0
+    nu, half = nu[keep], half[keep]
+    with np.errstate(over="ignore"):
+        ratio = nu / b
+    weighted = w * cyclic_points_density(nu, regime)
+    sums = np.sum(weighted * _rank_values(sol, ratio), axis=1)
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nu = mid + half * x
-        if nu[0] <= 0.0:
-            continue
-        with np.errstate(over="ignore"):
-            ratio = nu / b
-        total += half * float(
-            np.sum(w * cyclic_points_density(nu, regime) * _rank_values(sol, ratio))
-        )
+    for h, s in zip(half.tolist(), sums.tolist()):
+        total += h * s
     return min(max(total, 0.0), 1.0)
 
 

@@ -4,7 +4,8 @@ dilogarithm, complementary error function and inverse hyperbolic tangent.
 All functions are pure and deterministic.  Real E1 (scalar or array) and the
 dilogarithm come from ``scipy.special`` (``exp1`` and ``spence``).  Complex
 E1 is implemented here, by its power series near the origin and a
-modified-Lentz continued fraction beyond, because scipy's complex ``exp1``
+modified-Lentz continued fraction beyond (with the series again where the
+fraction stalls, near the negative real axis), because scipy's complex ``exp1``
 is less accurate on the positive real axis; the test suite cross-checks
 both against independent oracles.
 """
@@ -40,9 +41,9 @@ def _e1_series(z: complex) -> complex:
     return s
 
 
-def _e1_cf(z: complex) -> complex:
+def _e1_cf(z: complex) -> complex | None:
     # Even-contracted continued fraction e^{-z}/(z+1 - 1/(z+3 - 4/(z+5 - ...)))
-    # evaluated by the modified Lentz algorithm.
+    # evaluated by the modified Lentz algorithm; None if it has not converged.
     tiny = 1e-300
     b = z + 1.0
     c = 1.0 / tiny
@@ -63,7 +64,7 @@ def _e1_cf(z: complex) -> complex:
         if abs(delta - 1.0) < 1e-16:
             break
     else:
-        raise SpecfunDomainError(f"continued fraction for E1 did not converge at {z!r}")
+        return None
     return cmath.exp(-z) * h
 
 
@@ -85,11 +86,18 @@ def e1_complex(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise SpecfunDomainError(f"e1_complex is undefined on the branch cut, got {z}")
-    if abs(z) <= _SERIES_RADIUS_COMPLEX:
-        return -EULER_GAMMA - cmath.log(z) + _e1_series(z)
-    if z.real > 700.0:
-        return complex(0.0)
-    return _e1_cf(z)
+    if abs(z) > _SERIES_RADIUS_COMPLEX:
+        if z.real > 700.0:
+            return complex(0.0)
+        value = _e1_cf(z)
+        if value is not None:
+            return value
+        if z.real >= 0.0:
+            raise SpecfunDomainError(f"continued fraction for E1 did not converge at {z!r}")
+        # Near the negative real axis the fraction can stall.  There the
+        # series terms (-1)^(k+1) z^k/(k k!) nearly share one sign, so they
+        # barely cancel and the series keeps full accuracy far past |z| = 4.
+    return -EULER_GAMMA - cmath.log(z) + _e1_series(z)
 
 
 def dilog(x: float) -> float:

@@ -35,6 +35,13 @@ class TestEval:
         assert code == 0
         assert rec["values"]["value"] == pytest.approx(0.11862641298045697, rel=1e-9)
 
+    @pytest.mark.parametrize("fn", ["rho", "sigma", "sigma-tilde"])
+    def test_nan_argument_is_range_error(self, capsys, fn):
+        code, rec = run_json(capsys, "eval", "--fn", fn, "--x", "nan")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith("EvaluationRangeError")
+        assert "value" not in rec["values"]
+
 
 class TestCdf:
     def test_perm_cycle(self, capsys):
@@ -154,6 +161,24 @@ class TestFormats:
         assert rows[0] == ["name", "value"]
         table = {r[0]: r[1] for r in rows[1:]}
         assert float(table["value"]) == js["values"]["value"]
+
+    @pytest.mark.parametrize(
+        "argv, key, text, exit_code",
+        [
+            (("cdf", "--kind", "mapping-cycle", "--b", "nan"), "b", "nan", 1),
+            (("eval", "--fn", "rho", "--x", "inf"), "x", "inf", 1),
+            (("eval", "--fn", "rho", "--x=-inf"), "x", "-inf", 0),
+        ],
+    )
+    def test_non_finite_arguments_give_strict_json(self, capsys, argv, key, text, exit_code):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out = run_cli(capsys, *argv)
+        rec = json.loads(out, parse_constant=reject)
+        assert code == exit_code
+        assert rec["params"][key] == text
+        assert ("reason" in rec.get("errors", {})) == (exit_code == 1)
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from randmap import dde
@@ -66,6 +67,13 @@ class TestInitialSegments:
     def test_out_of_range(self, rho):
         with pytest.raises(EvaluationRangeError):
             rho(65.0)
+
+    def test_nan_is_out_of_range(self, rho, sigma):
+        for sol in (rho, sigma):
+            with pytest.raises(EvaluationRangeError):
+                sol(float("nan"))
+            with pytest.raises(EvaluationRangeError):
+                sol(np.array([0.5, 3.0, np.nan]))
 
 
 class TestClosedForms:
@@ -207,3 +215,61 @@ def test_vectorized_eval_matches_scalar(rho=None):
     vec = sol(xs)
     for x, v in zip(xs, vec):
         assert v == sol(float(x))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestFlatTable:
+    """The one-table evaluator against per-piece chebval, which it replaced."""
+
+    def test_mixed_widths_match_per_piece_chebval(self):
+        rng = np.random.default_rng(7)
+        widths = [49, 97, 49, 97, 49]
+        pieces = [rng.standard_normal(n) * 0.5 ** np.arange(n) for n in widths]
+        spec = DdeSpec(kind="theta-family", theta=1.0, x_max=7.0)
+        sol = dde.PiecewiseSolution(spec=spec, pieces=pieces, closed_form_head="test")
+        assert sol.coef.shape == (5, 97)
+        xs = np.concatenate([rng.uniform(2.0, 7.0, 2000), np.arange(3.0, 8.0)])
+        expected = np.empty_like(xs)
+        idx = np.minimum(np.floor(xs - 2.0).astype(int), 4)
+        for k, coef in enumerate(pieces):
+            sel = idx == k
+            s = np.power(xs[sel] - (k + 2.0), 0.25)
+            expected[sel] = chebyshev.chebval(2.0 * s - 1.0, coef)
+        assert np.array_equal(_bits(sol(xs)), _bits(expected))
+        scalars = [sol(float(x)) for x in xs[::20]]
+        assert np.array_equal(_bits(scalars), _bits(expected[::20]))
+
+    def test_one_call_equals_calls_per_chunk(self, rho):
+        rng = np.random.default_rng(8)
+        chunks = [
+            rng.uniform(-0.5, 1.0, 50),
+            rng.uniform(1.0, 2.0, 50),
+            rng.uniform(2.0, 64.0, 300),
+            np.arange(1.0, 65.0),
+            rng.uniform(-1.0, 64.0, 200),
+        ]
+        whole = rho(np.concatenate(chunks))
+        parts = np.concatenate([rho(chunk) for chunk in chunks])
+        assert np.array_equal(_bits(whole), _bits(parts))
+
+    @pytest.mark.parametrize(
+        "sol",
+        [dickman_solution(r) for r in (1, 2, 3, 4)] + [theta_solution(t) for t in (0.5, 2.0)],
+    )
+    def test_scalar_path_equals_vector_path(self, sol):
+        xs = np.concatenate(
+            [
+                np.linspace(0.05, 1.0, 6),
+                np.linspace(1.01, 2.0, 6),
+                np.linspace(2.0, 64.0, 90),
+                np.nextafter(np.arange(3.0, 65.0), 0.0),
+                [2.0 + 1e-15, 64.0],
+            ]
+        )
+        scalars = [sol(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        singles = [sol(np.array([x]))[0] for x in xs]
+        assert np.array_equal(_bits(scalars), _bits(singles))

@@ -141,7 +141,7 @@ class TestMappingCycleCdf:
         assert time.perf_counter() - t0 < 1.0
         assert 0.0 <= value < 1e-12
 
-    @pytest.mark.parametrize("b", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("b", [0.01, 0.1, 0.6842, 1.0, 4.0])
     def test_kink_cap_drops_only_zero_panels(self, b):
         # the same Gauss-Legendre panel sum with a kink at every multiple of
         # b up to the Gaussian cutoff, as before the kinks were capped

@@ -113,6 +113,21 @@ class TestE1Complex:
             ref = complex(mp.e1(mp.mpc(z)))
             assert e1_complex(z) == pytest.approx(ref, rel=1e-13)
 
+    def test_negative_half_plane_grid(self):
+        # near the negative real axis (|z| > 4, |Im z| < 1.6) the continued
+        # fraction stalls and the series takes over; elsewhere the fraction's
+        # value is returned as it is (checked at every fourth point)
+        re_grid = np.linspace(-45.0, -0.5, 150)
+        im_grid = np.linspace(-8.0, 8.0, 100)
+        zs = [complex(x, y) for x in re_grid for y in im_grid]
+        for i, z in enumerate(zs):
+            value = e1_complex(z)
+            ref = complex(mp.e1(mp.mpc(z)))
+            assert abs(value - ref) <= 1e-13 * abs(ref), z
+            if i % 4 == 0 and abs(z) > 4.0:
+                cf = specfun._e1_cf(z)
+                assert cf is None or value == cf
+
     def test_branch_cut_rejected(self):
         for z in [0.0, -1.0 + 0j, -10.0 + 0j]:
             with pytest.raises(SpecfunDomainError):
