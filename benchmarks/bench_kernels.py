@@ -11,15 +11,22 @@ the compiled column is filled only when the extension imports.  A last
 section times the analytic layer on warm (already solved) DDE solutions:
 scalar rho on the head, the series segment and the Chebyshev body, one
 1000-point vector evaluation, and the mixture CDF of the longest cycle.
+The cold-start section runs ``import randmap`` and each cheap README command
+in a fresh interpreter (best of 5 wall times) and lists which of
+scipy.special, scipy.optimize and mpmath each one loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import randmap
 from randmap import _fallback
 
 try:
@@ -101,6 +108,57 @@ def bench_analytic(quick: bool):
         print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
 
 
+HEAVY = ("scipy.special", "scipy.optimize", "mpmath")
+
+# The README's examples apart from simulate and enumerate --n 7, which take
+# tens of seconds; enumerate runs at n = 5 instead.
+COLD_COMMANDS = (
+    "eval --fn rho --x 2",
+    "eval --fn g --theta 1.5 --x 3.25",
+    "cdf --kind perm-cycle --a 0.5",
+    "cdf --kind mapping-cycle --b 0.6842 --regime rayleigh",
+    "constants --regime halfnormal",
+    "invlaplace --transform erfc-gauss --xi 1",
+    "invlaplace --transform cycle-cdf --b 0.5 --xi 2 --method talbot",
+    "enumerate --n 5 --check-egf",
+    "divisibility --eta-min 0.02 --eta-max 20 --steps 1000",
+)
+
+# Runs one command (or only the import, with no arguments) and prints the
+# heavy modules it loaded.
+_COLD_PROBE = f"""
+import contextlib, io, sys
+if sys.argv[1:]:
+    from randmap import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    import randmap
+    code = 0
+print(code, *[m for m in {HEAVY!r} if m in sys.modules])
+"""
+
+
+def bench_cold_start():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["RANDMAP_WORKERS"] = "1"
+    print(f"{'cold start (fresh process)':<68}{'best of 5':>10}  heavy modules loaded")
+    for command in ("import randmap",) + COLD_COMMANDS:
+        argv = [] if command == "import randmap" else command.split()
+        best, out = float("inf"), ""
+        for _ in range(5):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            best = min(best, time.perf_counter() - t0)
+            out = proc.stdout.split()
+        code, loaded = out[0], out[1:]
+        note = "" if code == "0" else f"  (exit {code})"
+        print(f"  {command:<66}{best:>9.2f}s  {', '.join(loaded) or '-'}{note}")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
@@ -114,6 +172,8 @@ def main():
     bench_simulate(args.quick)
     print()
     bench_analytic(args.quick)
+    print()
+    bench_cold_start()
 
 
 if __name__ == "__main__":

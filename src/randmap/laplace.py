@@ -27,6 +27,10 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   values overflow).  These are inverted on a vertical line by the de Hoog
   accelerated Fourier method at elevated precision, after peeling the first
   two terms of the exp(-t E) expansion, whose inverses are elementary.
+
+``mpmath`` (the de Hoog engine) and ``scipy.special.erfcx`` (the erfc family)
+are imported inside the functions that use them, so the Talbot and forward
+paths run without loading either.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.special import erfcx
 
 from . import _quad
 from .dde import theta_delay_integral
@@ -113,19 +115,30 @@ def forward_laplace(
     dyadic refinement toward zero; interior kinks or branch points of f should
     be passed as ``breakpoints`` so panels split and refine there.  Raises
     NonConvergenceError if the tail is still significant at xi = 2^30.
+
+    f is called on the array of a panel set's nodes if it takes one: the first
+    panel set probes it once, and a TypeError, a ValueError or a result of
+    another shape selects one call per node for the whole transform.  Any
+    other exception from f propagates.
     """
     eta_c = complex(eta)
     if eta_c.real <= 0.0:
         raise SpecfunDomainError(f"forward transform requires Re eta > 0, got {eta}")
+    vectorized = None  # set by the probe on the first panel set
 
     def f_values(x):
-        try:
-            vals = np.asarray(f(x), dtype=complex)
-            if vals.shape != x.shape:
-                raise TypeError
-            return vals
-        except Exception:
-            return np.asarray([f(float(t)) for t in x], dtype=complex)
+        nonlocal vectorized
+        if vectorized is None:
+            try:
+                vals = np.asarray(f(x), dtype=complex)
+            except (TypeError, ValueError):
+                vals = None
+            vectorized = vals is not None and vals.shape == x.shape
+            if vectorized:
+                return vals
+        if vectorized:
+            return np.asarray(f(x), dtype=complex)
+        return np.asarray([f(float(t)) for t in x], dtype=complex)
 
     def integrand(x):
         return np.exp(-eta_c * x) * f_values(x)
@@ -224,6 +237,9 @@ class TransformSpec:
         return self.theta
 
 
+_erfcx = None  # scipy.special.erfcx, bound by the first erfc-family transform_value
+
+
 def transform_value(spec: TransformSpec, eta):
     """Evaluate the transform at a (possibly complex) point eta."""
     if spec.id == "custom":
@@ -236,6 +252,12 @@ def transform_value(spec: TransformSpec, eta):
         z = np.sqrt(complex(2.0 * spec.b * eta))
         e1 = e1_complex(complex(z))
         return np.exp(-e1) / np.sqrt(complex(eta))
+    # the erfc family: the line engine calls this once per node, so erfcx is
+    # bound once and then read as a global
+    global _erfcx
+    if _erfcx is None:
+        from scipy.special import erfcx as _erfcx
+    erfcx = _erfcx
     if spec.id == "halfnormal":
         return erfcx(eta / math.sqrt(2.0))
     if spec.id == "rayleigh":
@@ -322,6 +344,8 @@ def _invert_line_subtracted(
 
 
 def _mp_theta_peeled(theta: float):
+    import mpmath as mp
+
     th = mp.mpf(theta)
     gam = mp.gamma(th)
 
@@ -347,6 +371,8 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
         closed *= 1.0 - theta * float(theta_delay_integral(theta, 1.0 - 1.0 / xi))
     if xi <= 2.0:
         return closed
+    import mpmath as mp
+
     old = mp.mp.dps
     mp.mp.dps = dps
     try:
@@ -357,6 +383,8 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
 
 
 def _invert_mp_line(F_mp, xi: float, dps: int = 60, degree: int = 40) -> float:
+    import mpmath as mp
+
     old = mp.mp.dps
     mp.mp.dps = dps
     try:
@@ -396,6 +424,8 @@ def invert(
             )
         if cls == _BRANCH_CUT_DECAYING:  # bromwich override for the cycle transform
             def F_mp(p):
+                import mpmath as mp
+
                 return mp.exp(-mp.e1(mp.sqrt(2 * spec.b * p))) / mp.sqrt(p)
 
             return _invert_mp_line(F_mp, xi, dps=60 + 20 * (scale - 1), degree=40 + 10 * (scale - 1))
@@ -673,6 +703,8 @@ def divisibility_report(eta_grid) -> DivisibilityReport:
     allocation probe (square root of the half-normal transform) is inverted
     near the origin to exhibit its unbounded growth.
     """
+    from scipy.special import erfcx
+
     eta = np.asarray(eta_grid, dtype=float)
     if np.any(eta <= 0.0):
         raise SpecfunDomainError("eta grid must be positive")

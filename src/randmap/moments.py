@@ -13,7 +13,8 @@ moments follow from E(N) and E(N^2):
     halfnormal  mean = sqrt(2/pi) G(r,1),  var = G(r,2) - (2/pi) G(r,1)^2
 
 together with the cross-correlation between the r-th cycle and N, and the
-mode/median solvers for the rank-1 law.
+mode/median solvers for the rank-1 law.  The solvers import
+``scipy.optimize.brentq`` when first called, not with this module.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _quad, dde, distributions
 from .distributions import Regime
@@ -216,6 +216,8 @@ def mode_lambda1(regime: Regime = Regime.rayleigh()) -> float:
     """Mode of the rank-1 cycle law (rayleigh regime only)."""
     if regime.tag != "rayleigh":
         raise ValueError("the mode solver applies to the rayleigh regime")
+    from scipy.optimize import brentq
+
     return brentq(_mode_balance, 0.1, 1.5, xtol=1e-8)
 
 
@@ -234,4 +236,6 @@ def median_lambda(r: int = 1, regime: Regime | str = Regime.rayleigh()) -> float
     lo, hi = 1e-3, 8.0
     if cdf(lo) > 0.5 or cdf(hi) < 0.5:
         raise ValueError("median bracket [1e-3, 8] failed")
+    from scipy.optimize import brentq
+
     return brentq(lambda b: cdf(b) - 0.5, lo, hi, xtol=1e-8)

@@ -8,6 +8,11 @@ modified-Lentz continued fraction beyond (with the series again where the
 fraction stalls, near the negative real axis), because scipy's complex ``exp1``
 is less accurate on the positive real axis; the test suite cross-checks
 both against independent oracles.
+
+``scipy.special`` is imported by the first call that needs it, not with this
+module, so code that never calls ``e1_real`` or ``dilog`` runs without it.
+``e1_real`` keeps ``exp1`` in a module global after its first call, because
+the quadratures call it thousands of times.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import exp1, spence
 
 EULER_GAMMA = 0.57721566490153286061
 
 _SERIES_RADIUS_COMPLEX = 4.0
 _MAX_ITER = 2000
+
+_exp1 = None  # scipy.special.exp1, bound by the first e1_real call
 
 
 class SpecfunDomainError(ValueError):
@@ -77,7 +83,10 @@ def e1_real(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr > 0.0):
         raise SpecfunDomainError(f"e1_real requires x > 0, got {arr[~(arr > 0.0)][0]}")
-    out = exp1(arr)
+    global _exp1
+    if _exp1 is None:
+        from scipy.special import exp1 as _exp1
+    out = _exp1(arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -109,6 +118,8 @@ def dilog(x: float) -> float:
     """
     if x > 1.0:
         raise SpecfunDomainError(f"dilog requires x <= 1, got {x}")
+    from scipy.special import spence
+
     return float(spence(1.0 - x))
 
 

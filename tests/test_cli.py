@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from randmap import dde
 from randmap.cli import main
 
 
@@ -63,11 +67,73 @@ class TestCdf:
         )
         assert rec["values"]["cdf"] == pytest.approx(math.erf(1 / math.sqrt(2)), rel=1e-12)
 
+    def test_connected_nan_is_domain_error(self, capsys):
+        code, rec = run_json(
+            capsys, "cdf", "--kind", "mapping-cycle", "--regime", "connected", "--b", "nan"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"].startswith("SpecfunDomainError")
+        assert "cdf" not in rec["values"]
+
     def test_pavlov_needs_c(self, capsys):
         code, rec = run_json(
             capsys, "cdf", "--kind", "mapping-cycle", "--b", "1.0", "--regime", "pavlov"
         )
         assert code == 1
+
+
+# NaN, both infinities, signed zeros, a negative number, subnormals, ordinary
+# values and numbers near the top of the float range
+EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310,
+     1e-9, 0.6842, 4.0, 1e300, 1.7976931348623157e308]
+)
+# (kind, regime) pairs: every kind, and every regime of the mapping law
+CDF_CASES = [("perm-cycle", None), ("largest-component", None), ("mapping-cycle", None)] + [
+    ("mapping-cycle", g) for g in ("rayleigh", "halfnormal", "pavlov", "connected")
+]
+
+
+@pytest.fixture(scope="module")
+def warm_solutions():
+    # solve once, so every example's deadline times evaluation alone
+    for r in (1, 2, 3, 4):
+        dde.dickman_solution(r)
+    dde.watterson_solution()
+
+
+class TestCdfProperty:
+    @settings(max_examples=300, deadline=2000, derandomize=True)
+    @given(
+        case=st.sampled_from(CDF_CASES),
+        r=st.sampled_from((None, 1, 2, 3, 4)),
+        # c past about 38 moves the pavlov density's mass beyond the nu = 8.75
+        # cut and past about 160 it overflows to NaN; that is an open defect
+        # of the pavlov regime, not of the --a/--b handling tested here
+        c=st.one_of(st.none(), st.floats(0.0, 10.0)),
+        x=st.one_of(EDGE_FLOATS, st.floats()),
+    )
+    def test_finite_cdf_or_documented_error(self, warm_solutions, case, r, c, x):
+        kind, regime = case
+        argv = ["cdf", "--kind", kind, f"--{'b' if kind == 'mapping-cycle' else 'a'}={x!r}"]
+        if regime is not None:
+            argv.append(f"--regime={regime}")
+        if r is not None:
+            argv.append(f"--r={r}")
+        if c is not None:
+            argv.append(f"--c={c!r}")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        rec = json.loads(buf.getvalue())
+        if code == 0:
+            cdf = rec["values"]["cdf"]
+            assert isinstance(cdf, float) and 0.0 <= cdf <= 1.0, (argv, cdf)
+            assert "errors" not in rec
+        else:
+            assert code == 1, argv
+            assert rec["errors"]["reason"], argv
+            assert rec["values"] == {}
 
 
 class TestConstants:

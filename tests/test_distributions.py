@@ -238,3 +238,11 @@ class TestJointDensity:
 def test_connected_cycle_cdf():
     assert connected_cycle_cdf(1.0) == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), rel=1e-15)
     assert connected_cycle_cdf(-1.0) == 0.0
+
+
+def test_connected_cycle_cdf_edges():
+    for b in (0.0, -0.0, -1e-300, -math.inf):
+        assert connected_cycle_cdf(b) == 0.0
+    assert connected_cycle_cdf(math.inf) == 1.0
+    with pytest.raises(SpecfunDomainError):
+        connected_cycle_cdf(math.nan)

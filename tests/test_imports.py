@@ -1,0 +1,107 @@
+"""Which heavy modules a fresh interpreter loads.
+
+``import randmap`` and the cheap CLI commands must load none of
+``scipy.special``, ``scipy.optimize`` and ``mpmath``; the commands that do
+need them import them on first use and must give the same values in a fresh
+process as in this one.  Every case runs in its own interpreter, because
+this test process has long since imported all three.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import randmap
+from randmap import cli
+
+HEAVY = ("scipy.special", "scipy.optimize", "mpmath")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
+
+# Runs cli.main on argv[1:] (or, for "import <module>", only that import) and
+# prints the exit code, the JSON record and the heavy modules then loaded.
+_PROBE = """
+import contextlib, importlib, io, json, sys
+heavy = {heavy!r}
+if sys.argv[1] == "import":
+    importlib.import_module(sys.argv[2])
+    code, record = 0, None
+else:
+    from randmap import cli
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(sys.argv[1:])
+    record = json.loads(buf.getvalue())
+print(json.dumps({{"code": code, "record": record,
+                  "loaded": [m for m in heavy if m in sys.modules]}}))
+""".format(heavy=HEAVY)
+
+
+def fresh(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["RANDMAP_WORKERS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def in_process(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("module", ["randmap", "randmap.cli"])
+def test_import_loads_no_heavy_module(module):
+    assert fresh("import", module)["loaded"] == []
+
+
+CHEAP = [
+    ("eval", "--fn", "rho", "--x", "2"),
+    ("cdf", "--kind", "mapping-cycle", "--b", "0.6842", "--regime", "rayleigh"),
+    ("invlaplace", "--transform", "cycle-cdf", "--b", "0.5", "--xi", "2", "--method", "talbot"),
+    ("enumerate", "--n", "5", "--check-egf"),
+]
+
+
+@pytest.mark.parametrize("argv", CHEAP, ids=[a[0] for a in CHEAP])
+def test_cheap_command_loads_no_heavy_module(argv):
+    out = fresh(*argv)
+    assert out["code"] == 0
+    assert out["loaded"] == []
+
+
+# Each of these reaches a first-call import: scipy.special and scipy.optimize
+# (constants), scipy.special (divisibility), mpmath (de Hoog and the Bromwich
+# override).
+HEAVY_COMMANDS = [
+    (("constants", "--regime", "halfnormal"), ["scipy.special", "scipy.optimize"]),
+    (("divisibility", "--eta-min", "0.02", "--eta-max", "20", "--steps", "1000"),
+     ["scipy.special"]),
+    (("invlaplace", "--transform", "dickman", "--xi", "3.5"), ["mpmath"]),
+    (("invlaplace", "--transform", "cycle-cdf", "--b", "0.5", "--xi", "2", "--method",
+      "bromwich"), ["mpmath"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads", HEAVY_COMMANDS, ids=["constants", "divisibility", "dehoog", "bromwich"]
+)
+def test_first_use_import_gives_in_process_values(argv, loads):
+    out = fresh(*argv, "--quiet")
+    code, record = in_process(*argv, "--quiet")
+    assert out["code"] == code == 0
+    assert out["record"] == record
+    assert out["loaded"] == loads

@@ -55,6 +55,36 @@ class TestForwardLaplace:
         val = forward_laplace(lambda x: 1.0, 1.0 + 1.0j)
         assert val == pytest.approx(1.0 / (1.0 + 1.0j), abs=1e-10)
 
+    def test_scalar_only_integrand_probed_once(self):
+        array_calls = []
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                array_calls.append(x.shape)
+            return math.exp(-x)  # TypeError for an array of nodes
+
+        assert forward_laplace(f, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert len(array_calls) == 1
+
+    def test_wrong_shape_selects_pointwise(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.ndim(x))
+            return np.sum(np.exp(-np.asarray(x)))  # one number for any input
+
+        assert forward_laplace(f, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert calls.count(1) == 1 and calls.count(0) == len(calls) - 1
+
+    def test_other_errors_propagate(self):
+        def f(x):
+            if isinstance(x, np.ndarray):
+                raise RuntimeError("integrand failed")
+            return 1.0
+
+        with pytest.raises(RuntimeError, match="integrand failed"):
+            forward_laplace(f, 1.0)
+
 
 class TestThetaFamilyPairs:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
