@@ -9,8 +9,10 @@ printing a table with speedups.  Both backends are imported directly, so the
 comparison runs regardless of which one the package selected at import time;
 the compiled column is filled only when the extension imports.  A last
 section times the analytic layer on warm (already solved) DDE solutions:
-scalar rho on the head, the series segment and the Chebyshev body, one
-1000-point vector evaluation, and the mixture CDF of the longest cycle.
+scalar rho on the head, the closed-form segment and the Chebyshev body, one
+1000-point vector evaluation, the mixture CDF of the longest cycle, the
+largest-component CDF on the sigma segment, one uncached cross-rank moment
+and one de Hoog inversion.
 The cold-start section runs ``import randmap`` and each cheap README command
 in a fresh interpreter (best of 5 wall times) and lists which of
 scipy.special, scipy.optimize and mpmath each one loaded.
@@ -90,7 +92,7 @@ def bench_simulate(quick: bool):
 
 
 def bench_analytic(quick: bool):
-    from randmap import dde, distributions
+    from randmap import dde, distributions, laplace, moments
 
     number = 20 if quick else 200
     rho = dde.dickman_solution(1)
@@ -106,6 +108,14 @@ def bench_analytic(quick: bool):
     for b in (0.01, 0.6842, 4.0):
         t = _time(lambda: distributions.mapping_longest_cycle_cdf(b), repeats=5, number=number)
         print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
+    t = _time(lambda: distributions.largest_component_cdf(0.7), repeats=5, number=number)
+    print(f"{'largest_component_cdf':<28}{'a=0.7':>16}{t * 1e6:>11.1f} us")
+    # __wrapped__ skips the lru_cache, so every call integrates
+    t = _time(lambda: moments.cross_rank_moment.__wrapped__(1, 2), repeats=5)
+    print(f"{'cross_rank_moment':<28}{'(1,2)':>16}{t * 1e3:>11.3f} ms")
+    dickman = laplace.TransformSpec(id="dickman")
+    t = _time(lambda: laplace.invert(dickman, 4.3), repeats=3)
+    print(f"{'de Hoog invert(dickman)':<28}{'xi=4.3':>16}{t * 1e3:>11.3f} ms")
 
 
 HEAVY = ("scipy.special", "scipy.optimize", "mpmath")

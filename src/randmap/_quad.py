@@ -14,6 +14,15 @@ def gl_rule(n: int):
     return legendre.leggauss(n)
 
 
+def gl_nodes(lo, hi, nodes: int):
+    """Nodes of the n-point rule on the panels [lo[i], hi[i]], one row per
+    panel, and the panels' half widths."""
+    x, _ = gl_rule(nodes)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * x, half
+
+
 def gl_panels(f, edges, nodes: int):
     """Sum of n-point Gauss-Legendre rules over the panels between sorted edges.
 
@@ -21,11 +30,10 @@ def gl_panels(f, edges, nodes: int):
     turn, and must return one (real or complex) value per node.  Panel sums
     are accumulated in edge order into a Python float or complex.
     """
-    x, w = gl_rule(nodes)
+    _, w = gl_rule(nodes)
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    vals = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()))
+    pts, half = gl_nodes(edges[:-1], edges[1:], nodes)
+    vals = np.asarray(f(pts.ravel()))
     sums = np.sum(w * vals.reshape(len(half), nodes), axis=1)
     total = 0.0
     for h, s in zip(half.tolist(), sums.tolist()):

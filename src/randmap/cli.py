@@ -124,11 +124,16 @@ def _cmd_eval(args):
     return {"value": value}, {}, None
 
 
+def _rank(args) -> int:
+    """--r, or rank 1 when it is not given (an explicit 0 stays 0 and fails)."""
+    return 1 if args.r is None else args.r
+
+
 def _cmd_cdf(args):
     if args.kind == "perm-cycle":
         if args.a is None:
             raise ValueError("perm-cycle requires --a")
-        value = distributions.perm_longest_cycle_cdf(args.a, args.r or 1)
+        value = distributions.perm_longest_cycle_cdf(args.a, _rank(args))
     elif args.kind == "largest-component":
         if args.a is None:
             raise ValueError("largest-component requires --a")
@@ -140,7 +145,7 @@ def _cmd_cdf(args):
             value = distributions.connected_cycle_cdf(args.b)
         else:
             value = distributions.mapping_longest_cycle_cdf(
-                args.b, args.r or 1, _regime_from(args)
+                args.b, _rank(args), _regime_from(args)
             )
     else:
         raise ValueError(f"unknown kind {args.kind!r}")

@@ -10,8 +10,8 @@ Two families are covered, both with unit delay:
   so that rank 1 reduces to the classical equation.
 
 Solutions are represented piecewise: an exact closed-form head on (0,1], an
-exact series segment on (1,2], and one Chebyshev interpolant per unit interval
-beyond.  Each numeric piece is fitted in the stretched variable
+exact segment on (1,2] (closed form for theta = 1 and 1/2, a series
+otherwise), and one Chebyshev interpolant per unit interval beyond.  Each numeric piece is fitted in the stretched variable
 s = (x-k)^(1/4): the solutions carry algebraic branch points of exponent
 theta+k-1 at the integer abscissa k, which the stretch turns into terms a
 polynomial basis resolves to full tolerance (for half-integer theta the
@@ -117,7 +117,7 @@ def theta_delay_integral(theta: float, u):
 
 
 def _theta_segment(theta: float, x):
-    """Exact solution of the theta family on [1,2].
+    """Exact solution of the theta family on [1,2], by the Lerch series.
 
     Integrating-factor form: x^(1-theta) g(x) = 1 - theta * T((x-1)/x).
     """
@@ -126,13 +126,40 @@ def _theta_segment(theta: float, x):
     return x ** (theta - 1.0) * (1.0 - theta * theta_delay_integral(theta, u))
 
 
-def _segment(spec: DdeSpec, x):
-    """Exact solution on (1,2] of either family."""
+def _series_segment(spec: DdeSpec, x):
+    """Exact solution on [1,2] of either family, with the series for every theta.
+
+    The solvers build their pieces from these values.
+    """
     if spec.kind == "theta-family":
         return _theta_segment(spec.theta, x)
     if spec.rank == 1:
         return _theta_segment(1.0, x)
     return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _segment_theta(spec: DdeSpec):
+    """theta of the solution on (1,2], or None where it is identically 1."""
+    if spec.kind == "theta-family":
+        return spec.theta
+    return 1.0 if spec.rank == 1 else None
+
+
+def _segment(spec: DdeSpec, x):
+    """Exact solution on (1,2] of either family, as evaluation returns it.
+
+    T(u) is -ln(1-u) for theta = 1 and 2 artanh(sqrt(u)) for theta = 1/2, so
+    there the segment is 1 - ln x and (1 - artanh(sqrt(u)))/sqrt(x) with
+    u = (x-1)/x; both are within 2e-16 of mpmath on (1,2], against 7.4e-16
+    for the series.  They use numpy ufuncs only, so a Python float and an
+    array give the same bits.  Other theta keep the series.
+    """
+    theta = _segment_theta(spec)
+    if theta == 1.0:
+        return 1.0 - np.log(x)
+    if theta == 0.5:
+        return (1.0 - np.arctanh(np.sqrt((x - 1.0) / x))) / np.sqrt(x)
+    return _series_segment(spec, x)
 
 
 def _clenshaw(rows, z):
@@ -153,7 +180,7 @@ def _clenshaw(rows, z):
 
 @dataclass
 class PiecewiseSolution:
-    """A solved DDE: exact head on [0,1], exact series segment on (1,2] and one
+    """A solved DDE: exact head on [0,1], exact segment on (1,2] and one
     Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
 
     ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
@@ -162,7 +189,9 @@ class PiecewiseSolution:
     the widest piece (49 coefficients, or 97 after a retried fit).  A call
     evaluates every point x > 2 in one Clenshaw pass over the rows its points
     select; a Python float in (2, x_max] takes a scalar path through the same
-    recurrence.  Both give chebval's values bitwise.
+    recurrence.  Both give chebval's values bitwise.  A Python float on a
+    constant head, or on a closed-form segment (theta = 1 or 1/2), is
+    evaluated by the same expression as an array, so it too matches bitwise.
     """
 
     spec: DdeSpec
@@ -200,11 +229,21 @@ class PiecewiseSolution:
             return x ** (theta - 1.0)
 
     def __call__(self, x):
-        if isinstance(x, float) and 2.0 < x <= self.spec.x_max:
-            j = min(int(x - 2.0), len(self.lo) - 1)
-            s = float(np.power(x - self.lo[j], 1.0 / _STRETCH))
-            v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
-            return 0.0 if abs(v) < _UNDERFLOW else v
+        if isinstance(x, float) and x <= self.spec.x_max:
+            if x > 2.0:
+                j = min(int(x - 2.0), len(self.lo) - 1)
+                s = float(np.power(x - self.lo[j], 1.0 / _STRETCH))
+                v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
+                return 0.0 if abs(v) < _UNDERFLOW else v
+            if x > 1.0:
+                if _segment_theta(self.spec) in (1.0, 0.5):
+                    return float(_segment(self.spec, x))
+            elif x >= 0.0 and self.theta == 1.0:
+                return 1.0
+        return self._values(x, _segment)
+
+    def _values(self, x, segment):
+        """The array path of ``__call__``, with ``segment`` on (1, 2]."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         outside = ~(xs <= self.spec.x_max * (1.0 + 1e-12))
@@ -218,7 +257,7 @@ class PiecewiseSolution:
             out[head] = self._head(xs[head])
         seg = (xs > 1.0) & (xs <= 2.0)
         if np.any(seg):
-            out[seg] = _segment(self.spec, xs[seg])
+            out[seg] = segment(self.spec, xs[seg])
         body = xs > 2.0
         if np.any(body) and len(self.lo):
             xb = xs[body]
@@ -322,10 +361,13 @@ def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     def rhs_builder(k, g_at_k, s, q):
         x_delay = (k - 1.0) + s**_STRETCH
         if k == 2:
-            own = _segment(spec, x_delay)
+            own = _series_segment(spec, x_delay)
         else:
             own = _cheb.chebval(2.0 * s - 1.0, pieces[k - 3])
-        lower = prev(x_delay) if prev is not None else np.zeros_like(x_delay)
+        if prev is None:
+            lower = np.zeros_like(x_delay)
+        else:
+            lower = prev._values(x_delay, _series_segment)
         w = _STRETCH * s ** (_STRETCH - 1) / (k + s**_STRETCH)
         return g_at_k + q @ (w * (lower - own))
 

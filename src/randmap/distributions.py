@@ -52,8 +52,8 @@ class Regime:
         if self.tag not in ("rayleigh", "halfnormal", "pavlov"):
             raise ValueError(f"unknown regime {self.tag!r}")
         if self.tag == "pavlov":
-            if self.c is None or self.c < 0.0:
-                raise ValueError(f"pavlov regime requires c >= 0, got {self.c}")
+            if self.c is None or not 0.0 <= self.c < math.inf:
+                raise ValueError(f"pavlov regime requires finite c >= 0, got {self.c}")
 
     @classmethod
     def rayleigh(cls) -> "Regime":
@@ -159,10 +159,8 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     edges = edges[edges <= _NU_CUT]
     if edges[-1] < _NU_CUT:
         edges = np.append(edges, _NU_CUT)
-    x, w = _quad.gl_rule(32)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nu = mid[:, None] + half[:, None] * x
+    _, w = _quad.gl_rule(32)
+    nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
     keep = nu[:, 0] > 0.0
     nu, half = nu[keep], half[keep]
     with np.errstate(over="ignore"):

@@ -77,6 +77,10 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
     return (lower + upper) / (math.factorial(h) * math.factorial(r - 1))
 
 
+_CROSS_INNER_EDGES = (1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0)
+_CROSS_OUTER_EDGES = (1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
 @lru_cache(maxsize=16)
 def cross_rank_moment(r: int, s: int) -> float:
     """E(V_r V_s) for the scaled r-th and s-th longest permutation cycles.
@@ -87,25 +91,44 @@ def cross_rank_moment(r: int, s: int) -> float:
     below is the mixed moment of the (r, s)-th largest raw points, whose
     joint density factors through E(x) and E(y) - E(x); dividing by
     E(S^2) = 2 converts it to the normalized moment.
+
+    The outer integral over x and the inner one over y < x both use 48-point
+    Gauss-Legendre panels.  The inner panels of an outer node x are the
+    fixed panels between 1e-9, 1e-6, 1e-3, 0.05, 0.25, 1 and 2 that end
+    below x, then one last panel [e, x] from the largest of those edges
+    below x.  E(y) and exp(-E(y) - y) on the fixed panels are computed once
+    per call; only the last panel's are computed per node.  Each node's
+    panel sums are added in edge order, so the value is the one a separate
+    quadrature per outer node gives.
     """
     if not 1 <= r < s:
         raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
+    _, w = _quad.gl_rule(48)
+    fixed = np.array(_CROSS_INNER_EDGES)
+    y_fixed, half_fixed = _quad.gl_nodes(fixed[:-1], fixed[1:], 48)
+    e1_fixed = e1_real(y_fixed)
+    weight_fixed = np.exp(-e1_fixed - y_fixed)
+
+    def panel_sums(e1y, weight, e1x):
+        # sum of w * exp(-E(y) - y) (E(y) - E(x))^(s-r-1) over each panel row
+        return np.sum(w * (weight * (e1y - e1x) ** (s - r - 1)), axis=-1)
 
     def outer(xs):
-        vals = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            e1x = e1_real(x)
+        e1x = e1_real(xs)
+        # inner panels of each node: the fixed ones below it, then [e, x]
+        n_full = np.searchsorted(fixed, xs) - 1
+        sums = panel_sums(e1_fixed, weight_fixed, e1x[:, None, None])
+        y_last, half_last = _quad.gl_nodes(fixed[n_full], xs, 48)
+        e1_last = e1_real(y_last)
+        last = panel_sums(e1_last, np.exp(-e1_last - y_last), e1x[:, None])
+        total = np.zeros_like(xs)
+        for k, h in enumerate(half_fixed.tolist()):
+            full = k < n_full
+            total[full] += h * sums[full, k]
+        total += half_last * last
+        return total * np.exp(-xs) * e1x ** (r - 1)
 
-            def inner(ys):
-                e1y = e1_real(ys)
-                return np.exp(-e1y - ys) * (e1y - e1x) ** (s - r - 1)
-
-            edges_y = [e for e in [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0] if e < x] + [float(x)]
-            vals[i] = _quad.gl_panels(inner, edges_y, 48) * np.exp(-x) * e1x ** (r - 1)
-        return vals
-
-    edges_x = [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    total = _quad.gl_panels(outer, edges_x, 48)
+    total = _quad.gl_panels(outer, _CROSS_OUTER_EDGES, 48)
     return total / (2.0 * math.factorial(r - 1) * math.factorial(s - r - 1))
 
 

@@ -26,6 +26,8 @@ EULER_GAMMA = 0.57721566490153286061
 
 _SERIES_RADIUS_COMPLEX = 4.0
 _MAX_ITER = 2000
+# partial numerators -(j-1)^2 of the contracted fraction, j = 2, 3, ...
+_CF_NUMERATORS = (-np.arange(1.0, _MAX_ITER - 1) ** 2).tolist()
 
 _exp1 = None  # scipy.special.exp1, bound by the first e1_real call
 
@@ -50,13 +52,15 @@ def _e1_series(z: complex) -> complex:
 def _e1_cf(z: complex) -> complex | None:
     # Even-contracted continued fraction e^{-z}/(z+1 - 1/(z+3 - 4/(z+5 - ...)))
     # evaluated by the modified Lentz algorithm; None if it has not converged.
+    # No smaller cap keeps every value that converges: on Re z in [-45, -0.5],
+    # |Im z| <= 8, points near the negative real axis converge after as many
+    # as 1997 iterations, right beside points that stall.
     tiny = 1e-300
     b = z + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for j in range(2, _MAX_ITER):
-        a = -((j - 1.0) ** 2)
+    for a in _CF_NUMERATORS:
         b = b + 2.0
         d = b + a * d
         if abs(d) < tiny:

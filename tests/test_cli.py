@@ -75,6 +75,22 @@ class TestCdf:
         assert rec["errors"]["reason"].startswith("SpecfunDomainError")
         assert "cdf" not in rec["values"]
 
+    @pytest.mark.parametrize("kind, arg", [("perm-cycle", "--a=0.5"), ("mapping-cycle", "--b=1")])
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_rank_below_one_is_error(self, capsys, kind, arg, r):
+        code, rec = run_json(capsys, "cdf", "--kind", kind, arg, f"--r={r}")
+        assert code == 1
+        assert rec["errors"]["reason"] == f"ValueError: rank must be >= 1, got {r}"
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "-1"])
+    def test_pavlov_c_must_be_finite_and_nonnegative(self, capsys, c):
+        code, rec = run_json(
+            capsys, "cdf", "--kind", "mapping-cycle", "--b=1", "--regime=pavlov", f"--c={c}"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"].startswith("ValueError: pavlov regime requires finite c")
+        assert rec["values"] == {}
+
     def test_pavlov_needs_c(self, capsys):
         code, rec = run_json(
             capsys, "cdf", "--kind", "mapping-cycle", "--b", "1.0", "--regime", "pavlov"

@@ -126,6 +126,48 @@ class TestSolverAgainstClosedForms:
         assert rho(6.0) == pytest.approx(1.964969635e-5, rel=1e-7)
 
 
+class TestClosedFormSegment:
+    """1 - ln x (theta = 1) and the artanh form (theta = 1/2) on (1, 2]
+    against mpmath, and against the Lerch series they replace in evaluation."""
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_no_less_accurate_than_series(self, theta):
+        import mpmath as mp
+
+        xs = np.linspace(1.0, 2.0, 2001)[1:]
+        with mp.workdps(40):
+            if theta == 1.0:
+                exact = [1 - mp.log(mp.mpf(x)) for x in xs]
+            else:
+                exact = [(1 - mp.atanh(mp.sqrt(1 - 1 / mp.mpf(x)))) / mp.sqrt(x) for x in xs]
+
+            def worst(values):
+                return float(max(abs(mp.mpf(float(v)) - e) for v, e in zip(values, exact)))
+
+            sol = theta_solution(theta)
+            closed = worst(sol(xs))
+            scalar = worst([sol(float(x)) for x in xs])
+            series = worst(dde._theta_segment(theta, xs))
+        assert closed == scalar
+        assert closed <= series
+        assert closed <= 2e-16
+
+    def test_general_theta_keeps_series(self):
+        sol = theta_solution(1.5)
+        xs = np.linspace(1.0, 2.0, 101)[1:]
+        assert np.array_equal(sol(xs), dde._theta_segment(1.5, xs))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_pieces_do_not_depend_on_evaluated_segment(self, monkeypatch, rank):
+        # the solver reads the lower rank through the series on [1, 2], so
+        # the closed form used in evaluation leaves every fitted piece as
+        # the series alone gives it
+        fitted = dickman_solution(rank).coef
+        monkeypatch.setattr(dde, "_segment", dde._series_segment)
+        refit = dde.solve_generalized_dickman(DdeSpec(kind="generalized-dickman", rank=rank))
+        assert np.array_equal(_bits(refit.coef), _bits(fitted))
+
+
 class TestGeneralizedDickman:
     def test_rank_one_is_rho(self, rho):
         r1 = dickman_solution(1)

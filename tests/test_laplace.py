@@ -164,6 +164,46 @@ class TestInvert:
         assert invert(spec, 1.5) == pytest.approx(1.5 * math.exp(-1.5), abs=1e-8)
 
 
+class TestDeHoogEngine:
+    """The list-based de Hoog engine against mpmath.invertlaplace, which it
+    replaced: the same number at the same caller precision."""
+
+    @pytest.mark.parametrize(
+        "theta, xi", [(1.0, 3.0), (1.0, 4.3), (0.5, 2.25), (0.5, 4.0), (1.5, 3.0), (1.5, 5.5)]
+    )
+    def test_theta_family_equals_mpmath(self, theta, xi):
+        import mpmath as mp
+
+        with mp.workdps(80):
+            F = laplace._mp_theta_peeled(theta)
+            expected = mp.invertlaplace(F, xi, method="dehoog", degree=80)
+            value = laplace._dehoog(F, xi, 80, 80)
+            assert mp.mp.dps == 80  # the caller's precision is left as it was
+        assert value == expected
+        assert float(value) == float(expected)
+
+    def test_bromwich_override_equals_mpmath(self):
+        import mpmath as mp
+
+        b, xi = 0.8, 1.25
+        F = lambda p: mp.exp(-mp.e1(mp.sqrt(2 * b * p))) / mp.sqrt(p)
+        with mp.workdps(60):
+            expected = float(mp.invertlaplace(F, xi, method="dehoog", degree=40))
+        spec = TransformSpec(id="cycle-cdf", b=b)
+        assert invert(spec, xi, method="bromwich") == expected
+
+    def test_invert_does_not_call_invertlaplace(self, monkeypatch):
+        import mpmath as mp
+
+        def fail(*args, **kwargs):
+            raise AssertionError("mpmath.invertlaplace called")
+
+        monkeypatch.setattr(mp, "invertlaplace", fail)
+        assert invert(TransformSpec(id="dickman"), 3.5) == pytest.approx(
+            dde.dickman_solution(1)(3.5), abs=1e-8
+        )
+
+
 class TestHkAndConvolutions:
     def test_closed_form_values(self):
         assert hk_closed_form(0, 0.5) == 1.0

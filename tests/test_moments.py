@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from randmap import moments
+from randmap import _quad, moments
 from randmap.distributions import Regime
 from randmap.moments import (
     cross_rank_moment,
@@ -11,6 +12,7 @@ from randmap.moments import (
     mode_lambda1,
     moment_table,
 )
+from randmap.specfun import e1_real
 
 RAYLEIGH_MEANS = {
     1: 0.78248160099165661501,
@@ -175,3 +177,25 @@ class TestCrossRankMoments:
         tab = moment_table(Regime.rayleigh(), include_cross_rank=True, include_location=False)
         assert (1, 2) in tab.cross_rank_corr
         assert 0.0 < tab.cross_rank_corr[(1, 2)] < 1.0
+
+    @pytest.mark.parametrize("r, s", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    def test_one_pass_equals_quadrature_per_node(self, r, s):
+        # one inner quadrature per outer node, as cross_rank_moment did before
+        # it shared the fixed inner panels between nodes
+        def outer(xs):
+            vals = np.empty_like(xs)
+            for i, x in enumerate(xs):
+                e1x = e1_real(x)
+
+                def inner(ys):
+                    e1y = e1_real(ys)
+                    return np.exp(-e1y - ys) * (e1y - e1x) ** (s - r - 1)
+
+                edges = [e for e in [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0] if e < x] + [float(x)]
+                vals[i] = _quad.gl_panels(inner, edges, 48) * np.exp(-x) * e1x ** (r - 1)
+            return vals
+
+        edges_x = [1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        total = _quad.gl_panels(outer, edges_x, 48)
+        expected = total / (2.0 * math.factorial(r - 1) * math.factorial(s - r - 1))
+        assert cross_rank_moment.__wrapped__(r, s) == expected
