@@ -1,18 +1,15 @@
-"""Benchmark the compiled kernels against the NumPy fallback.
+"""Time the NumPy kernels, simulation, the analytic layer and cold starts.
 
 Usage:
     python benchmarks/bench_kernels.py [--quick]
 
 Times the batch analyzer across problem sizes (from enumeration-sized rows
-of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call,
-printing a table with speedups.  Both backends are imported directly, so the
-comparison runs regardless of which one the package selected at import time;
-the compiled column is filled only when the extension imports.  A last
-section times the analytic layer on warm (already solved) DDE solutions:
-scalar rho on the head, the closed-form segment and the Chebyshev body, one
-1000-point vector evaluation, the mixture CDF of the longest cycle, the
-largest-component CDF on the sigma segment, one uncached cross-rank moment
-and one de Hoog inversion.
+of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call.
+A last section times the analytic layer on warm (already solved) DDE
+solutions: scalar rho on the head, the closed-form segment and the Chebyshev
+body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
+the largest-component CDF on the sigma segment, one uncached cross-rank
+moment and one de Hoog inversion.
 The cold-start section runs ``import randmap`` and each cheap README command
 in a fresh interpreter (best of 5 wall times) and lists which of
 scipy.special, scipy.optimize and mpmath each one loaded.
@@ -29,12 +26,7 @@ import time
 import numpy as np
 
 import randmap
-from randmap import _fallback
-
-try:
-    from randmap import _core
-except ImportError:
-    _core = None
+from randmap import _kernels
 
 
 def _time(fn, repeats=3, number=1):
@@ -48,47 +40,31 @@ def _time(fn, repeats=3, number=1):
 
 
 def bench_batch(quick: bool):
-    print(f"{'batch analyze':<28}{'rows x n':>16}{'numpy':>10}{'cython':>10}{'speedup':>9}")
+    print(f"{'batch analyze':<28}{'rows x n':>16}{'time':>10}")
     cases = [(2000, 6), (2000, 100), (2000, 1000), (500, 10_000)]
     if not quick:
         cases.append((100, 100_000))
     rng = np.random.default_rng(0)
     for rows, n in cases:
         imgs = rng.integers(0, n, size=(rows, n), dtype=np.int64)
-        t_np = _time(lambda: _fallback.batch_stats(imgs))
-        if _core is not None:
-            t_cy = _time(lambda: _core.batch_stats(imgs))
-            print(f"{'':<28}{rows:>8} x {n:<6}{t_np:>9.3f}s{t_cy:>9.3f}s{t_np / t_cy:>8.1f}x")
-        else:
-            print(f"{'':<28}{rows:>8} x {n:<6}{t_np:>9.3f}s{'-':>10}{'-':>9}")
+        t = _time(lambda: _kernels.batch_stats(imgs))
+        print(f"{'':<28}{rows:>8} x {n:<6}{t:>9.3f}s")
 
 
 def bench_enumerate(quick: bool):
-    print(f"{'exact enumeration':<28}{'n':>16}{'numpy':>10}{'cython':>10}{'speedup':>9}")
+    print(f"{'exact enumeration':<28}{'n':>16}{'time':>10}")
     for n in (5, 6) if quick else (5, 6, 7):
-        t_np = _time(lambda: _fallback.enumerate_tally(n), repeats=1)
-        if _core is not None:
-            t_cy = _time(lambda: _core.enumerate_tally(n), repeats=1)
-            print(f"{'':<28}{n:>16}{t_np:>9.3f}s{t_cy:>9.3f}s{t_np / t_cy:>8.1f}x")
-        else:
-            print(f"{'':<28}{n:>16}{t_np:>9.3f}s{'-':>10}{'-':>9}")
+        t = _time(lambda: _kernels.enumerate_tally(n), repeats=1)
+        print(f"{'':<28}{n:>16}{t:>9.3f}s")
 
 
 def bench_simulate(quick: bool):
-    from randmap import _kernels, mapping_sim
+    from randmap import mapping_sim
 
     n, trials = (2000, 2000) if quick else (10_000, 5000)
-    print(f"{'simulate n=%d trials=%d' % (n, trials):<28}{'backend':>16}{'time':>10}")
-    backends = [_fallback] if _core is None else [_core, _fallback]
-    selected = _kernels.batch_stats
-    try:
-        for backend in backends:
-            # simulate looks up _kernels.batch_stats at call time
-            _kernels.batch_stats = backend.batch_stats
-            t = _time(lambda: mapping_sim.simulate(n, trials, seed=1, workers=1), repeats=1)
-            print(f"{'':<28}{backend.BACKEND:>16}{t:>9.2f}s")
-    finally:
-        _kernels.batch_stats = selected
+    print(f"{'simulate':<28}{'n x trials':>16}{'time':>10}")
+    t = _time(lambda: mapping_sim.simulate(n, trials, seed=1, workers=1), repeats=1)
+    print(f"{'':<28}{n:>8} x {trials:<6}{t:>9.2f}s")
 
 
 def bench_analytic(quick: bool):
@@ -173,8 +149,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
-    if _core is None:
-        print("compiled core not available; timing the fallback only\n")
     bench_batch(args.quick)
     print()
     bench_enumerate(args.quick)

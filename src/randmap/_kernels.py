@@ -1,22 +1,126 @@
-"""Kernel backend selection: compiled core if importable, NumPy otherwise.
+"""NumPy kernels for functional-graph analysis and exact enumeration.
 
-Set RANDMAP_FORCE_FALLBACK=1 to insist on the NumPy kernels even when the
-compiled core is built; the benchmark records the variable in its provenance.
+A batch of mappings is analyzed in one component pass with no per-row Python
+loop: the rows are flattened into a single functional graph on the nodes
+row*n + v, and squaring it ceil(log2 n) times maps every node onto the cycle of its
+component, so the image of the result is the set of cyclic nodes.  Min-label
+doubling on the compressed cyclic nodes names each cycle by its smallest
+node, and each node's component is the name at its landing point.  Bincounts
+give cycle lengths, component sizes and per-row counts; one integer sort
+ranks the cycle lengths and a per-row maximum picks the largest component.
+Rows are processed in blocks of at most _BLOCK nodes, which keeps the int32
+temporary arrays small.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("RANDMAP_FORCE_FALLBACK"):
-    from . import _fallback as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _fallback as _impl
+BACKEND = "numpy"  # exported as randmap.kernel_backend for benchmark provenance
 
-BACKEND: str = _impl.BACKEND
-batch_stats = _impl.batch_stats
-analyze_arrays = _impl.analyze_arrays
-enumerate_tally = _impl.enumerate_tally
+# per-row output columns of batch_stats
+_COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
+
+_BLOCK = 1 << 16  # nodes per component pass (a single row may exceed it)
+
+
+def _components(block: np.ndarray):
+    """Cycles of a block of 0-based mappings, one entry per component.
+
+    Returns (row, cycle length, component size) with rows ascending, plus
+    the per-row cyclic-point counts.  Gathers use np.take, which reads int32
+    indices directly where fancy indexing first converts them to intp.
+    """
+    rows, n = block.shape
+    f = (block.astype(np.int32) + np.arange(0, rows * n, n, dtype=np.int32)[:, None]).ravel()
+    steps = max(1, (n - 1).bit_length())  # 2^steps >= n bounds tails and cycles
+    land = f
+    for _ in range(steps):
+        land = np.take(land, land)
+    cyclic = np.zeros(f.size, dtype=bool)
+    cyclic[land] = True
+    cyc = np.flatnonzero(cyclic)
+    pos = np.cumsum(cyclic, dtype=np.int32) - 1  # compressed index of each cyclic node
+    del cyclic
+    succ = np.take(pos, np.take(f, cyc))
+    label = np.arange(cyc.size, dtype=np.int32)
+    for _ in range(steps):
+        label = np.minimum(label, np.take(label, succ))
+        succ = np.take(succ, succ)
+    comp = np.take(label, np.take(pos, land))
+    del pos, land, succ
+    reps = np.flatnonzero(label == np.arange(cyc.size))
+    length = np.bincount(label, minlength=cyc.size)[reps]
+    size = np.bincount(comp, minlength=cyc.size)[reps]
+    return cyc[reps] // n, length, size, np.bincount(cyc // n, minlength=rows)
+
+
+def _stats(n, row, length, size, n_cyclic):
+    """batch_stats columns from the per-component arrays of _components."""
+    rows = n_cyclic.size
+    out = np.zeros((rows, _COLS), dtype=np.int64)
+    m_comp = np.bincount(row, minlength=rows)
+    first = np.cumsum(m_comp) - m_comp  # index of each row's first component
+    # one integer key per component sorts by row, then cycle length descending
+    ranked = n - np.sort(row * (n + 1) + (n - length)) % (n + 1)
+    rank = np.arange(row.size) - first[row]
+    top = rank < 4
+    out[row[top], rank[top]] = ranked[top]
+    # largest component: size desc, then cycle length desc; a remaining tie
+    # (the min-label rule) cannot change the flag, as the lengths are equal
+    best = np.maximum.reduceat(size * (n + 1) + length, first) % (n + 1)
+    out[:, 4] = n_cyclic
+    out[:, 5] = m_comp
+    out[:, 6] = best == out[:, 0]
+    return out
+
+
+def _batch_stats(images: np.ndarray) -> np.ndarray:
+    """Per-row structural stats of a batch of 0-based mappings.
+
+    Returns int64 (rows, 7): four longest cycle lengths (descending, padded
+    with zeros), cyclic-point count, component count, and a 0/1 flag telling
+    whether the largest component contains a longest cycle.
+    """
+    images = np.asarray(images)
+    m, n = images.shape
+    out = np.empty((m, _COLS), dtype=np.int64)
+    step = max(1, _BLOCK // max(n, 1))
+    for start in range(0, m, step):
+        out[start : start + step] = _stats(n, *_components(images[start : start + step]))
+    return out
+
+
+# enumerate_tally calls _batch_stats, not the module attribute, so a wrapper
+# installed on batch_stats (the benchmark's tracer) sees simulation rows only
+batch_stats = _batch_stats
+
+
+def analyze_arrays(image: np.ndarray):
+    """Full per-mapping digest: (cycle lengths desc, component sizes desc, flag)."""
+    image = np.asarray(image)
+    parts = _components(image[None, :])
+    flag = int(_stats(image.size, *parts)[0, 6])
+    _, length, size, _ = parts
+    return np.sort(length)[::-1], np.sort(size)[::-1], flag
+
+
+def enumerate_tally(n: int, first: int | None = None):
+    """Exact tallies over all n^n mappings (or the slice image[0] = first).
+
+    Returns (counts[m, l], joint[M, N, lam1, lam2], connected_count) as exact
+    integer arrays.  Mappings are unranked from mixed-radix indices in chunks
+    and pushed through the batch analyzer.
+    """
+    joint = np.zeros((n + 1,) * 4, dtype=np.int64)
+    # mixed-radix index i has image[j] = (i // n^j) % n; the slice
+    # image[0] = first is every n-th index from first
+    start, stride = (0, 1) if first is None else (int(first), n)
+    powers = n ** np.arange(n, dtype=np.int64)
+    chunk = (1 << 15) * stride
+    for lo in range(start, n**n, chunk):
+        idx = np.arange(lo, min(lo + chunk, n**n), stride, dtype=np.int64)
+        stats = _batch_stats(idx[:, None] // powers % n)
+        np.add.at(joint, (stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), 1)
+    counts = joint.sum(axis=(2, 3))
+    return counts, joint, int(counts[1].sum())

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 _NU_CUT = 8.75  # exp(-nu^2/2) < 3e-17 beyond; truncation noted in error budget
+# N-density mass a truncated window may drop: the pavlov tail past _NU_CUT
+# stays below it up to c = 3, so those keep the rayleigh window
+_TAIL_TOL = 1e-13
+# the pavlov log-density cancels terms of size c log(2c), so its relative
+# error grows like c log(2c) 2^-53, about 1e-10 at this bound
+_PAVLOV_C_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,10 @@ class Regime:
         if self.tag not in ("rayleigh", "halfnormal", "pavlov"):
             raise ValueError(f"unknown regime {self.tag!r}")
         if self.tag == "pavlov":
-            if self.c is None or not 0.0 <= self.c < math.inf:
-                raise ValueError(f"pavlov regime requires finite c >= 0, got {self.c}")
+            if self.c is None or not 0.0 <= self.c <= _PAVLOV_C_MAX:
+                raise ValueError(
+                    f"pavlov regime requires finite c in [0, {_PAVLOV_C_MAX:g}], got {self.c}"
+                )
 
     @classmethod
     def rayleigh(cls) -> "Regime":
@@ -73,19 +81,37 @@ def cyclic_points_density(nu, regime: Regime):
     arr = np.asarray(nu, dtype=float)
     if np.any(arr <= 0.0):
         raise SpecfunDomainError("cyclic-point density defined for nu > 0")
-    gauss = np.exp(-arr * arr / 2.0)
-    if regime.tag == "rayleigh":
-        out = arr * gauss
-    elif regime.tag == "halfnormal" or (regime.tag == "pavlov" and regime.c == 0.0):
-        # the c -> 0 limit of the pavlov family is taken analytically: the
-        # Gamma(c)/Gamma(2c) ratio tends to 2, avoiding the poles at c = 0
-        out = math.sqrt(2.0 / math.pi) * gauss
-    else:
+    if regime.tag == "pavlov":
+        # in log space: for large c the coefficient underflows where nu^(2c)
+        # overflows.  2^c Gamma(c)/(sqrt(2 pi) Gamma(2c)) = 2^(1/2-c)/Gamma(c+1/2)
+        # by the duplication formula, which is finite at c = 0 (halfnormal)
         c = regime.c
-        log_coef = c * math.log(2.0) + math.lgamma(c) - math.lgamma(2.0 * c)
-        coef = math.exp(log_coef) / math.sqrt(2.0 * math.pi)
-        out = coef * arr ** (2.0 * c) * gauss
+        log_coef = (0.5 - c) * math.log(2.0) - math.lgamma(c + 0.5)
+        out = np.exp(log_coef + 2.0 * c * np.log(arr) - arr * arr / 2.0)
+    else:
+        gauss = np.exp(-arr * arr / 2.0)
+        out = arr * gauss if regime.tag == "rayleigh" else math.sqrt(2.0 / math.pi) * gauss
     return float(out) if np.isscalar(nu) else out
+
+
+def _nu_window(regime: Regime):
+    """Edges that bound the N-density's mass to within _TAIL_TOL.
+
+    [0, _NU_CUT] unless the pavlov mass beyond _NU_CUT may exceed _TAIL_TOL;
+    then the density's mode sqrt(2c) -/+ _NU_CUT, split at the mode.  The
+    log-density has second derivative -1 - 2c/nu^2 <= -1, so the mass beyond
+    a point x past the mode is at most density(x) / (x - 2c/x), and the mass
+    more than _NU_CUT from the mode is below 3e-17 for every c.
+    """
+    if regime.tag != "pavlov":
+        return [0.0, _NU_CUT]
+    two_c = 2.0 * regime.c
+    if _NU_CUT * _NU_CUT > two_c:
+        tail = cyclic_points_density(_NU_CUT, regime) / (_NU_CUT - two_c / _NU_CUT)
+        if tail <= _TAIL_TOL:
+            return [0.0, _NU_CUT]
+    mode = math.sqrt(two_c)
+    return [max(mode - _NU_CUT, 0.0), mode, mode + _NU_CUT]
 
 
 @lru_cache(maxsize=16)
@@ -137,8 +163,10 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     """Limiting P{r-th longest cycle of a mapping <= b sqrt(n)}.
 
     Integral of the regime's N-density against rho_r(nu/b), with panels split
-    at the integrand's kink abscissae nu = b, 2b, ... and truncated where the
-    Gaussian weight is below 3e-17.  The integrand is 0 past nu = x_max b, so
+    at the integrand's kink abscissae nu = b, 2b, ... on the window of
+    _nu_window: [0, 8.75], where the Gaussian weight ends below 3e-17, or a
+    window around the mode when the pavlov mass past 8.75 may exceed
+    _TAIL_TOL (c above about 3).  The integrand is 0 past nu = x_max b, so
     kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
     and small b costs no more than b = 8.75 / (x_max + 1).  The 32 nodes of
     every panel go into one (panels, 32) array, so there is one density call
@@ -152,13 +180,12 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     sol = _rank_solution(r)
-    kinks = [k * b for k in range(1, int(min(_NU_CUT / b, sol.x_max + 1.0)) + 1)]
+    window = _nu_window(regime)
+    lo, hi = window[0], window[-1]
+    kinks = [k * b for k in range(1, int(min(hi / b, sol.x_max + 1.0)) + 1)]
     # a sorted set rather than np.unique, whose first call imports numpy.ma
     # (about 12 ms of a cold `randmap cdf`)
-    edges = np.array(sorted({0.0, _NU_CUT, *kinks}))
-    edges = edges[edges <= _NU_CUT]
-    if edges[-1] < _NU_CUT:
-        edges = np.append(edges, _NU_CUT)
+    edges = np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
     _, w = _quad.gl_rule(32)
     nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
     keep = nu[:, 0] > 0.0

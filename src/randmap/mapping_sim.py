@@ -85,7 +85,7 @@ def sample_mapping(n: int, rng) -> Mapping:
 
 def analyze(mapping: Mapping) -> GraphSummary:
     """Ranked cycle lengths, component sizes and the largest-component flag,
-    computed by the selected kernel backend (see randmap._kernels)."""
+    computed by the NumPy kernel in randmap._kernels."""
     lengths, sizes, flag = _kernels.analyze_arrays(mapping.image - 1)
     return GraphSummary(
         n=mapping.n,

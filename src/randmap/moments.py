@@ -212,7 +212,7 @@ def _mode_balance(lam: float) -> float:
     The second term vanishes for nu < 2 lam, cancelling the nu/(nu-lam) pole.
     """
     sol = dde.dickman_solution(1)
-    cut = 8.75
+    cut = distributions._NU_CUT
 
     def term1(nu):
         return -distributions._rank_values(sol, nu / lam - 1.0) * nu * np.exp(-nu * nu / 2.0)

@@ -59,11 +59,27 @@ class TestCyclicPointsDensity:
         )
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
+    # from c = 38 the mass lies past nu = 8.75; from c = 160 the coefficient
+    # underflows where nu^(2c) overflows, unless taken in log space
+    @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 38.0, 160.0, 1000.0])
     def test_normalization(self, c):
         reg = Regime.pavlov(c)
-        val, _ = quad(lambda nu: cyclic_points_density(nu, reg), 1e-12, 12.0, limit=200)
+        val, _ = quad(
+            lambda nu: cyclic_points_density(nu, reg), 1e-12, math.sqrt(2.0 * c) + 12.0, limit=200
+        )
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("c", [0.25, 1.0, 5.0, 38.0, 160.0, 1000.0])
+    def test_mean(self, c):
+        # N^2/2 is Gamma(c + 1/2), so E[N] = sqrt(2) Gamma(c+1) / Gamma(c+1/2)
+        reg = Regime.pavlov(c)
+        mode = math.sqrt(2.0 * c)
+        val, _ = quad(
+            lambda nu: nu * cyclic_points_density(nu, reg), 1e-12, mode + 12.0,
+            points=[mode], limit=200,
+        )
+        exact = math.sqrt(2.0) * math.exp(math.lgamma(c + 1.0) - math.lgamma(c + 0.5))
+        assert val == pytest.approx(exact, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
@@ -126,8 +142,24 @@ class TestMappingCycleCdf:
         )
 
     def test_saturation(self):
-        for reg in (Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(1.5)):
+        regimes = [Regime.rayleigh(), Regime.halfnormal()]
+        regimes += [Regime.pavlov(c) for c in (1.5, 50.0, 200.0)]
+        for reg in regimes:
             assert mapping_longest_cycle_cdf(50.0, 1, reg) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("c, b", [(5.0, 1.5), (50.0, 5.0), (1000.0, 20.0)])
+    def test_pavlov_mode_window_matches_quad(self, c, b):
+        # past c = 3 the panels sit around the mode sqrt(2c), not on [0, 8.75]
+        sol = dde.dickman_solution(1)
+        mode = math.sqrt(2.0 * c)
+        lo, hi = max(mode - 12.0, 1e-12), mode + 12.0
+        kinks = [k * b for k in range(1, int(hi / b) + 1) if lo < k * b < hi]
+        ref, _ = quad(
+            lambda nu: cyclic_points_density(nu, Regime.pavlov(c))
+            * (sol(nu / b) if nu / b <= sol.x_max else 0.0),
+            lo, hi, points=[mode, *kinks], limit=400,
+        )
+        assert mapping_longest_cycle_cdf(b, 1, Regime.pavlov(c)) == pytest.approx(ref, abs=1e-12)
 
     def test_rank_monotone(self):
         for b in [0.4, 0.9]:

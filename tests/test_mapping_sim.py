@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from randmap import _fallback, _kernels
+from randmap import _kernels
 from randmap.mapping_sim import (
     BudgetExhaustedError,
     GraphSummary,
@@ -91,30 +91,10 @@ class TestAnalyze:
         assert all(a >= b for a, b in zip(s.component_sizes, s.component_sizes[1:]))
 
 
-class TestBackendParity:
-    def test_batch_and_analyze_agree_with_fallback(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 5, 17, 64, 257):
-            imgs = rng.integers(0, n, size=(64, n), dtype=np.int64)
-            assert np.array_equal(_kernels.batch_stats(imgs), _fallback.batch_stats(imgs))
-            la, sa, fa = _kernels.analyze_arrays(imgs[0])
-            lb, sb, fb = _fallback.analyze_arrays(imgs[0])
-            assert np.array_equal(la, lb)
-            assert np.array_equal(sa, sb)
-            assert fa == fb
-
-    def test_enumerate_agrees_with_fallback(self):
-        ca, ja, na = _kernels.enumerate_tally(4)
-        cb, jb, nb = _fallback.enumerate_tally(4)
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(ja, jb)
-        assert na == nb
-
-
 def _reference_digest(image):
     """(cycle lengths desc, component sizes desc, flag) of one 0-based mapping.
 
-    A plain dict walk, independent of both kernel backends: each walk from an
+    A plain dict walk, independent of the kernel: each walk from an
     unvisited node either closes a new cycle or joins a known component.  The
     largest component is chosen by size, then cycle length, then smallest
     node; the flag says whether its cycle is a longest one.
@@ -161,7 +141,7 @@ def _structured_images(n):
 
 
 class TestReferenceParity:
-    """The selected backend against the dict-walk reference, row by row."""
+    """The kernel against the dict-walk reference, row by row."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 17, 64, 257, 1024])
     def test_batch_stats_matches_reference(self, n):
@@ -178,10 +158,10 @@ class TestReferenceParity:
     @pytest.mark.parametrize("n", [6, 17, 1000])
     def test_batch_stats_across_block_seams(self, n):
         # rows * n spans several analysis blocks, with a partial last block
-        rows = 2 * _fallback._BLOCK // n + 7
+        rows = 2 * _kernels._BLOCK // n + 7
         imgs = np.random.default_rng(n).integers(0, n, size=(rows, n), dtype=np.int64)
         stats = _kernels.batch_stats(imgs)
-        step = max(1, _fallback._BLOCK // n)
+        step = max(1, _kernels._BLOCK // n)
         seams = {k for s in range(0, rows, step) for k in (s - 1, s) if 0 <= k < rows}
         for k in sorted(seams | set(range(0, rows, 97))):
             assert stats[k].tolist() == _reference_row(imgs[k]), k
