@@ -5,8 +5,9 @@ Usage:
 
 Times the batch analyzer across problem sizes (from enumeration-sized rows
 of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call.
-A last section times the analytic layer on warm (already solved) DDE
-solutions: scalar rho on the head, the closed-form segment and the Chebyshev
+A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
+1.5), then the analytic layer on warm (already solved) DDE solutions:
+scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
 the largest-component CDF on the sigma segment, one uncached cross-rank
 moment and one de Hoog inversion.
@@ -75,6 +76,17 @@ def bench_analytic(quick: bool):
     for r in (2, 3, 4):
         dde.dickman_solution(r)  # solve outside the timed region
     print(f"{'analytic (warm solutions)':<28}{'case':>16}{'best of 5':>14}")
+    # uncached solves; rank 2 reads the warm rank-1 solution
+    solves = [
+        (dde.solve_generalized_dickman, "generalized-dickman", "rank", 1),
+        (dde.solve_generalized_dickman, "generalized-dickman", "rank", 2),
+        (dde.solve_theta_dde, "theta-family", "theta", 0.5),
+        (dde.solve_theta_dde, "theta-family", "theta", 1.5),
+    ]
+    for solve, kind, name, value in solves:
+        spec = dde.DdeSpec(kind=kind, **{name: value})
+        t = _time(lambda: solve(spec), repeats=5)
+        print(f"{solve.__name__:<28}{f'{name}={value}':>16}{t * 1e3:>11.3f} ms")
     for x in (0.5, 1.5, 10.3):
         t = _time(lambda: rho(x), repeats=5, number=number)
         print(f"{'rho(x) scalar':<28}{'x=%g' % x:>16}{t * 1e6:>11.1f} us")

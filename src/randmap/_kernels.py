@@ -14,6 +14,8 @@ temporary arrays small.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 BACKEND = "numpy"  # exported as randmap.kernel_backend for benchmark provenance
@@ -22,6 +24,21 @@ BACKEND = "numpy"  # exported as randmap.kernel_backend for benchmark provenance
 _COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
 
 _BLOCK = 1 << 16  # nodes per component pass (a single row may exceed it)
+
+MAX_WORKERS = 64  # the most threads one simulate or enumerate_all call starts
+
+
+def worker_count(workers=None) -> int:
+    """``workers``, or RANDMAP_WORKERS (default 1) when it is None.
+
+    Raises ValueError outside [1, MAX_WORKERS], before any thread starts.
+    """
+    if workers is None:
+        workers = os.environ.get("RANDMAP_WORKERS", "1")
+    workers = int(workers)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    return workers
 
 
 def _components(block: np.ndarray):

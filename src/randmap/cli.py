@@ -104,23 +104,26 @@ def _regime_from(args) -> Regime:
 
 def _cmd_eval(args):
     x = args.x
-    tol = args.tol or 1e-12
+    tol = 1e-12 if args.tol is None else args.tol
     if args.fn == "rho":
-        value = float(dde.dickman_solution(1, tol=tol)(x))
-    elif args.fn == "sigma":
-        value = float(dde.watterson_solution(tol=tol)(x))
-    elif args.fn == "sigma-tilde":
-        value = float(dde.sigma_tilde(dde.watterson_solution(tol=tol), x))
+        sol = dde.dickman_solution(1, tol=tol)
+    elif args.fn in ("sigma", "sigma-tilde"):
+        sol = dde.watterson_solution(tol=tol)
     elif args.fn == "rho-r":
         if args.r is None:
             raise ValueError("--fn rho-r requires --r")
-        value = float(dde.dickman_solution(args.r, tol=tol)(x))
+        sol = dde.dickman_solution(args.r, tol=tol)
     elif args.fn == "g":
         if args.theta is None:
             raise ValueError("--fn g requires --theta")
-        value = float(dde.theta_solution(args.theta, tol=tol)(x))
+        sol = dde.theta_solution(args.theta, tol=tol)
     else:
         raise ValueError(f"unknown function {args.fn!r}")
+    value = float(dde.sigma_tilde(sol, x) if args.fn == "sigma-tilde" else sol(x))
+    if not math.isfinite(value):
+        pole = sol.theta < 1.0 and 0.0 <= x <= 1.0
+        cause = " (the solution has a pole at x = 0 for theta < 1)" if pole else ""
+        raise ValueError(f"{args.fn} is not finite at x = {x!r}{cause}")
     return {"value": value}, {}, None
 
 
@@ -155,7 +158,9 @@ def _cmd_cdf(args):
 def _cmd_constants(args):
     regime = _regime_from(args)
     table = moments.moment_table(
-        regime, tol=args.tol or 1e-12, include_cross_rank=args.cross_rank
+        regime,
+        tol=1e-12 if args.tol is None else args.tol,
+        include_cross_rank=args.cross_rank,
     )
     values = {}
     for r in (1, 2, 3, 4):

@@ -9,15 +9,16 @@ Two families are covered, both with unit delay:
   for x > 1, rho_r = 1 on [0,1], with rho_0 taken identically zero on (0, inf)
   so that rank 1 reduces to the classical equation.
 
-Solutions are represented piecewise: an exact closed-form head on (0,1], an
-exact segment on (1,2] (closed form for theta = 1 and 1/2, a series
-otherwise), and one Chebyshev interpolant per unit interval beyond.  Each numeric piece is fitted in the stretched variable
+Integrating either equation from x = 1 gives an identity with positive terms
+only,  x g(x) = c int_{x-1}^x g + M(x-1):  c = theta and M = 0 for the theta
+family; c = 1 and M(z) = int_0^z rho_{r-1} for rank r (M = 0 for rank 1).
+A solution is an exact head on (0,1], an exact segment on (1,2] and one
+Chebyshev piece per unit interval beyond, fitted in the stretched variable
 s = (x-k)^(1/4): the solutions carry algebraic branch points of exponent
 theta+k-1 at the integer abscissa k, which the stretch turns into terms a
-polynomial basis resolves to full tolerance (for half-integer theta the
-stretched piece is analytic).  Pieces are produced by spectral collocation of
-the equivalent Volterra form, so continuity at breakpoints is exact by
-construction.
+polynomial basis resolves to full tolerance.  Each piece is one collocation
+solve of the identity.  Nothing is subtracted from a larger value, so the
+solution keeps its relative accuracy as it decays (rho(64) is about 3e-132).
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class DdeSpec:
 
 @lru_cache(maxsize=8)
 def _collocation(n: int):
-    """Chebyshev-Lobatto nodes on [0,1] plus value-space integration matrix.
+    """Chebyshev-Lobatto nodes on [0,1], their Vandermonde matrix, its inverse
+    and the value-space integration matrix.
 
     Q maps integrand values at the nodes to values of int_0^s integrand ds.
     """
@@ -93,7 +95,7 @@ def _collocation(n: int):
     vand_hi = _cheb.chebvander(zeta, n + 1)
     vand_lo = _cheb.chebvander(np.array([-1.0]), n + 1)
     q = 0.5 * ((vand_hi - vand_lo) @ antider @ interp)
-    return zeta, s, interp, q
+    return zeta, s, vand, interp, q
 
 
 def _lerch_tail(theta: float, u):
@@ -126,18 +128,6 @@ def _theta_segment(theta: float, x):
     return x ** (theta - 1.0) * (1.0 - theta * theta_delay_integral(theta, u))
 
 
-def _series_segment(spec: DdeSpec, x):
-    """Exact solution on [1,2] of either family, with the series for every theta.
-
-    The solvers build their pieces from these values.
-    """
-    if spec.kind == "theta-family":
-        return _theta_segment(spec.theta, x)
-    if spec.rank == 1:
-        return _theta_segment(1.0, x)
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
 def _segment_theta(spec: DdeSpec):
     """theta of the solution on (1,2], or None where it is identically 1."""
     if spec.kind == "theta-family":
@@ -146,20 +136,22 @@ def _segment_theta(spec: DdeSpec):
 
 
 def _segment(spec: DdeSpec, x):
-    """Exact solution on (1,2] of either family, as evaluation returns it.
+    """Exact solution on (1,2] of either family.
 
     T(u) is -ln(1-u) for theta = 1 and 2 artanh(sqrt(u)) for theta = 1/2, so
     there the segment is 1 - ln x and (1 - artanh(sqrt(u)))/sqrt(x) with
     u = (x-1)/x; both are within 2e-16 of mpmath on (1,2], against 7.4e-16
     for the series.  They use numpy ufuncs only, so a Python float and an
-    array give the same bits.  Other theta keep the series.
+    array give the same bits.  Other theta use the series; rank r >= 2 is 1.
     """
     theta = _segment_theta(spec)
+    if theta is None:
+        return np.ones_like(np.asarray(x, dtype=float))
     if theta == 1.0:
         return 1.0 - np.log(x)
     if theta == 0.5:
         return (1.0 - np.arctanh(np.sqrt((x - 1.0) / x))) / np.sqrt(x)
-    return _series_segment(spec, x)
+    return _theta_segment(theta, x)
 
 
 def _clenshaw(rows, z):
@@ -183,6 +175,7 @@ class PiecewiseSolution:
     """A solved DDE: exact head on [0,1], exact segment on (1,2] and one
     Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
 
+    The solver and evaluation read (1,2] through the same ``_segment``.
     ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
     zeta = 2*s - 1, s = (x - k)^(1/4).  They are stored as one table: row j of
     ``coef`` is the piece starting at ``lo[j] = j + 2``, zero-padded on top to
@@ -240,10 +233,10 @@ class PiecewiseSolution:
                     return float(_segment(self.spec, x))
             elif x >= 0.0 and self.theta == 1.0:
                 return 1.0
-        return self._values(x, _segment)
+        return self._values(x)
 
-    def _values(self, x, segment):
-        """The array path of ``__call__``, with ``segment`` on (1, 2]."""
+    def _values(self, x):
+        """The array path of ``__call__``."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         outside = ~(xs <= self.spec.x_max * (1.0 + 1e-12))
@@ -257,7 +250,7 @@ class PiecewiseSolution:
             out[head] = self._head(xs[head])
         seg = (xs > 1.0) & (xs <= 2.0)
         if np.any(seg):
-            out[seg] = segment(self.spec, xs[seg])
+            out[seg] = _segment(self.spec, xs[seg])
         body = xs > 2.0
         if np.any(body) and len(self.lo):
             xb = xs[body]
@@ -299,51 +292,72 @@ def sigma_tilde(sol: PiecewiseSolution, x):
     return np.sqrt(x) * sol(x)
 
 
-def _fit_piece(k, g_at_k, rhs_builder, tol):
-    """Collocate one unit piece on [k, k+1]; returns Chebyshev coefficients."""
+def _fit_piece(k, step, tol):
+    """Collocate one unit piece on [k, k+1].
+
+    ``step(s, vand, q)`` returns the piece's values at the nodes s and what it
+    carries to the next piece; this returns the Chebyshev coefficients and
+    that carry, from the first degree whose tail meets ``tol``.
+    """
     for degree in (_DEGREE, _DEGREE_RETRY):
-        zeta, s, interp, q = _collocation(degree)
-        values = rhs_builder(k, g_at_k, s, q)
+        _, s, vand, interp, q = _collocation(degree)
+        values, carry = step(s, vand, q)
         coef = interp @ values
         scale = max(np.max(np.abs(coef)), _UNDERFLOW)
         tail = np.max(np.abs(coef[-2:]))
         if tail <= max(tol * scale, 1e-16 * scale):
-            return coef
+            return coef, carry
     raise ToleranceNotAchievedError(
         f"piece [{k}, {k + 1}] Chebyshev tail {tail:.2e} exceeds tol {tol:.2e}"
     )
+
+
+def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
+    """Chebyshev pieces on [2, x_max] of  x g(x) = c int_{x-1}^x g + M(x-1).
+
+    M(z) = int_0^z ``lower`` (rho_{r-1}) for rank r >= 2, and M = 0 otherwise.
+    On [k, k+1] put x = k + s^4 and w = 4 s^3, so that Q(w f) = int_k^x f.
+    The delayed nodes x - 1 are the previous piece's nodes, and the piece's
+    values y solve, in one linear system,
+        (diag(x) - c Q diag(w)) y = c (P - Q(w g(x-1))) + M(k-1) + Q(w rho_{r-1}(x-1)),
+    where P = int_{k-1}^k g is the last entry of Q(w g(x-1)).  The last entry
+    of Q(w rho_{r-1}(x-1)) carries M(k-1) on to the next piece.
+    """
+    pieces = []
+    mass = 0.0 if lower is None else 1.0  # M(k-1), starting from M(1)
+
+    def delayed(sol_spec, rows, s, vand):  # a solution at x - 1 = k - 1 + s^4
+        if k == 2:
+            return _segment(sol_spec, 1.0 + s**_STRETCH)
+        row = rows[k - 3]  # the piece on [k-1, k], whose nodes these are
+        if len(row) <= len(s):
+            return vand[:, : len(row)] @ row
+        return _cheb.chebval(2.0 * s - 1.0, row)
+
+    def step(s, vand, q):  # the piece on [k, k+1] with the current k and mass
+        u = s**_STRETCH
+        w = _STRETCH * s ** (_STRETCH - 1)
+        span = q @ (w * delayed(spec, pieces, s, vand))
+        gain = np.zeros_like(s)
+        if lower is not None:
+            gain = q @ (w * delayed(lower.spec, lower.coef, s, vand))
+        rhs = c * (span[-1] - span) + (mass + gain)
+        return np.linalg.solve(np.diag(k + u) - c * q * w, rhs), mass + gain[-1]
+
+    for k in range(2, math.ceil(spec.x_max)):
+        coef, mass = _fit_piece(k, step, spec.tol)
+        pieces.append(coef)
+    return pieces
 
 
 def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
     """Solve the theta-family equation on (0, x_max]."""
     if spec.kind != "theta-family":
         raise DdeError("solve_theta_dde requires a theta-family spec")
-    theta = spec.theta
-    pieces = []
-    n_pieces = max(0, math.ceil(spec.x_max) - 2)
-
-    def rhs_builder(k, g_at_k, s, q):
-        x_delay = (k - 1.0) + s**_STRETCH
-        if k == 2:
-            delayed = _theta_segment(theta, x_delay)
-        else:
-            delayed = _cheb.chebval(2.0 * s - 1.0, pieces[k - 3])
-        w = _STRETCH * s ** (_STRETCH - 1) / (k + s**_STRETCH)
-        a = (1.0 - theta) * w
-        b = theta * w * delayed
-        m = np.eye(len(s)) + q @ np.diag(a)
-        return np.linalg.solve(m, g_at_k - q @ b)
-
-    g_end = float(_theta_segment(theta, 2.0)) if spec.x_max > 2.0 else None
-    for j in range(n_pieces):
-        k = 2 + j
-        coef = _fit_piece(k, g_end, rhs_builder, spec.tol)
-        pieces.append(coef)
-        g_end = float(_cheb.chebval(1.0, coef))
     return PiecewiseSolution(
         spec=spec,
-        pieces=pieces,
-        closed_form_head=f"x**(theta-1) with theta={theta} on (0,1]",
+        pieces=_solve_pieces(spec, spec.theta),
+        closed_form_head=f"x**(theta-1) with theta={spec.theta} on (0,1]",
     )
 
 
@@ -351,35 +365,14 @@ def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     """Solve the rank-r recursion; lower ranks are solved (and cached) first."""
     if spec.kind != "generalized-dickman":
         raise DdeError("solve_generalized_dickman requires a generalized-dickman spec")
-    rank = spec.rank
     prev = None
-    if rank > 1:
-        prev = dickman_solution(rank - 1, x_max=spec.x_max, tol=spec.tol)
-    pieces = []
-    n_pieces = max(0, math.ceil(spec.x_max) - 2)
-
-    def rhs_builder(k, g_at_k, s, q):
-        x_delay = (k - 1.0) + s**_STRETCH
-        if k == 2:
-            own = _series_segment(spec, x_delay)
-        else:
-            own = _cheb.chebval(2.0 * s - 1.0, pieces[k - 3])
-        if prev is None:
-            lower = np.zeros_like(x_delay)
-        else:
-            lower = prev._values(x_delay, _series_segment)
-        w = _STRETCH * s ** (_STRETCH - 1) / (k + s**_STRETCH)
-        return g_at_k + q @ (w * (lower - own))
-
-    if spec.x_max > 2.0:
-        g_end = 1.0 if rank >= 2 else float(_theta_segment(1.0, 2.0))
-    for j in range(n_pieces):
-        k = 2 + j
-        coef = _fit_piece(k, g_end, rhs_builder, spec.tol)
-        pieces.append(coef)
-        g_end = float(_cheb.chebval(1.0, coef))
+    if spec.rank > 1:
+        prev = dickman_solution(spec.rank - 1, x_max=spec.x_max, tol=spec.tol)
     return PiecewiseSolution(
-        spec=spec, pieces=pieces, closed_form_head="1 on [0,1]", _prev=prev
+        spec=spec,
+        pieces=_solve_pieces(spec, 1.0, prev),
+        closed_form_head="1 on [0,1]",
+        _prev=prev,
     )
 
 

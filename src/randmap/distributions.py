@@ -120,12 +120,16 @@ def _rank_solution(r: int):
 
 
 def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:
-    """Limiting P{r-th longest cycle of a permutation <= a n} = rho_r(1/a)."""
+    """Limiting P{r-th longest cycle of a permutation <= a n} = rho_r(1/a).
+
+    rho_r is 1 on [0, r]; its fitted pieces there read up to a few ulps
+    above 1, so the value is capped at 1.
+    """
     if not 0.0 < a <= 1.0:
         raise SpecfunDomainError(f"requires a in (0, 1], got {a}")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    return float(_rank_solution(r)(1.0 / a))
+    return min(float(_rank_solution(r)(1.0 / a)), 1.0)
 
 
 def largest_component_cdf(a: float) -> float:

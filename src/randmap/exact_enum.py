@@ -8,7 +8,6 @@ cycles), and the number of connected mappings.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,13 +53,12 @@ def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
 
     The image array is iterated as a mixed-radix odometer (no mapping is
     stored).  With workers > 1 the range splits by the first image entry,
-    which partitions the space into n equal slices.
+    which partitions the space into n equal slices.  ``workers`` (default
+    RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if not 1 <= n <= MAX_N:
         raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")
-    if workers is None:
-        workers = int(os.environ.get("RANDMAP_WORKERS", "1"))
-    workers = max(1, int(workers))
+    workers = _kernels.worker_count(workers)
     if workers == 1 or n == 1:
         counts, joint, connected = _kernels.enumerate_tally(n)
     else:

@@ -10,7 +10,6 @@ analyzed component count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -218,16 +217,15 @@ def simulate(
     """Aggregate structural statistics over `trials` (accepted) mappings.
 
     ``max_attempts`` caps each worker's rejection attempts; the default is
-    10^4 times the expected attempt count for the constraint.
+    10^4 times the expected attempt count for the constraint.  ``workers``
+    (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     kind, m_required = _normalize_constraint(constraint)
-    if workers is None:
-        workers = int(os.environ.get("RANDMAP_WORKERS", "1"))
-    workers = max(1, int(workers))
+    workers = _kernels.worker_count(workers)
     acc = _expected_acceptance(n, m_required)
     if max_attempts is not None:
         cap_per_worker = int(max_attempts)

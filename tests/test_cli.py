@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randmap import dde
+from randmap import dde, exact_enum, mapping_sim
+from randmap._kernels import MAX_WORKERS
 from randmap.cli import main
 
 
@@ -45,6 +46,23 @@ class TestEval:
         assert code == 1
         assert rec["errors"]["reason"].startswith("EvaluationRangeError")
         assert "value" not in rec["values"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_is_error(self, capsys, tol):
+        code, rec = run_json(capsys, "eval", "--fn", "rho", "--x", "3", f"--tol={tol}")
+        assert code == 1
+        assert rec["errors"]["reason"] == f"DdeError: tol must lie in (0, 1e-6], got {float(tol)}"
+
+    @pytest.mark.parametrize(
+        "argv", [("--fn", "sigma"), ("--fn", "g", "--theta", "0.5"), ("--fn", "sigma-tilde")]
+    )
+    def test_pole_at_zero_is_error(self, capsys, argv):
+        code, rec = run_json(capsys, "eval", *argv, "--x", "0")
+        assert code == 1
+        assert rec["errors"]["reason"].endswith(
+            "is not finite at x = 0.0 (the solution has a pole at x = 0 for theta < 1)"
+        )
+        assert rec["values"] == {}
 
 
 class TestCdf:
@@ -149,7 +167,41 @@ class TestCdfProperty:
             assert rec["values"] == {}
 
 
+class TestEvalProperty:
+    @settings(max_examples=200, deadline=3000, derandomize=True)
+    @given(
+        fn=st.sampled_from(("rho", "sigma", "sigma-tilde", "rho-r", "g")),
+        x=st.one_of(EDGE_FLOATS, st.floats()),
+        r=st.sampled_from((None, -1, 0, 1, 2, 3, 4)),
+        theta=st.one_of(st.none(), EDGE_FLOATS, st.floats(0.0, 10.0)),
+        tol=st.one_of(st.none(), EDGE_FLOATS, st.floats(1e-15, 1e-6)),
+    )
+    def test_finite_value_or_documented_error(self, warm_solutions, fn, x, r, theta, tol):
+        argv = ["eval", f"--fn={fn}", f"--x={x!r}"]
+        for name, value in (("r", r), ("theta", theta), ("tol", tol)):
+            if value is not None:
+                argv.append(f"--{name}={value!r}")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        rec = json.loads(buf.getvalue())
+        if code == 0:
+            value = rec["values"]["value"]
+            assert isinstance(value, float) and math.isfinite(value), (argv, value)
+            assert "errors" not in rec
+        else:
+            assert code == 1, argv
+            assert rec["errors"]["reason"], argv
+            assert rec["values"] == {}
+
+
 class TestConstants:
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_is_error(self, capsys, tol):
+        code, rec = run_json(capsys, "constants", "--regime", "halfnormal", f"--tol={tol}")
+        assert code == 1
+        assert rec["errors"]["reason"] == "ValueError: tol must be positive"
+
     def test_rayleigh_table(self, capsys):
         code, rec = run_json(capsys, "constants", "--regime", "rayleigh")
         assert code == 0
@@ -206,6 +258,22 @@ class TestSimulateAndEnumerate:
         assert rec["values"]["total"] == 4.0
         assert rec["values"]["connected_count"] == 3.0
         assert rec["values"]["egf_match"] == 1.0
+
+    @pytest.mark.parametrize("workers", ["0", "-4", str(MAX_WORKERS + 1)])
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "--n=64", "--trials=10", "--seed=1"), ("enumerate", "--n=3")]
+    )
+    def test_workers_out_of_range_is_error(self, capsys, monkeypatch, argv, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(mapping_sim, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(exact_enum, "ThreadPoolExecutor", no_pool)
+        code, rec = run_json(capsys, *argv, f"--workers={workers}")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {workers}"
+        )
 
     def test_enumerate_size_error(self, capsys):
         code, rec = run_json(capsys, "enumerate", "--n", "9")

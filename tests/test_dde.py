@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from randmap import dde
 from randmap.dde import (
@@ -124,11 +125,30 @@ class TestSolverAgainstClosedForms:
         # classical reference values of Dickman's function
         assert rho(4.0) == pytest.approx(4.910925648e-3, rel=1e-8)
         assert rho(6.0) == pytest.approx(1.964969635e-5, rel=1e-7)
+        # tabulated to 14 digits
+        assert rho(5.0) == pytest.approx(3.5472470045603e-4, rel=1e-12, abs=0.0)
+        assert rho(6.0) == pytest.approx(1.9649696353955e-5, rel=1e-12, abs=0.0)
+        assert rho(10.0) == pytest.approx(2.7701718377259e-11, rel=1e-12, abs=0.0)
+
+    def test_sigma_against_inverse_laplace(self, sigma):
+        # 60-digit de Hoog inversions of the transform at degree 140, which
+        # agree with degree 100 to 2e-15
+        assert sigma(3.5) == pytest.approx(9.7731432421437832191e-4, rel=1e-13, abs=0.0)
+        assert sigma(4.25) == pytest.approx(7.5644710032295224195e-5, rel=1e-13, abs=0.0)
+
+    def test_tail_positive_and_below_gamma_bound(self, rho, sigma):
+        # u rho(u) = int_{u-1}^u rho <= rho(u-1) and rho <= 1/x on [1, 2]
+        # give rho(u) <= 1/Gamma(u+1)
+        xs = np.linspace(2.0, 64.0, 62001)[1:]
+        r = rho(xs)
+        assert np.all(r > 0.0)
+        assert np.all(r <= np.exp(-gammaln(xs + 1.0)))
+        assert np.all(sigma(xs) > 0.0)
 
 
 class TestClosedFormSegment:
     """1 - ln x (theta = 1) and the artanh form (theta = 1/2) on (1, 2]
-    against mpmath, and against the Lerch series they replace in evaluation."""
+    against mpmath, and against the Lerch series they replace."""
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_no_less_accurate_than_series(self, theta):
@@ -156,16 +176,6 @@ class TestClosedFormSegment:
         sol = theta_solution(1.5)
         xs = np.linspace(1.0, 2.0, 101)[1:]
         assert np.array_equal(sol(xs), dde._theta_segment(1.5, xs))
-
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_pieces_do_not_depend_on_evaluated_segment(self, monkeypatch, rank):
-        # the solver reads the lower rank through the series on [1, 2], so
-        # the closed form used in evaluation leaves every fitted piece as
-        # the series alone gives it
-        fitted = dickman_solution(rank).coef
-        monkeypatch.setattr(dde, "_segment", dde._series_segment)
-        refit = dde.solve_generalized_dickman(DdeSpec(kind="generalized-dickman", rank=rank))
-        assert np.array_equal(_bits(refit.coef), _bits(fitted))
 
 
 class TestGeneralizedDickman:

@@ -116,6 +116,15 @@ class TestPermAndComponentCdfs:
         solver_val = largest_component_cdf(0.5) - largest_component_cdf(1.0 / 3.0)
         assert solver_val == pytest.approx(0.110414874191, abs=1e-9)
 
+    def test_cdfs_in_unit_interval_down_to_one_64th(self):
+        # 1/a reaches the end of the solved domain, where rho and sigma are
+        # near 1e-132 and 1e-155; 0.04487 once gave a negative CDF
+        grid = np.concatenate([np.geomspace(1.0 / 64.0, 1.0, 400), [0.04487]])
+        for a in grid.tolist():
+            assert 0.0 <= largest_component_cdf(a) <= 1.0, a
+            for r in (1, 2, 3, 4):
+                assert 0.0 <= perm_longest_cycle_cdf(a, r) <= 1.0, (a, r)
+
     def test_domains(self):
         for bad in [0.0, 1.5, -0.2]:
             with pytest.raises(SpecfunDomainError):
