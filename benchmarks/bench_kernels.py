@@ -12,7 +12,7 @@ body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
 the largest-component CDF on the sigma segment, one uncached cross-rank
 moment and one de Hoog inversion.
 The cold-start section runs ``import randmap`` and each cheap README command
-in a fresh interpreter (best of 5 wall times) and lists which of
+in a fresh interpreter (best of 5 wall times) and lists which of scipy,
 scipy.special, scipy.optimize and mpmath each one loaded.
 """
 
@@ -106,7 +106,7 @@ def bench_analytic(quick: bool):
     print(f"{'de Hoog invert(dickman)':<28}{'xi=4.3':>16}{t * 1e3:>11.3f} ms")
 
 
-HEAVY = ("scipy.special", "scipy.optimize", "mpmath")
+HEAVY = ("scipy", "scipy.special", "scipy.optimize", "mpmath")
 
 # The README's examples apart from simulate and enumerate --n 7, which take
 # tens of seconds; enumerate runs at n = 5 instead.

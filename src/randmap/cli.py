@@ -29,6 +29,10 @@ import numpy as np
 from . import dde, distributions, exact_enum, gfseries, laplace, mapping_sim, moments
 from .distributions import Regime
 
+# Largest --steps of `divisibility`: the report keeps several float arrays
+# of that length.
+MAX_DIVISIBILITY_STEPS = 100_000
+
 _COMPUTE_ERRORS = (
     ValueError,
     ArithmeticError,
@@ -187,8 +191,10 @@ def _cmd_invlaplace(args):
             raise ValueError("cycle-cdf transform requires --b")
         spec_kwargs["b"] = args.b
     spec = laplace.TransformSpec(**spec_kwargs)
-    value = laplace.invert(spec, args.xi, method=args.method)
-    return {"value": float(value)}, {}, None
+    value = float(laplace.invert(spec, args.xi, method=args.method))
+    if not math.isfinite(value):
+        raise ValueError(f"the inverse of {args.transform} is not finite at xi = {args.xi!r}")
+    return {"value": value}, {}, None
 
 
 def _cmd_simulate(args):
@@ -233,8 +239,10 @@ def _cmd_enumerate(args):
 
 
 def _cmd_divisibility(args):
-    if args.steps < 2 or args.eta_min <= 0.0 or args.eta_max <= args.eta_min:
-        raise ValueError("need 0 < eta-min < eta-max and steps >= 2")
+    if not (0.0 < args.eta_min < args.eta_max < math.inf):
+        raise ValueError("need finite 0 < eta-min < eta-max")
+    if not 2 <= args.steps <= MAX_DIVISIBILITY_STEPS:
+        raise ValueError(f"need 2 <= steps <= {MAX_DIVISIBILITY_STEPS}")
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
     report = laplace.divisibility_report(grid)
     return report.values_dict(), {}, None
@@ -316,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisibility", parents=[common], help="half-normal divisibility report")
     p.add_argument("--eta-min", type=float, required=True)
     p.add_argument("--eta-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--steps", type=int, required=True, help=f"grid points, 2 to {MAX_DIVISIBILITY_STEPS}"
+    )
     p.set_defaults(handler=_cmd_divisibility)
 
     return parser

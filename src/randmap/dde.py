@@ -36,6 +36,7 @@ _STRETCH = 4  # x = k + s**_STRETCH on each numeric piece
 _DEGREE = 48
 _DEGREE_RETRY = 96
 _UNDERFLOW = 1e-300
+MAX_RANK = 1000  # rank r costs r solves (every lower rank) and keeps them all
 
 
 class DdeError(ValueError):
@@ -67,8 +68,10 @@ class DdeSpec:
             if self.theta is None or not self.theta > 0.0:
                 raise DdeError(f"theta-family requires theta > 0, got {self.theta}")
         else:
-            if self.rank is None or self.rank < 1:
-                raise DdeError(f"generalized-dickman requires rank >= 1, got {self.rank}")
+            if self.rank is None or not 1 <= self.rank <= MAX_RANK:
+                raise DdeError(
+                    f"generalized-dickman requires 1 <= rank <= {MAX_RANK}, got {self.rank}"
+                )
         if not self.x_max >= 1.0:
             raise DdeError(f"x_max must be >= 1, got {self.x_max}")
         if not 0.0 < self.tol <= 1e-6:
@@ -362,12 +365,17 @@ def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
 
 
 def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
-    """Solve the rank-r recursion; lower ranks are solved (and cached) first."""
+    """Solve the rank-r recursion; lower ranks come from ``dickman_solution``."""
     if spec.kind != "generalized-dickman":
         raise DdeError("solve_generalized_dickman requires a generalized-dickman spec")
     prev = None
     if spec.rank > 1:
         prev = dickman_solution(spec.rank - 1, x_max=spec.x_max, tol=spec.tol)
+    return _solve_rank(spec, prev)
+
+
+def _solve_rank(spec: DdeSpec, prev: PiecewiseSolution | None) -> PiecewiseSolution:
+    """The rank-r solution from the rank r - 1 one (None for rank 1)."""
     return PiecewiseSolution(
         spec=spec,
         pieces=_solve_pieces(spec, 1.0, prev),
@@ -409,9 +417,10 @@ def _theta_cached(theta: float, x_max: float, tol: float) -> PiecewiseSolution:
 
 @lru_cache(maxsize=64)
 def _dickman_cached(rank: int, x_max: float, tol: float) -> PiecewiseSolution:
-    return solve_generalized_dickman(
-        DdeSpec(kind="generalized-dickman", rank=rank, x_max=x_max, tol=tol)
-    )
+    # only dickman_solution calls this, after it has fetched rank - 1
+    spec = DdeSpec(kind="generalized-dickman", rank=rank, x_max=x_max, tol=tol)
+    prev = _dickman_cached(rank - 1, x_max, tol) if rank > 1 else None
+    return _solve_rank(spec, prev)
 
 
 def theta_solution(theta: float, x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:
@@ -420,8 +429,16 @@ def theta_solution(theta: float, x_max: float = 64.0, tol: float = 1e-12) -> Pie
 
 
 def dickman_solution(rank: int = 1, x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:
-    """Cached solution of the rank-r recursion (rank 1 is classical rho)."""
-    return _dickman_cached(int(rank), float(x_max), float(tol))
+    """Cached solution of the rank-r recursion (rank 1 is classical rho).
+
+    The ranks below r are fetched first, bottom-up in a loop, so each rank is
+    solved from the one below it, just fetched, and the call depth does not
+    grow with r.  Ranks above ``MAX_RANK`` raise DdeError.
+    """
+    spec = DdeSpec(kind="generalized-dickman", rank=int(rank), x_max=float(x_max), tol=float(tol))
+    for lower in range(1, spec.rank):
+        _dickman_cached(lower, spec.x_max, spec.tol)
+    return _dickman_cached(spec.rank, spec.x_max, spec.tol)
 
 
 def watterson_solution(x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:

@@ -28,9 +28,9 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   accelerated Fourier method at elevated precision, after peeling the first
   two terms of the exp(-t E) expansion, whose inverses are elementary.
 
-``mpmath`` (the de Hoog engine) and ``scipy.special.erfcx`` (the erfc family)
-are imported inside the functions that use them, so the Talbot and forward
-paths run without loading either.
+The erfc family is evaluated by ``specfun.erfcx``, once on the whole array
+of line nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
+functions that use it, so every other path runs without loading it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import _quad
 from .dde import theta_delay_integral
-from .specfun import SpecfunDomainError, arctanh, dilog, e1_complex, e1_real
+from .specfun import SpecfunDomainError, arctanh, dilog, e1_complex, e1_real, erfcx
 
 __all__ = [
     "TransformSpec",
@@ -59,7 +59,14 @@ __all__ = [
     "truncated_cdf_series",
     "mapping_cycle_cdf_contour",
     "divisibility_report",
+    "LINE_MAX_PANELS",
 ]
+
+# Most Gauss-Legendre panels the Bromwich line engine may use: it needs
+# about 76 xi of them (T = 60), so inversions beyond xi of about 53 are
+# refused before any node is built.
+LINE_MAX_PANELS = 4096
+
 
 class LaplaceAccuracyError(RuntimeError):
     """Internal error estimate exceeded the requested tolerance."""
@@ -71,6 +78,33 @@ class MethodMismatchError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """Forward transform tail did not fall below tolerance."""
+
+
+def _node_values(f, scalar):
+    """A function of a node array giving f's complex value at each node.
+
+    f is called on the whole array if it takes one: the first call probes
+    it, and a TypeError, a ValueError or a result of another shape selects
+    one call per node, on ``scalar(node)``, from then on.  Any other
+    exception from f propagates.
+    """
+    vectorized = None
+
+    def values(x):
+        nonlocal vectorized
+        if vectorized is None:
+            try:
+                vals = np.asarray(f(x), dtype=complex)
+            except (TypeError, ValueError):
+                vals = None
+            vectorized = vals is not None and vals.shape == x.shape
+            if vectorized:
+                return vals
+        if vectorized:
+            return np.asarray(f(x), dtype=complex)
+        return np.asarray([f(scalar(t)) for t in x], dtype=complex)
+
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +158,7 @@ def forward_laplace(
     eta_c = complex(eta)
     if eta_c.real <= 0.0:
         raise SpecfunDomainError(f"forward transform requires Re eta > 0, got {eta}")
-    vectorized = None  # set by the probe on the first panel set
-
-    def f_values(x):
-        nonlocal vectorized
-        if vectorized is None:
-            try:
-                vals = np.asarray(f(x), dtype=complex)
-            except (TypeError, ValueError):
-                vals = None
-            vectorized = vals is not None and vals.shape == x.shape
-            if vectorized:
-                return vals
-        if vectorized:
-            return np.asarray(f(x), dtype=complex)
-        return np.asarray([f(float(t)) for t in x], dtype=complex)
+    f_values = _node_values(f, float)
 
     def integrand(x):
         return np.exp(-eta_c * x) * f_values(x)
@@ -192,6 +212,10 @@ _NAMED_CLASSES = {
 }
 
 
+def _positive_finite(v) -> bool:
+    return v is not None and 0.0 < v < math.inf
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """A transform to invert: a named family member or a custom callable."""
@@ -217,10 +241,10 @@ class TransformSpec:
                 )
         elif self.id not in _NAMED_CLASSES:
             raise ValueError(f"unknown transform id {self.id!r}")
-        if self.id == "theta" and (self.theta is None or self.theta <= 0.0):
-            raise ValueError("theta transform requires theta > 0")
-        if self.id == "cycle-cdf" and (self.b is None or self.b <= 0.0):
-            raise ValueError("cycle-cdf transform requires b > 0")
+        if self.id == "theta" and not _positive_finite(self.theta):
+            raise ValueError(f"theta transform requires finite theta > 0, got {self.theta}")
+        if self.id == "cycle-cdf" and not _positive_finite(self.b):
+            raise ValueError(f"cycle-cdf transform requires finite b > 0, got {self.b}")
 
     @property
     def growth_class(self) -> str:
@@ -237,11 +261,12 @@ class TransformSpec:
         return self.theta
 
 
-_erfcx = None  # scipy.special.erfcx, bound by the first erfc-family transform_value
-
-
 def transform_value(spec: TransformSpec, eta):
-    """Evaluate the transform at a (possibly complex) point eta."""
+    """Evaluate the transform at a (possibly complex) point eta.
+
+    The erfc family and the custom transforms that allow it also take an
+    array of points.
+    """
     if spec.id == "custom":
         return spec.func(eta)
     if spec.id in ("dickman", "watterson", "theta"):
@@ -252,12 +277,6 @@ def transform_value(spec: TransformSpec, eta):
         z = np.sqrt(complex(2.0 * spec.b * eta))
         e1 = e1_complex(complex(z))
         return np.exp(-e1) / np.sqrt(complex(eta))
-    # the erfc family: the line engine calls this once per node, so erfcx is
-    # bound once and then read as a global
-    global _erfcx
-    if _erfcx is None:
-        from scipy.special import erfcx as _erfcx
-    erfcx = _erfcx
     if spec.id == "halfnormal":
         return erfcx(eta / math.sqrt(2.0))
     if spec.id == "rayleigh":
@@ -325,16 +344,26 @@ def _invert_line_subtracted(
 
     f(xi) = sum_j c_j xi^(p_j-1)/Gamma(p_j)
             + (e^(gamma xi)/pi) Re int_0^T e^(i xi t) Ftilde(gamma+it) dt
+
+    F is called once on the whole node array if it takes one (see
+    ``_node_values``), else once per node.  More than ``LINE_MAX_PANELS``
+    panels raise a ValueError before any node is built.
     """
+    F_values = _node_values(F, complex)
 
     def remainder(t):
         eta = gamma + 1j * t
-        s = np.asarray([F(complex(v)) for v in np.atleast_1d(eta)], dtype=complex)
+        s = F_values(eta)
         for p_, c_ in terms:
-            s = s - c_ * np.atleast_1d(eta) ** (-p_)
+            s = s - c_ * eta ** (-p_)
         return np.exp(1j * xi * t) * s
 
     n_panels = max(40, int(t_max * max(xi, 1.0) / math.pi) * 4 + 40)
+    if n_panels > LINE_MAX_PANELS:
+        raise ValueError(
+            f"the Bromwich line at xi = {xi!r} needs {n_panels} panels, "
+            f"more than LINE_MAX_PANELS = {LINE_MAX_PANELS}"
+        )
     edges = np.linspace(0.0, t_max, n_panels + 1)
     total = _quad.gl_panels(remainder, edges, panel_nodes)
     value = math.exp(gamma * xi) / math.pi * total.real
@@ -458,8 +487,8 @@ def invert(
     override; line panels 24 -> 32 nodes), a LaplaceAccuracyError is raised
     if the two disagree beyond tol, and the refined value is returned.
     """
-    if xi <= 0.0:
-        raise SpecfunDomainError(f"invert requires xi > 0, got {xi}")
+    if not _positive_finite(xi):
+        raise SpecfunDomainError(f"invert requires finite xi > 0, got {xi}")
     cls = spec.growth_class
     if method == "talbot" and cls != _BRANCH_CUT_DECAYING:
         raise MethodMismatchError(
@@ -754,8 +783,6 @@ def divisibility_report(eta_grid) -> DivisibilityReport:
     allocation probe (square root of the half-normal transform) is inverted
     near the origin to exhibit its unbounded growth.
     """
-    from scipy.special import erfcx
-
     eta = np.asarray(eta_grid, dtype=float)
     if np.any(eta <= 0.0):
         raise SpecfunDomainError("eta grid must be positive")

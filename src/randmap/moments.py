@@ -13,8 +13,9 @@ moments follow from E(N) and E(N^2):
     halfnormal  mean = sqrt(2/pi) G(r,1),  var = G(r,2) - (2/pi) G(r,1)^2
 
 together with the cross-correlation between the r-th cycle and N, and the
-mode/median solvers for the rank-1 law.  The solvers import
-``scipy.optimize.brentq`` when first called, not with this module.
+mode/median solvers for the rank-1 law.  The solvers find their roots with
+``_brent_root``, Brent's method as scipy's ``brentq`` takes it, step for
+step, so the roots are the ones brentq returns.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 _RANKS = (1, 2, 3, 4)
+_BRENT_RTOL = 4.0 * 2.220446049250313e-16  # 4 eps, brentq's default rtol
+_BRENT_MAXITER = 100
 
 
 @lru_cache(maxsize=64)
@@ -204,6 +207,57 @@ def moment_table(
     return report
 
 
+def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in the bracket [xa, xb] by Brent's method.
+
+    The steps are those of scipy's ``brentq`` (its C code, with rtol = 4 eps
+    and at most 100 iterations): inverse quadratic or secant steps while they
+    shrink the bracket fast enough, bisection otherwise.  Stops when half the
+    bracket is below (xtol + rtol |x|)/2.  Raises ValueError if f has the
+    same sign at both ends and RuntimeError if it has not converged.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f has the same sign at both ends of [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+
+
 def _mode_balance(lam: float) -> float:
     """Stationarity condition for the rank-1 marginal density, rayleigh regime.
 
@@ -239,9 +293,7 @@ def mode_lambda1(regime: Regime = Regime.rayleigh()) -> float:
     """Mode of the rank-1 cycle law (rayleigh regime only)."""
     if regime.tag != "rayleigh":
         raise ValueError("the mode solver applies to the rayleigh regime")
-    from scipy.optimize import brentq
-
-    return brentq(_mode_balance, 0.1, 1.5, xtol=1e-8)
+    return _brent_root(_mode_balance, 0.1, 1.5, xtol=1e-8)
 
 
 def median_lambda(r: int = 1, regime: Regime | str = Regime.rayleigh()) -> float:
@@ -259,6 +311,4 @@ def median_lambda(r: int = 1, regime: Regime | str = Regime.rayleigh()) -> float
     lo, hi = 1e-3, 8.0
     if cdf(lo) > 0.5 or cdf(hi) < 0.5:
         raise ValueError("median bracket [1e-3, 8] failed")
-    from scipy.optimize import brentq
-
-    return brentq(lambda b: cdf(b) - 0.5, lo, hi, xtol=1e-8)
+    return _brent_root(lambda b: cdf(b) - 0.5, lo, hi, xtol=1e-8)

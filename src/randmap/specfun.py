@@ -1,24 +1,32 @@
-"""Special functions: exponential integral E1 (real and complex),
-dilogarithm, complementary error function and inverse hyperbolic tangent.
+"""Special functions: exponential integral E1 (real and complex), the scaled
+complementary error function erfcx, dilogarithm, complementary error
+function and inverse hyperbolic tangent.
 
-All functions are pure and deterministic.  Real E1 (scalar or array) and the
-dilogarithm come from ``scipy.special`` (``exp1`` and ``spence``).  Complex
-E1 is implemented here, by its power series near the origin and a
-modified-Lentz continued fraction beyond (with the series again where the
-fraction stalls, near the negative real axis), because scipy's complex ``exp1``
-is less accurate on the positive real axis; the test suite cross-checks
-both against independent oracles.
+All functions are pure and deterministic, and all are implemented here with
+NumPy and the standard library:
 
-``scipy.special`` is imported by the first call that needs it, not with this
-module, so code that never calls ``e1_real`` or ``dilog`` runs without it.
-``e1_real`` keeps ``exp1`` in a module global after its first call, because
-the quadratures call it thousands of times.
+* real E1 (scalar or array): its power series, summed by Horner's rule, for
+  x <= 1; beyond, the continued fraction E1(x) = e^(-x)/(x + 1/(1 + 1/(x +
+  2/(1 + 2/(x + ...))))) evaluated backward from a fixed depth per band of x.
+  A scalar runs as a one-element array, so it gets an array element's bits.
+* complex E1: its power series near the origin and a modified-Lentz
+  continued fraction beyond (with the series again where the fraction
+  stalls, near the negative real axis).
+* erfcx (real or complex, scalar or array): Weideman's (1994) rational
+  series for the Faddeeva function w, erfcx(z) = w(iz), in Re z >= 0, and
+  erfcx(z) = 2 e^(z^2) - erfcx(-z) in Re z < 0.  Its 40 coefficients come
+  from one FFT on the first call.
+* the dilogarithm: the Bernoulli series in -ln(1 - x) on [-1, 1/2], with the
+  reflection x -> 1 - x on (1/2, 1] and the inversion x -> 1/x below -1.
+
+The test suite checks each against mpmath and an independent quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +37,20 @@ _MAX_ITER = 2000
 # partial numerators -(j-1)^2 of the contracted fraction, j = 2, 3, ...
 _CF_NUMERATORS = (-np.arange(1.0, _MAX_ITER - 1) ** 2).tolist()
 
-_exp1 = None  # scipy.special.exp1, bound by the first e1_real call
+# E1 series coefficients (-1)^(k+1)/(k k!), k = 25 down to 1, for Horner's rule
+_E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
+# (upper end of a band of x > 1, depth of the continued fraction on it)
+_E1_CF_BANDS = ((2.0, 100), (4.0, 60), (10.0, 40), (math.inf, 28))
+_WEIDEMAN_TERMS = 40
+# the Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator)
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+    (7, 6), (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
+)
+# B_2k/(2k+1)!, k = 12 down to 1, for Horner's rule in u^2
+_DILOG_SERIES = tuple(
+    n / (d * math.factorial(2 * k + 1)) for k, (n, d) in zip(range(12, 0, -1), reversed(_BERNOULLI))
+)
 
 
 class SpecfunDomainError(ValueError):
@@ -78,20 +99,44 @@ def _e1_cf(z: complex) -> complex | None:
     return cmath.exp(-z) * h
 
 
+def _e1_series_real(x):
+    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k/(k k!); 25 terms reach
+    # full precision for x <= 1
+    s = 0.0
+    for c in _E1_SERIES:
+        s = s * x + c
+    return (s * x - EULER_GAMMA) - np.log(x)
+
+
+def _e1_cf_real(x, depth: int):
+    # E1(x) = e^(-x)/(x + t_1) with t_k = k/(1 + k/(x + t_(k+1))), t_(depth+1) = 0
+    t = 0.0
+    for k in range(depth, 0, -1):
+        t = k / (1.0 + k / (x + t))
+    return np.exp(-x) / (x + t)
+
+
 def e1_real(x):
     """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0.
 
-    Takes a scalar or an array; a scalar gives a float.  Every element must
-    be > 0 (NaN is rejected too).
+    Takes a scalar or an array; a scalar gives a float, with the bits of the
+    same element in an array.  Every element must be > 0 (NaN is rejected
+    too).  Against mpmath on [1e-300, 700] the relative error is below 4e-16.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(arr > 0.0):
         raise SpecfunDomainError(f"e1_real requires x > 0, got {arr[~(arr > 0.0)][0]}")
-    global _exp1
-    if _exp1 is None:
-        from scipy.special import exp1 as _exp1
-    out = _exp1(arr)
-    return float(out) if out.ndim == 0 else out
+    flat = arr.reshape(-1)  # a scalar runs as an array element, and gets its bits
+    out = np.empty_like(flat)
+    small = flat <= 1.0
+    out[small] = _e1_series_real(flat[small])
+    lo = 1.0
+    for hi, depth in _E1_CF_BANDS:
+        band = (flat > lo) & (flat <= hi)
+        if np.any(band):
+            out[band] = _e1_cf_real(flat[band], depth)
+        lo = hi
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def e1_complex(z: complex) -> complex:
@@ -113,18 +158,82 @@ def e1_complex(z: complex) -> complex:
     return -EULER_GAMMA - cmath.log(z) + _e1_series(z)
 
 
+def _dilog_series(x: float) -> float:
+    # Li2(x) = u - u^2/4 + sum_{k>=1} B_2k u^(2k+1)/(2k+1)! with u = -ln(1 - x);
+    # |u| <= ln 2 on [-1, 1/2], where 12 terms reach full precision
+    u = -math.log1p(-x)
+    u2 = u * u
+    s = 0.0
+    for c in _DILOG_SERIES:
+        s = s * u2 + c
+    return u - 0.25 * u2 + u * u2 * s
+
+
 def dilog(x: float) -> float:
-    """Dilogarithm Li2(x) = sum_{k>=1} x^k/k^2 for real x <= 1, as spence(1 - x).
+    """Dilogarithm Li2(x) = sum_{k>=1} x^k/k^2 for real x <= 1.
 
-    Against mpmath on [-50, 1] the relative error is at most 2.8e-15, except
-    near x = 0, where the rounding of 1 - x bounds the error by about 1e-16
-    absolute rather than relative.
+    Against mpmath on [-50, 1] the relative error is below 4e-16, near x = 0
+    included.
     """
-    if x > 1.0:
+    if not x <= 1.0:
         raise SpecfunDomainError(f"dilog requires x <= 1, got {x}")
-    from scipy.special import spence
+    if x == 1.0:
+        return math.pi**2 / 6.0
+    if x < -1.0:
+        return -math.pi**2 / 6.0 - 0.5 * math.log(-x) ** 2 - _dilog_series(1.0 / x)
+    if x > 0.5:
+        return math.pi**2 / 6.0 - math.log(x) * math.log1p(-x) - _dilog_series(1.0 - x)
+    return _dilog_series(x)
 
-    return float(spence(1.0 - x))
+
+@lru_cache(maxsize=1)
+def _weideman_coefficients():
+    """L and the polynomial coefficients (highest power first) of Weideman's
+    N-term series w(z) = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz)) with
+    Z = (L + iz)/(L - iz), N = 40."""
+    n = _WEIDEMAN_TERMS
+    m = 2 * n
+    lam = math.sqrt(n / math.sqrt(2.0))
+    t = lam * np.tan(np.arange(-m + 1, m) * (math.pi / (2 * m)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (lam * lam + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return lam, tuple(a[n:0:-1].tolist())
+
+
+def _erfcx_right(z):
+    # erfcx(z) = w(iz) for Re z >= 0: with iz in Weideman's series,
+    # L - i(iz) = L + z and Z = (L - z)/(L + z)
+    lam, coef = _weideman_coefficients()
+    d = lam + z
+    zz = (lam - z) / d
+    p = 0.0
+    for c in coef:
+        p = p * zz + c
+    return 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
+
+
+def erfcx(z):
+    """Scaled complementary error function e^(z^2) erfc(z).
+
+    Takes a real or complex scalar or array and keeps its type; a scalar
+    gives the bits of the same element in an array.  Against mpmath the
+    relative error is below 1e-15 on the real axis to x = 30, on Re z in
+    [0, 20] with |Im z| <= 60, and on Re z in [-1, 0) with |Im z| <= 1.
+    Farther left the reflection e^(z^2) carries the rounding of z^2, about
+    |z|^2 ulp, and where e^(z^2) overflows the value is infinite or NaN,
+    without a warning.
+    """
+    arr = np.asarray(z)
+    if arr.dtype.kind not in "fc":
+        arr = arr.astype(float)
+    flat = arr.reshape(-1)  # a scalar runs as an array element, and gets its bits
+    left = flat.real < 0.0
+    out = _erfcx_right(np.where(left, -flat, flat))
+    if np.any(left):
+        zl = flat[left]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[left] = 2.0 * np.exp(zl * zl) - out[left]
+    return out.reshape(arr.shape)[()]
 
 
 def erfc(x: float) -> float:

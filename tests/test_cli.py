@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randmap import dde, exact_enum, mapping_sim
+from randmap import cli, dde, exact_enum, laplace, mapping_sim
 from randmap._kernels import MAX_WORKERS
-from randmap.cli import main
+from randmap.cli import MAX_DIVISIBILITY_STEPS, main
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +195,63 @@ class TestEvalProperty:
             assert rec["values"] == {}
 
 
+def _finite_value_or_documented_error(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    rec = json.loads(buf.getvalue())
+    if code == 0:
+        value = rec["values"]["value"]
+        assert isinstance(value, float) and math.isfinite(value), (argv, value)
+        assert "errors" not in rec
+    else:
+        assert code == 1, argv
+        assert rec["errors"]["reason"], argv
+        assert rec["values"] == {}
+
+
+def _invlaplace_argv(transform, method, xi, b, theta):
+    argv = ["invlaplace", f"--transform={transform}", f"--xi={xi!r}"]
+    for name, value in (("method", method), ("b", b), ("theta", theta)):
+        if value is not None:
+            argv.append(f"--{name}={value!r}" if name != "method" else f"--method={value}")
+    return argv
+
+
+class TestInvlaplaceProperty:
+    """Every transform and method on edge and arbitrary --xi, --b, --theta.
+
+    The Talbot and line engines take milliseconds, so they get many
+    examples; the de Hoog engines (the theta family, and cycle-cdf on the
+    Bromwich override) take up to about a second each, so they get few.
+    """
+
+    @settings(max_examples=300, deadline=3000, derandomize=True)
+    @given(
+        transform=st.sampled_from(("cycle-cdf", "erfc-gauss", "halfnormal", "rayleigh")),
+        method=st.sampled_from((None, "talbot", "bromwich")),
+        xi=st.one_of(EDGE_FLOATS, st.floats()),
+        b=st.one_of(st.none(), EDGE_FLOATS, st.floats()),
+    )
+    def test_talbot_and_line(self, transform, method, xi, b):
+        if transform == "cycle-cdf" and method == "bromwich":
+            method = "talbot"  # the Bromwich override runs de Hoog: see below
+        _finite_value_or_documented_error(_invlaplace_argv(transform, method, xi, b, None))
+
+    @settings(max_examples=100, deadline=10000, derandomize=True)
+    @given(
+        transform=st.sampled_from(("dickman", "watterson", "theta", "cycle-cdf")),
+        method=st.sampled_from((None, "talbot", "bromwich")),
+        xi=st.one_of(EDGE_FLOATS, st.floats()),
+        b=st.one_of(EDGE_FLOATS, st.floats()),
+        theta=st.one_of(st.none(), EDGE_FLOATS, st.floats()),
+    )
+    def test_de_hoog(self, transform, method, xi, b, theta):
+        if transform == "cycle-cdf":
+            method = "bromwich"
+        _finite_value_or_documented_error(_invlaplace_argv(transform, method, xi, b, theta))
+
+
 class TestConstants:
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_tol_not_positive_is_error(self, capsys, tol):
@@ -234,6 +291,24 @@ class TestInvlaplace:
         )
         assert code == 1
         assert "MethodMismatchError" in rec["errors"]["reason"]
+
+    @pytest.mark.parametrize("xi", ["1e6", "1e300"])
+    def test_huge_xi_on_the_line_is_error_before_any_node(self, capsys, monkeypatch, xi):
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("line nodes were built")
+
+        monkeypatch.setattr(laplace._quad, "gl_panels", no_nodes)
+        code, rec = run_json(capsys, "invlaplace", "--transform", "erfc-gauss", "--xi", xi)
+        assert code == 1
+        reason = rec["errors"]["reason"]
+        assert reason.startswith("ValueError: the Bromwich line at xi")
+        assert f"more than LINE_MAX_PANELS = {laplace.LINE_MAX_PANELS}" in reason
+
+    @pytest.mark.parametrize("xi", ["nan", "inf", "0", "-1"])
+    def test_xi_not_finite_positive_is_error(self, capsys, xi):
+        code, rec = run_json(capsys, "invlaplace", "--transform", "halfnormal", "--xi", xi)
+        assert code == 1
+        assert rec["errors"]["reason"].startswith("SpecfunDomainError: invert requires finite xi > 0")
 
 
 class TestSimulateAndEnumerate:
@@ -297,6 +372,30 @@ class TestDivisibility:
         assert vals["bounds_strict"] == 1.0
         assert vals["max_approx_rel_err"] < 0.005
         assert vals["m2_root_ratio"] >= 5.0
+
+    @pytest.mark.parametrize(
+        "lo, hi", [("nan", "20"), ("0.1", "inf"), ("-inf", "2"), ("0.1", "nan"), ("2", "1")]
+    )
+    def test_bounds_must_be_finite_and_ordered(self, capsys, lo, hi):
+        code, rec = run_json(
+            capsys, "divisibility", f"--eta-min={lo}", f"--eta-max={hi}", "--steps=10"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"] == "ValueError: need finite 0 < eta-min < eta-max"
+
+    @pytest.mark.parametrize("steps", [1, MAX_DIVISIBILITY_STEPS + 1, 10**15])
+    def test_steps_out_of_range_is_error_before_the_grid(self, capsys, monkeypatch, steps):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        code, rec = run_json(
+            capsys, "divisibility", "--eta-min=0.1", "--eta-max=2", f"--steps={steps}"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            f"ValueError: need 2 <= steps <= {MAX_DIVISIBILITY_STEPS}"
+        )
 
 
 class TestFormats:

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,30 @@ class TestGeneralizedDickman:
             vals_hi = hi(xs)
             assert np.all(vals_hi >= vals_lo - 1e-12)
             assert np.all((vals_hi >= -1e-15) & (vals_hi <= 1.0 + 1e-12))
+
+    def test_high_rank_from_a_cold_cache(self):
+        # the lower ranks are built bottom-up in a loop: rank 300 solves
+        # within 150 frames of the caller, and ranks 1-4 solved again after
+        # it are bitwise the ones solved before
+        before = [dickman_solution(r).coef for r in (1, 2, 3, 4)]
+        dde._dickman_cached.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 150)
+        try:
+            high = dickman_solution(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert high(3.0) == pytest.approx(1.0, abs=1e-14)
+        assert high(64.0) == pytest.approx(1.0, abs=1e-13)
+        for r, coef in zip((1, 2, 3, 4), before):
+            assert np.array_equal(dickman_solution(r).coef, coef)
+
+    @pytest.mark.parametrize("rank", [0, dde.MAX_RANK + 1])
+    def test_rank_out_of_range_fails_before_solving(self, rank):
+        dde._dickman_cached.cache_clear()
+        with pytest.raises(DdeError, match="rank"):
+            dickman_solution(rank)
+        assert dde._dickman_cached.cache_info().misses == 0
 
     def test_nonincreasing(self):
         r2 = dickman_solution(2)

@@ -163,6 +163,30 @@ class TestInvert:
         )
         assert invert(spec, 1.5) == pytest.approx(1.5 * math.exp(-1.5), abs=1e-8)
 
+    @pytest.mark.parametrize("tid", ["erfc-gauss", "halfnormal", "rayleigh"])
+    def test_line_evaluates_named_transform_once(self, monkeypatch, tid):
+        # one erfcx call on the whole node array, and the value a scalar-only
+        # copy of the same transform gives node by node (Python's complex
+        # arithmetic rounds some products differently from NumPy's)
+        shapes = []
+        real_erfcx = laplace.erfcx
+
+        def counting(z):
+            shapes.append(np.shape(z))
+            return real_erfcx(z)
+
+        monkeypatch.setattr(laplace, "erfcx", counting)
+        value = invert(TransformSpec(id=tid), 1.5)
+        assert len(shapes) == 1 and shapes[0][0] > 1000
+        scalar_only = TransformSpec(
+            id="custom",
+            func=lambda p: complex(transform_value(TransformSpec(id=tid), complex(p))),
+            analyticity="entire-gaussian-decay",
+            subtraction=tuple(laplace._subtraction_terms(TransformSpec(id=tid))),
+        )
+        assert invert(scalar_only, 1.5) == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert len(shapes) > 1000
+
 
 class TestDeHoogEngine:
     """The list-based de Hoog engine against mpmath.invertlaplace, which it
@@ -334,6 +358,15 @@ class TestDivisibility:
         # the small-xi value tracks (2/pi)^(1/4)/sqrt(pi xi)
         leading = (2.0 / math.pi) ** 0.25 / math.sqrt(math.pi * 0.01)
         assert report.m2_root_small_value == pytest.approx(leading, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("theta", math.nan), ("theta", math.inf), ("b", math.nan), ("b", -math.inf)]
+)
+def test_spec_parameters_must_be_finite_and_positive(field, value):
+    tid = "theta" if field == "theta" else "cycle-cdf"
+    with pytest.raises(ValueError, match="finite"):
+        TransformSpec(id=tid, **{field: value})
 
 
 def test_transform_value_real_consistency():

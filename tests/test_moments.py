@@ -119,6 +119,46 @@ class TestModeAndMedian:
     def test_connected_median(self):
         assert median_lambda(1, "connected") == pytest.approx(0.6744897501960817, abs=1e-7)
 
+    def test_roots_are_brentq_roots(self):
+        # the in-house Brent takes scipy brentq's steps, so it returns its roots
+        from scipy.optimize import brentq
+
+        from randmap import distributions
+
+        assert mode_lambda1() == brentq(moments._mode_balance, 0.1, 1.5, xtol=1e-8)
+        for regime in (Regime.rayleigh(), Regime.halfnormal()):
+            f = lambda b: distributions.mapping_longest_cycle_cdf(b, 1, regime) - 0.5
+            assert median_lambda(1, regime) == brentq(f, 1e-3, 8.0, xtol=1e-8)
+        assert mode_lambda1() == 0.4809195267434427
+        assert median_lambda(1, Regime.rayleigh()) == 0.6842747941345148
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 2e-12])
+    def test_brent_root_steps_like_brentq(self, xtol):
+        from scipy.optimize import brentq
+
+        fs = [
+            lambda x: x**3 - 2.0 * x - 5.0,
+            lambda x: math.cos(x) - x,
+            lambda x: math.tanh(5.0 * (x - 0.3)) + 1e-3 * x,
+            lambda x: math.atan(x - 1.234567),
+            lambda x: (x - 0.7) ** 5,
+        ]
+        rng = np.random.default_rng(3)
+        for f in fs:
+            for a, b in zip(rng.uniform(-3.0, 0.2, 20), rng.uniform(1.5, 4.0, 20)):
+                a, b = float(a), float(b)
+                if math.copysign(1.0, f(a)) == math.copysign(1.0, f(b)):
+                    with pytest.raises(ValueError):
+                        moments._brent_root(f, a, b, xtol)
+                    continue
+                try:
+                    expected = brentq(f, a, b, xtol=xtol)
+                except RuntimeError:  # (x - 0.7)^5 at a coarse xtol
+                    with pytest.raises(RuntimeError):
+                        moments._brent_root(f, a, b, xtol)
+                    continue
+                assert moments._brent_root(f, a, b, xtol) == expected
+
     def test_halfnormal_mode_is_zero_by_monotone_marginal(self):
         # the rank-1 marginal density decreases on a lambda grid, so the
         # mode sits at the origin

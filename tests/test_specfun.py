@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,12 @@ from randmap.specfun import (
     e1_complex,
     e1_real,
     erfc,
+    erfcx,
 )
+
+
+def _max_rel_err(values, refs):
+    return max(abs(complex(v) - complex(r)) / abs(complex(r)) for v, r in zip(values, refs))
 
 
 def _e1_series_oracle(x, terms=200):
@@ -61,6 +67,18 @@ class TestE1Real:
             if ref == 0.0:
                 continue
             assert e1_real(float(x)) == pytest.approx(ref, rel=1e-14)
+
+    def test_within_1e_15_of_mpmath_on_4000_points(self):
+        xs = np.geomspace(1e-300, 700.0, 4000)
+        with mp.workdps(30):
+            refs = [mp.e1(mp.mpf(float(x))) for x in xs]
+        assert _max_rel_err(e1_real(xs), refs) < 1e-15
+
+    @pytest.mark.parametrize("x", [1.0, np.nextafter(1.0, 2.0), 2.0, 4.0, 10.0, 10.000001])
+    def test_band_edges(self, x):
+        with mp.workdps(30):
+            ref = mp.e1(mp.mpf(float(x)))
+        assert _max_rel_err([e1_real(float(x))], [ref]) < 1e-15
 
     def test_array_matches_scalar_calls(self):
         xs = np.geomspace(1e-300, 800.0, 500).reshape(25, 20)
@@ -156,9 +174,72 @@ class TestDilog:
             ref = float(mp.polylog(2, mp.mpf(float(x))))
             assert dilog(float(x)) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
+    def test_within_1e_15_of_mpmath(self):
+        xs = np.concatenate([
+            np.linspace(-50.0, 1.0, 2001),
+            np.geomspace(1e-300, 1e-2, 100),
+            -np.geomspace(1e-300, 1e-2, 100),
+            [0.5, np.nextafter(0.5, 1.0), -1.0, np.nextafter(-1.0, -2.0)],
+        ])
+        xs = xs[xs != 0.0]
+        with mp.workdps(30):
+            refs = [mp.polylog(2, mp.mpf(float(x))) for x in xs]
+        assert _max_rel_err([dilog(float(x)) for x in xs], refs) < 1e-15
+
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
             dilog(1.0001)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_not_a_number_or_infinite_is_domain_error(self, x):
+        with pytest.raises(SpecfunDomainError):
+            dilog(x)
+
+
+def _erfcx_ref(z):
+    with mp.workdps(30):
+        z = mp.mpc(complex(z))
+        return mp.exp(z * z) * mp.erfc(z)
+
+
+class TestErfcx:
+    """Weideman's series against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("scale", [math.sqrt(2.0), math.sqrt(math.pi)])
+    def test_line_nodes(self, scale):
+        # the Bromwich line nodes of the erfc-family transforms
+        zs = (1.0 + 1j * np.linspace(0.0, 120.0, 1201)) / scale
+        assert _max_rel_err(erfcx(zs), [_erfcx_ref(z) for z in zs]) < 2e-15
+
+    def test_real_axis(self):
+        xs = np.linspace(1e-3, 30.0, 600)
+        out = erfcx(xs)
+        assert out.dtype == np.float64
+        assert _max_rel_err(out, [_erfcx_ref(x) for x in xs]) < 2e-15
+
+    def test_right_half_plane(self):
+        re, im = np.meshgrid(np.linspace(0.0, 20.0, 41), np.linspace(-60.0, 60.0, 61))
+        zs = (re + 1j * im).ravel()
+        assert _max_rel_err(erfcx(zs), [_erfcx_ref(z) for z in zs]) < 2e-15
+
+    def test_left_half_plane_without_overflow_warning(self):
+        re, im = np.meshgrid(np.linspace(-1.0, -1e-3, 21), np.linspace(-1.0, 1.0, 21))
+        zs = (re + 1j * im).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = erfcx(zs)
+            big = erfcx(np.array([-30.0, -27.0, 1.0]))
+            assert erfcx(-30.0) == math.inf
+        assert _max_rel_err(out, [_erfcx_ref(z) for z in zs]) < 2e-15
+        assert big[0] == big[1] == math.inf and big[2] == pytest.approx(0.4275835761558070)
+
+    def test_scalars_keep_their_type_and_match_the_array(self):
+        zs = np.array([0.3, 2.0, -0.7, 15.0])
+        for z, a in zip(zs, erfcx(zs)):
+            v = erfcx(float(z))
+            assert np.isrealobj(v) and np.ndim(v) == 0 and v == a
+        assert np.iscomplexobj(erfcx(1.0 + 2.0j))
+        assert erfcx(1.0 + 2.0j) == erfcx(np.array([1.0 + 2.0j]))[0]
 
 
 class TestErfcArctanh:
