@@ -10,7 +10,8 @@ A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
 the largest-component CDF on the sigma segment, one uncached cross-rank
-moment and one de Hoog inversion.
+moment, one de Hoog inversion, and the truncated CDF series at a = 1/16 of
+each kind from a cleared E^k tower.
 The cold-start section runs ``import randmap`` and each cheap README command
 in a fresh interpreter (best of 5 wall times) and lists which of scipy,
 scipy.special, scipy.optimize and mpmath each one loaded.
@@ -104,6 +105,13 @@ def bench_analytic(quick: bool):
     dickman = laplace.TransformSpec(id="dickman")
     t = _time(lambda: laplace.invert(dickman, 4.3), repeats=3)
     print(f"{'de Hoog invert(dickman)':<28}{'xi=4.3':>16}{t * 1e3:>11.3f} ms")
+    for kind in ("permutation", "component"):
+        def cold_series():
+            laplace._level.cache_clear()  # every level is built again
+            laplace.truncated_cdf_series(1.0 / 16.0, kind)
+
+        t = _time(cold_series, repeats=3)
+        print(f"{'truncated_cdf_series cold':<28}{kind + ' a=1/16':>16}{t * 1e3:>11.3f} ms")
 
 
 HEAVY = ("scipy", "scipy.special", "scipy.optimize", "mpmath")

@@ -315,6 +315,15 @@ def _fit_piece(k, step, tol):
     )
 
 
+def _row_at_nodes(row, s, vand):
+    """A piece's values at the collocation nodes s, whose Chebyshev
+    Vandermonde matrix is ``vand``; a row wider than ``vand`` goes through
+    chebval."""
+    if len(row) <= len(s):
+        return vand[:, : len(row)] @ row
+    return _cheb.chebval(2.0 * s - 1.0, row)
+
+
 def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
     """Chebyshev pieces on [2, x_max] of  x g(x) = c int_{x-1}^x g + M(x-1).
 
@@ -332,10 +341,7 @@ def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
     def delayed(sol_spec, rows, s, vand):  # a solution at x - 1 = k - 1 + s^4
         if k == 2:
             return _segment(sol_spec, 1.0 + s**_STRETCH)
-        row = rows[k - 3]  # the piece on [k-1, k], whose nodes these are
-        if len(row) <= len(s):
-            return vand[:, : len(row)] @ row
-        return _cheb.chebval(2.0 * s - 1.0, row)
+        return _row_at_nodes(rows[k - 3], s, vand)  # the piece on [k-1, k]
 
     def step(s, vand, q):  # the piece on [k, k+1] with the current k and mass
         u = s**_STRETCH

@@ -28,6 +28,10 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   accelerated Fourier method at elevated precision, after peeling the first
   two terms of the exp(-t E) expansion, whose inverses are elementary.
 
+The convolutions L^-1[E^k/eta] and L^-1[E^k/sqrt(eta)] behind the truncated
+CDF series are a tower built by the DDE's collocation step.  Like the DDE
+solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
+
 The erfc family is evaluated by ``specfun.erfcx``, once on the whole array
 of line nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
 functions that use it, so every other path runs without loading it.
@@ -36,14 +40,14 @@ functions that use it, so every other path runs without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from . import _quad
-from .dde import theta_delay_integral
-from .specfun import SpecfunDomainError, arctanh, dilog, e1_complex, e1_real, erfcx
+from .dde import _STRETCH, _clenshaw, _fit_piece, _row_at_nodes, theta_delay_integral
+from .specfun import SpecfunDomainError, dilog, e1_complex, e1_real, erfcx
 
 __all__ = [
     "TransformSpec",
@@ -60,12 +64,17 @@ __all__ = [
     "mapping_cycle_cdf_contour",
     "divisibility_report",
     "LINE_MAX_PANELS",
+    "LINE_MAX_ROUNDING",
 ]
 
 # Most Gauss-Legendre panels the Bromwich line engine may use: it needs
 # about 76 xi of them (T = 60), so inversions beyond xi of about 53 are
 # refused before any node is built.
 LINE_MAX_PANELS = 4096
+
+# Largest rounding error estimate the Bromwich line engine accepts: 10x below
+# the 1e-8 tolerance of invert(check=True).
+LINE_MAX_ROUNDING = 1e-9
 
 
 class LaplaceAccuracyError(RuntimeError):
@@ -347,15 +356,19 @@ def _invert_line_subtracted(
 
     F is called once on the whole node array if it takes one (see
     ``_node_values``), else once per node.  More than ``LINE_MAX_PANELS``
-    panels raise a ValueError before any node is built.
+    panels raise a ValueError before any node is built.  The rounding the
+    factor e^(gamma xi) lifts, (e^(gamma xi)/pi) eps sum |w Ftilde| over the
+    same nodes, raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
     """
     F_values = _node_values(F, complex)
+    moduli = []  # |Ftilde| at the nodes, for the rounding estimate
 
     def remainder(t):
         eta = gamma + 1j * t
         s = F_values(eta)
         for p_, c_ in terms:
             s = s - c_ * eta ** (-p_)
+        moduli.append(np.abs(s))
         return np.exp(1j * xi * t) * s
 
     n_panels = max(40, int(t_max * max(xi, 1.0) / math.pi) * 4 + 40)
@@ -366,6 +379,14 @@ def _invert_line_subtracted(
         )
     edges = np.linspace(0.0, t_max, n_panels + 1)
     total = _quad.gl_panels(remainder, edges, panel_nodes)
+    _, w = _quad.gl_rule(panel_nodes)
+    l1 = np.diff(edges) / 2.0 @ (moduli[0].reshape(n_panels, panel_nodes) @ w)
+    rounding = math.exp(gamma * xi) / math.pi * np.finfo(float).eps * l1
+    if rounding > LINE_MAX_ROUNDING:
+        raise LaplaceAccuracyError(
+            f"the Bromwich line at xi = {xi!r} has rounding error estimate "
+            f"{rounding:.2e}, above LINE_MAX_ROUNDING = {LINE_MAX_ROUNDING:.0e}"
+        )
     value = math.exp(gamma * xi) / math.pi * total.real
     for p_, c_ in terms:
         value += c_ * xi ** (p_ - 1.0) / math.gamma(p_)
@@ -548,132 +569,71 @@ def hk_closed_form(k: int, xi: float) -> float:
     return -math.pi**2 / 6.0 + math.log(xi) ** 2 + 2.0 * dilog(1.0 / xi)
 
 
-def _v1_sqrt(xi) -> float:
-    """L^-1[E(eta)/sqrt(eta)]: 2 arctanh(sqrt(1-1/xi))/sqrt(pi xi) for xi >= 1."""
-    if xi < 1.0:
-        return 0.0
-    if xi == 1.0:
-        return 0.0
-    return 2.0 * arctanh(math.sqrt(1.0 - 1.0 / xi)) / math.sqrt(math.pi * xi)
+_TOWER_MAX = 64  # the tower's xi bound, the DDE solutions' own domain
 
 
-@dataclass
-class ConvolutionKernel:
-    """Piecewise Chebyshev model of one convolution level L^-1[E^k * base]."""
-
-    k: int
-    sqrt_base: bool
-    coefs: list = field(default_factory=list)  # one array per interval [k+i, k+i+1]
-
-    def upper(self) -> float:
-        return self.k + len(self.coefs)
-
-    def value(self, xi: float) -> float:
-        if xi <= self.k:
-            return 0.0
-        idx = min(int(math.floor(xi - self.k)), len(self.coefs) - 1)
-        lo = self.k + idx
-        s = xi - lo
-        if self.sqrt_base:
-            s = math.sqrt(s)
-        return float(_cheb.chebval(2.0 * s - 1.0, self.coefs[idx]))
+def _base_level(k: int, a: float, x):
+    """Levels 0 and 1 of the tower at x >= k, in closed form."""
+    if a == 0.0:
+        return np.log(x) if k else np.ones_like(x)
+    root = np.sqrt(math.pi * x)
+    return 2.0 * np.arctanh(np.sqrt((x - 1.0) / x)) / root if k else 1.0 / root
 
 
-class _ConvolutionFamily:
-    """Lazily built tower of iterated convolutions against the 1/t kernel.
+@lru_cache(maxsize=None)
+def _level(k: int, a: float) -> list:
+    """Chebyshev pieces of f_k = L^-1[E^k/eta^(1-a)], k >= 2, on [k, 64].
 
-    base "unit": L^-1[E^k/eta]; base "sqrt": L^-1[E^k/sqrt(eta)].  Level k is
-    produced from level k-1 by quadrature with panels split where the inner
-    function has integer-breakpoint branches; for the sqrt base those branches
-    have half-integer exponents, so break-adjacent panels are mapped through a
-    square-root substitution and the interval fits use a square-root stretch.
+    Entry i is ``dde._fit_piece``'s piece on [j, j+1], j = k + i, x = j + s^4:
+    f_k(x) = k x^-a (I(j) + int_j^x t^(a-1) f_{k-1}(t-1) dt) reads level k-1's
+    piece on [j-1, j] at the same nodes, and I(j) = int_k^j carries on.
     """
+    lower = _level(k - 1, a) if k > 2 else None
+    carry = 0.0
 
-    def __init__(self, sqrt_base: bool, degree: int = 40):
-        self.sqrt_base = sqrt_base
-        self.degree = degree
-        self.levels: dict[int, ConvolutionKernel] = {}
+    def step(s, vand, q):  # the piece on [j, j+1] with the current j and carry
+        u = s**_STRETCH
+        if lower is None:
+            lag = _base_level(1, a, (j - 1) + u)
+        else:
+            lag = _row_at_nodes(lower[j - k], s, vand)
+        t = j + u
+        span = q @ (_STRETCH * s ** (_STRETCH - 1) * t ** (a - 1.0) * lag)
+        return k * t**-a * (carry + span), carry + span[-1]
 
-    def _inner(self, k: int, xi: float) -> float:
-        if k == 0:
-            if self.sqrt_base:
-                return 1.0 / math.sqrt(math.pi * xi) if xi > 0 else 0.0
-            return 1.0 if xi >= 0.0 else 0.0
-        if k == 1:
-            if self.sqrt_base:
-                return _v1_sqrt(xi)
-            return math.log(xi) if xi >= 1.0 else 0.0
-        return self.levels[k].value(xi)
-
-    def _convolve_at(self, k: int, xi: float) -> float:
-        # int_1^(xi-(k-1)) inner_{k-1}(xi - t) / t dt
-        t_hi = xi - (k - 1)
-        if t_hi <= 1.0:
-            return 0.0
-        breaks = sorted(
-            {1.0, t_hi}
-            | {xi - j for j in range(k - 1, int(math.floor(xi)) + 1) if 1.0 < xi - j < t_hi}
-        )
-
-        def integrand(t):
-            return np.array([self._inner(k - 1, xi - tv) / tv for tv in t])
-
-        if not self.sqrt_base:
-            return _quad.gl_panels(integrand, breaks, 32)
-        # inner has a half-integer branch as xi - t approaches each break
-        # offset from above, i.e. t -> b^-; substitute t = b - u^2
-        total = 0.0
-        x, w = _quad.gl_rule(32)
-        for a, b in zip(breaks, breaks[1:]):
-            half = 0.5 * math.sqrt(b - a)
-            u = half + half * x
-            total += float(half * np.sum(w * integrand(b - u * u) * 2.0 * u))
-        return total
-
-    def _ensure(self, k: int, xi: float):
-        if k <= 1:
-            return
-        self._ensure(k - 1, xi)
-        kern = self.levels.setdefault(k, ConvolutionKernel(k=k, sqrt_base=self.sqrt_base))
-        while kern.upper() < xi:
-            lo = kern.upper()
-            self._ensure(k - 1, lo + 2.0)
-
-            def seg(zeta):
-                s = 0.5 * (np.atleast_1d(zeta) + 1.0)
-                if self.sqrt_base:
-                    pts = lo + s * s
-                else:
-                    pts = lo + s
-                return np.array([self._convolve_at(k, float(p)) for p in pts])
-
-            kern.coefs.append(_cheb.chebinterpolate(seg, self.degree))
-
-    def value(self, k: int, xi: float) -> float:
-        if k <= 1:
-            return self._inner(k, xi)
-        if xi <= k:
-            return 0.0
-        self._ensure(k, math.ceil(xi))
-        return self.levels[k].value(xi)
+    rows = []
+    for j in range(k, _TOWER_MAX):
+        coef, carry = _fit_piece(j, step, 1e-12)
+        rows.append(coef)
+    return rows
 
 
-_unit_family = _ConvolutionFamily(sqrt_base=False)
-_sqrt_family = _ConvolutionFamily(sqrt_base=True)
+def _tower(k: int, a: float, xi: float) -> float:
+    """f_k(xi) = L^-1[E^k/eta^(1-a)](xi); 0 on [0, k] for k >= 1."""
+    if not xi <= _TOWER_MAX:
+        raise SpecfunDomainError(f"the E^k tower covers xi <= {_TOWER_MAX}, got {xi}")
+    if xi <= 0.0 or (k and xi <= k):
+        return 0.0
+    if k <= 1:
+        return float(_base_level(k, a, xi))
+    rows = _level(k, a)
+    j = min(int(xi - k), len(rows) - 1)
+    s = (xi - (k + j)) ** (1.0 / _STRETCH)
+    return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
 
 
 def convolve_h(k: int, xi: float) -> float:
-    """L^-1[E(eta)^k / eta] by iterated numerical convolution; 0 for xi < k."""
+    """L^-1[E(eta)^k / eta] at xi <= 64 (SpecfunDomainError beyond); 0 for xi < k."""
     if k < 1:
         raise ValueError(f"convolve_h requires k >= 1, got {k}")
-    return _unit_family.value(k, xi)
+    return _tower(k, 0.0, xi)
 
 
 def sqrt_weighted_hk(k: int, xi: float) -> float:
-    """L^-1[E(eta)^k / sqrt(eta)] by iterated numerical convolution."""
+    """L^-1[E(eta)^k / sqrt(eta)] at xi <= 64 (SpecfunDomainError beyond)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _sqrt_family.value(k, xi)
+    return _tower(k, 0.5, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -688,30 +648,17 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     which equals rho(1/a).  kind "component": sqrt(pi xi) times
     sum_{k<=floor(xi)} (-1)^k/(2^k k!) L^-1[E^k/sqrt(eta)], which equals
     sqrt(xi) sigma(xi).  Terms with index above floor(xi) vanish on the
-    support, so the truncation is exact.
+    support, so the truncation is exact.  The levels come from the E^k
+    tower, which covers xi <= 64: a below 1/64 raises SpecfunDomainError.
     """
-    if not 0.0 < a <= 1.0:
-        raise SpecfunDomainError(f"series requires a in (0, 1], got {a}")
+    if not 1.0 / _TOWER_MAX <= a <= 1.0:
+        raise SpecfunDomainError(f"series requires a in [1/{_TOWER_MAX}, 1], got {a}")
     xi = 1.0 / a
-    kmax = int(math.floor(xi))
-    if kind == "permutation":
-        total = 0.0
-        for k in range(kmax + 1):
-            term = hk_closed_form(k, xi) if k <= 2 else convolve_h(k, xi)
-            total += (-1.0) ** k / math.factorial(k) * term
-        return total
-    if kind == "component":
-        total = 0.0
-        for k in range(kmax + 1):
-            if k == 0:
-                term = 1.0 / math.sqrt(math.pi * xi)
-            elif k == 1:
-                term = _v1_sqrt(xi)
-            else:
-                term = sqrt_weighted_hk(k, xi)
-            total += (-1.0) ** k / (2.0**k * math.factorial(k)) * term
-        return math.sqrt(math.pi * xi) * total
-    raise ValueError(f"kind must be 'permutation' or 'component', got {kind!r}")
+    if kind not in ("permutation", "component"):
+        raise ValueError(f"kind must be 'permutation' or 'component', got {kind!r}")
+    base, ratio = (0.0, -1.0) if kind == "permutation" else (0.5, -0.5)
+    total = sum(ratio**k / math.factorial(k) * _tower(k, base, xi) for k in range(int(xi) + 1))
+    return total if base == 0.0 else math.sqrt(math.pi * xi) * total
 
 
 def mapping_cycle_cdf_contour(b: float, check: bool = False) -> float:

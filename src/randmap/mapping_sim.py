@@ -22,6 +22,7 @@ __all__ = [
     "GraphSummary",
     "SimStats",
     "BudgetExhaustedError",
+    "MIN_ACCEPTANCE",
     "sample_mapping",
     "analyze",
     "simulate",
@@ -29,6 +30,12 @@ __all__ = [
 ]
 
 _STAT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4", "n_cyclic", "components")
+
+
+# Smallest expected acceptance rate a component constraint may have: below
+# it the default attempt budget (10^4 times the expected attempts) is out of
+# reach, e.g. components=20 at n = 20 has about 5e-15.
+MIN_ACCEPTANCE = 1e-6
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -217,7 +224,9 @@ def simulate(
     """Aggregate structural statistics over `trials` (accepted) mappings.
 
     ``max_attempts`` caps each worker's rejection attempts; the default is
-    10^4 times the expected attempt count for the constraint.  ``workers``
+    10^4 times the expected attempt count for the constraint.  A constraint
+    of more than n components, or one whose expected acceptance rate is
+    below ``MIN_ACCEPTANCE``, raises ValueError before any draw.  ``workers``
     (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if n < 2:
@@ -225,8 +234,15 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     kind, m_required = _normalize_constraint(constraint)
-    workers = _kernels.worker_count(workers)
+    if m_required is not None and m_required > n:
+        raise ValueError(f"a mapping of size {n} has at most {n} components, not {m_required}")
     acc = _expected_acceptance(n, m_required)
+    if acc < MIN_ACCEPTANCE:
+        raise ValueError(
+            f"components={m_required} at n = {n} has expected acceptance {acc:.1e}, "
+            f"below MIN_ACCEPTANCE = {MIN_ACCEPTANCE:.0e}"
+        )
+    workers = _kernels.worker_count(workers)
     if max_attempts is not None:
         cap_per_worker = int(max_attempts)
     else:

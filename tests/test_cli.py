@@ -304,6 +304,13 @@ class TestInvlaplace:
         assert reason.startswith("ValueError: the Bromwich line at xi")
         assert f"more than LINE_MAX_PANELS = {laplace.LINE_MAX_PANELS}" in reason
 
+    def test_line_rounding_is_error(self, capsys):
+        code, rec = run_json(capsys, "invlaplace", "--transform", "rayleigh", "--xi", "20")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            "LaplaceAccuracyError: the Bromwich line at xi = 20.0 has rounding error estimate"
+        )
+
     @pytest.mark.parametrize("xi", ["nan", "inf", "0", "-1"])
     def test_xi_not_finite_positive_is_error(self, capsys, xi):
         code, rec = run_json(capsys, "invlaplace", "--transform", "halfnormal", "--xi", xi)
@@ -349,6 +356,25 @@ class TestSimulateAndEnumerate:
         assert rec["errors"]["reason"] == (
             f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {workers}"
         )
+
+    @pytest.mark.parametrize(
+        "n, m, reason",
+        [
+            ("3", "50", "a mapping of size 3 has at most 3 components, not 50"),
+            ("2", "5", "a mapping of size 2 has at most 2 components, not 5"),
+            ("20", "20", "components=20 at n = 20 has expected acceptance 5.0e-15"),
+        ],
+    )
+    def test_simulate_unmeetable_constraint_is_error(self, capsys, monkeypatch, n, m, reason):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim._kernels, "batch_stats", no_batch)
+        code, rec = run_json(
+            capsys, "simulate", f"--n={n}", "--trials=1", f"--constraint=components={m}", "--seed=1"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(f"ValueError: {reason}")
 
     def test_enumerate_size_error(self, capsys):
         code, rec = run_json(capsys, "enumerate", "--n", "9")

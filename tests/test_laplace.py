@@ -6,6 +6,7 @@ from scipy.special import erfcx
 
 from randmap import dde, laplace
 from randmap.laplace import (
+    LaplaceAccuracyError,
     MethodMismatchError,
     NonConvergenceError,
     TransformSpec,
@@ -19,7 +20,7 @@ from randmap.laplace import (
     transform_value,
     truncated_cdf_series,
 )
-from randmap.specfun import e1_real
+from randmap.specfun import SpecfunDomainError, e1_real
 
 
 class TestForwardLaplace:
@@ -134,6 +135,15 @@ class TestInvert:
             )
             assert invert(ray, xi) == pytest.approx(xi * math.exp(-xi * xi / 2.0), abs=1e-10)
 
+    @pytest.mark.parametrize("tid", ["halfnormal", "rayleigh", "erfc-gauss"])
+    def test_line_refuses_values_lost_to_rounding(self, tid):
+        # at xi = 20 the line's rounding gives errors of 4e-7 to 2e-6 against
+        # true values below 1e-80; at xi = 8 the errors are below 1e-10
+        spec = TransformSpec(id=tid)
+        with pytest.raises(LaplaceAccuracyError, match="rounding error estimate"):
+            invert(spec, 20.0)
+        assert invert(spec, 8.0) == pytest.approx(0.0, abs=1e-10)
+
     def test_method_mismatch(self):
         with pytest.raises(MethodMismatchError):
             invert(TransformSpec(id="erfc-gauss"), 1.0, method="talbot")
@@ -247,8 +257,8 @@ class TestHkAndConvolutions:
         assert convolve_h(3, 2.5) == 0.0
 
     def test_convolution_matches_closed_form(self):
-        for xi in [2.5, 3.0, 4.0, 5.5]:
-            assert convolve_h(2, xi) == pytest.approx(hk_closed_form(2, xi), abs=1e-9)
+        for xi in [2.5, 3.0, 4.0, 5.5, *np.linspace(2.0, 64.0, 497)[1:]]:
+            assert convolve_h(2, xi) == pytest.approx(hk_closed_form(2, xi), abs=1e-13)
         for xi in [1.5, 2.0, 7.0]:
             assert convolve_h(1, xi) == pytest.approx(hk_closed_form(1, xi), abs=1e-12)
 
@@ -266,6 +276,23 @@ class TestHkAndConvolutions:
         se = vals.std(ddof=1) / math.sqrt(n) * box
         assert convolve_h(3, xi) == pytest.approx(est, abs=3 * se)
         assert convolve_h(3, xi) > 0.0
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_levels_transform_back(self, k):
+        # forward transforms of the tabled levels against E(2)^k / 2^(1-a)
+        for level, base in ((convolve_h, 2.0), (sqrt_weighted_hk, math.sqrt(2.0))):
+            value = forward_laplace(
+                lambda x: level(k, x), 2.0, xi_max=64, breakpoints=range(1, 65)
+            )
+            assert value == pytest.approx(e1_real(2.0) ** k / base, rel=1e-12)
+
+    def test_tower_domain(self):
+        assert convolve_h(3, 64.0) > 0.0
+        for level in (convolve_h, sqrt_weighted_hk):
+            with pytest.raises(SpecfunDomainError):
+                level(3, 64.5)
+            with pytest.raises(SpecfunDomainError):
+                level(1, math.nan)
 
     def test_sqrt_weighted_level_one(self):
         from randmap.specfun import arctanh
@@ -287,11 +314,11 @@ class TestTruncatedSeries:
         assert truncated_cdf_series(1.0, "permutation") == pytest.approx(1.0, rel=1e-14)
 
     def test_permutation_deep_term(self):
-        # a below 1/3 exercises the numerically convolved third term
+        # a below 1/2 exercises the tabled levels, down to the 64th
         rho = dde.dickman_solution(1)
-        for a in [0.28, 0.3, 0.32]:
+        for a in [0.28, 0.3, 0.32, 1.0 / 16.0, 1.0 / 64.0]:
             assert truncated_cdf_series(a, "permutation") == pytest.approx(
-                rho(1.0 / a), abs=1e-8
+                rho(1.0 / a), abs=1e-12
             )
 
     def test_component_matches_sigma_tilde(self):
@@ -312,14 +339,17 @@ class TestTruncatedSeries:
 
     def test_component_deep_term(self):
         sigma = dde.watterson_solution()
-        for a in [0.38, 0.42, 0.48]:
+        for a in [0.38, 0.42, 0.48, 1.0 / 16.0, 1.0 / 64.0]:
             assert truncated_cdf_series(a, "component") == pytest.approx(
-                dde.sigma_tilde(sigma, 1.0 / a), abs=1e-8
+                dde.sigma_tilde(sigma, 1.0 / a), abs=1e-12
             )
 
     def test_domain(self):
         with pytest.raises(Exception):
             truncated_cdf_series(0.0, "permutation")
+        for kind in ("permutation", "component"):
+            with pytest.raises(SpecfunDomainError):
+                truncated_cdf_series(1.0 / 64.5, kind)
         with pytest.raises(ValueError):
             truncated_cdf_series(0.5, "nope")
 

@@ -243,6 +243,17 @@ class TestSimulate:
                 max_attempts=2000,
             )
 
+    @pytest.mark.parametrize("n, m", [(3, 50), (2, 5), (20, 20), (256, 30)])
+    def test_unmeetable_constraint_fails_before_any_draw(self, monkeypatch, n, m):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(_kernels, "batch_stats", no_batch)
+        with pytest.raises(ValueError):
+            simulate(n, 1, constraint=f"components={m}", seed=1, max_attempts=10)
+        with pytest.raises(ValueError):
+            simulate(n, 1, constraint=f"components={m}", seed=1)
+
     def test_sanity_against_limit_law(self):
         stats = simulate(4096, 3000, seed=5, cdf_grid=(0.6842,))
         assert stats.mean["lambda1"] == pytest.approx(0.78248, abs=0.05)
