@@ -123,10 +123,14 @@ def _cmd_eval(args):
         sol = dde.theta_solution(args.theta, tol=tol)
     else:
         raise ValueError(f"unknown function {args.fn!r}")
+    pole = " (the solution has a pole at x = 0 for theta < 1)"
+    if args.fn == "sigma-tilde" and x <= 0.0:  # sqrt(x) sigma(x)
+        if x == 0.0:
+            raise ValueError(f"sigma-tilde is not finite at x = {x!r}{pole}")
+        raise ValueError(f"sigma-tilde = sqrt(x) sigma(x) needs x >= 0, got {x!r}")
     value = float(dde.sigma_tilde(sol, x) if args.fn == "sigma-tilde" else sol(x))
     if not math.isfinite(value):
-        pole = sol.theta < 1.0 and 0.0 <= x <= 1.0
-        cause = " (the solution has a pole at x = 0 for theta < 1)" if pole else ""
+        cause = pole if 0.0 <= x <= 1.0 else ""  # only x^(theta-1), theta < 1, blows up
         raise ValueError(f"{args.fn} is not finite at x = {x!r}{cause}")
     return {"value": value}, {}, None
 

@@ -12,13 +12,15 @@ Two families are covered, both with unit delay:
 Integrating either equation from x = 1 gives an identity with positive terms
 only,  x g(x) = c int_{x-1}^x g + M(x-1):  c = theta and M = 0 for the theta
 family; c = 1 and M(z) = int_0^z rho_{r-1} for rank r (M = 0 for rank 1).
-A solution is an exact head on (0,1], an exact segment on (1,2] and one
-Chebyshev piece per unit interval beyond, fitted in the stretched variable
-s = (x-k)^(1/4): the solutions carry algebraic branch points of exponent
-theta+k-1 at the integer abscissa k, which the stretch turns into terms a
-polynomial basis resolves to full tolerance.  Each piece is one collocation
-solve of the identity.  Nothing is subtracted from a larger value, so the
-solution keeps its relative accuracy as it decays (rho(64) is about 3e-132).
+A solution is ``exact_part`` on [0, 2], the one closed form of both
+families (``laplace`` reads it too), and one Chebyshev piece per unit
+interval beyond, for theta in (0, MAX_THETA], fitted in the stretched
+variable s = (x-k)^(1/4): the solutions carry algebraic branch points of
+exponent theta+k-1 at the integer abscissa k, which the stretch turns into
+terms a polynomial basis resolves to full tolerance.  Each piece is one
+collocation solve of the identity.  Nothing is subtracted from a larger
+value, so the solution keeps its relative accuracy as it decays (rho(64) is
+about 3e-132).
 """
 
 from __future__ import annotations
@@ -30,13 +32,18 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from . import _quad
 from .specfun import SpecfunDomainError, arctanh, dilog
 
 _STRETCH = 4  # x = k + s**_STRETCH on each numeric piece
 _DEGREE = 48
 _DEGREE_RETRY = 96
 _UNDERFLOW = 1e-300
+_PAST_TWO_EDGES = math.log(2.0) + np.array([0.0] + [2.0**i for i in range(11)])
 MAX_RANK = 1000  # rank r costs r solves (every lower rank) and keeps them all
+# The solution's relative error on [2, 3] against mpmath grows with theta:
+# 5e-10 at 30, 7e-7 at 50, 4e-5 at 60, 0.1 at 80; from 85 it turns negative.
+MAX_THETA = 50.0
 
 
 class DdeError(ValueError):
@@ -65,8 +72,11 @@ class DdeSpec:
         if self.kind not in ("theta-family", "generalized-dickman"):
             raise DdeError(f"unknown kind {self.kind!r}")
         if self.kind == "theta-family":
-            if self.theta is None or not self.theta > 0.0:
-                raise DdeError(f"theta-family requires theta > 0, got {self.theta}")
+            if self.theta is None or not 0.0 < self.theta <= MAX_THETA:
+                raise DdeError(
+                    f"theta-family requires 0 < theta <= {MAX_THETA}, got {self.theta}: "
+                    "the solver's relative error grows with theta (7e-7 at 50, 0.1 at 80)"
+                )
         else:
             if self.rank is None or not 1 <= self.rank <= MAX_RANK:
                 raise DdeError(
@@ -76,6 +86,13 @@ class DdeSpec:
             raise DdeError(f"x_max must be >= 1, got {self.x_max}")
         if not 0.0 < self.tol <= 1e-6:
             raise DdeError(f"tol must lie in (0, 1e-6], got {self.tol}")
+
+    @property
+    def exact_theta(self) -> float | None:
+        """``exact_part``'s theta: the family's, 1 for rank 1, None for rank >= 2."""
+        if self.kind == "theta-family":
+            return self.theta
+        return 1.0 if self.rank == 1 else None
 
 
 @lru_cache(maxsize=8)
@@ -101,60 +118,70 @@ def _collocation(n: int):
     return zeta, s, vand, interp, q
 
 
-def _lerch_tail(theta: float, u):
-    """S(u) = sum_{j>=0} u^j/(theta+j), convergent for |u| < 1."""
-    u = np.asarray(u, dtype=float)
-    total = np.zeros_like(u)
-    power = np.ones_like(u)
-    for j in range(0, 100000):
-        term = power / (theta + j)
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-        power = power * u
+@lru_cache(maxsize=64)
+def _lerch_coefficients(theta: float) -> tuple:
+    # theta/(theta+j) for j = 55, ..., 0: a subnormal theta does not overflow
+    return tuple(theta / (theta + j) for j in range(55, -1, -1))
+
+
+def _lerch_sum(theta: float, u):
+    """theta sum_{j<56} u^j/(theta+j), complete to rounding for 0 <= u <= 1/2, by
+    Horner's rule in plain IEEE arithmetic: a float gets an array's bits."""
+    total = 0.0
+    for c in _lerch_coefficients(theta):
+        total = total * u + c
     return total
 
 
-def theta_delay_integral(theta: float, u):
-    """T(u) = int_0^u t^(theta-1)/(1-t) dt = u^theta * S(u), for 0 <= u < 1."""
-    u = np.asarray(u, dtype=float)
-    return np.power(u, theta, where=u > 0, out=np.zeros_like(u)) * _lerch_tail(theta, u)
+def _past_two(theta: float, x):
+    """theta (T(u) - T(1/2)) for x >= 2: with t = 1 - e^-y, the integral of
+    (1 - e^-y)^(theta-1), positive and tending to 1, over [ln 2, ln x] by
+    32-point Gauss-Legendre panels on ln 2 + [0, 1], [1, 2], [2, 4], ..."""
+    top = np.log(np.asarray(x, dtype=float))[..., None]
+    edges = np.minimum(_PAST_TWO_EDGES, top)
+    pts, half = _quad.gl_nodes(edges[..., :-1].ravel(), edges[..., 1:].ravel(), 32)
+    panels = half * (np.power(-np.expm1(-pts), theta - 1.0) @ _quad.gl_rule(32)[1])
+    return theta * panels.reshape(top.shape[:-1] + (-1,)).sum(axis=-1)
 
 
-def _theta_segment(theta: float, x):
-    """Exact solution of the theta family on [1,2], by the Lerch series.
-
-    Integrating-factor form: x^(1-theta) g(x) = 1 - theta * T((x-1)/x).
-    """
-    x = np.asarray(x, dtype=float)
-    u = (x - 1.0) / x
-    return x ** (theta - 1.0) * (1.0 - theta * theta_delay_integral(theta, u))
-
-
-def _segment_theta(spec: DdeSpec):
-    """theta of the solution on (1,2], or None where it is identically 1."""
-    if spec.kind == "theta-family":
-        return spec.theta
-    return 1.0 if spec.rank == 1 else None
-
-
-def _segment(spec: DdeSpec, x):
-    """Exact solution on (1,2] of either family.
-
-    T(u) is -ln(1-u) for theta = 1 and 2 artanh(sqrt(u)) for theta = 1/2, so
-    there the segment is 1 - ln x and (1 - artanh(sqrt(u)))/sqrt(x) with
-    u = (x-1)/x; both are within 2e-16 of mpmath on (1,2], against 7.4e-16
-    for the series.  They use numpy ufuncs only, so a Python float and an
-    array give the same bits.  Other theta use the series; rank r >= 2 is 1.
-    """
-    theta = _segment_theta(spec)
-    if theta is None:
-        return np.ones_like(np.asarray(x, dtype=float))
+def theta_delay_integral(theta: float, x):
+    """theta T(u) at u = (x-1)/x, x >= 1, where T(u) = int_0^u t^(theta-1)/(1-t) dt:
+    ln x at theta = 1, artanh(sqrt(u)) at theta = 1/2, and otherwise u^theta
+    times the Lerch sum on [1, 2] plus ``_past_two`` beyond."""
     if theta == 1.0:
-        return 1.0 - np.log(x)
+        return np.log(x)
     if theta == 0.5:
-        return (1.0 - np.arctanh(np.sqrt((x - 1.0) / x))) / np.sqrt(x)
-    return _theta_segment(theta, x)
+        return np.arctanh(np.sqrt((x - 1.0) / x))
+    array = isinstance(x, np.ndarray)
+    near = np.minimum(x, 2.0) if array else min(x, 2.0)
+    u = (near - 1.0) / near
+    total = np.power(u, theta) * _lerch_sum(theta, u)
+    if (x > 2.0).any() if array else x > 2.0:
+        total = total + _past_two(theta, np.maximum(x, 2.0))
+    return total
+
+
+def exact_part(theta: float | None, x):
+    """The solution on [0, 2], for a Python float or an array x: the theta
+    family's head x^(theta-1) on [0, 1] and segment (1 - theta T)/x^(1-theta)
+    (rank 1 is theta = 1), or 1 for theta None (a rank r >= 2).
+
+    Past 2 the segment is the inverse of the first two terms of the
+    exp(-theta E) expansion, which ``laplace`` peels off.  On [0, 2] a
+    Python float gives the bits of the same point in an array.
+    """
+    if theta is None:
+        return np.ones_like(x)
+    if not isinstance(x, np.ndarray):
+        return np.power(x, theta - 1.0) if x <= 1.0 else _segment(theta, x)
+    out = np.power(x, theta - 1.0)
+    seg = x > 1.0
+    out[seg] = _segment(theta, x[seg])
+    return out
+
+
+def _segment(theta: float, x):
+    return (1.0 - theta_delay_integral(theta, x)) / np.power(x, 1.0 - theta)
 
 
 def _clenshaw(rows, z):
@@ -175,24 +202,20 @@ def _clenshaw(rows, z):
 
 @dataclass
 class PiecewiseSolution:
-    """A solved DDE: exact head on [0,1], exact segment on (1,2] and one
-    Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
+    """A solved DDE: ``exact_part`` on [0, 2], which the solver reads too, and
+    one Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
 
-    The solver and evaluation read (1,2] through the same ``_segment``.
     ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
-    zeta = 2*s - 1, s = (x - k)^(1/4).  They are stored as one table: row j of
-    ``coef`` is the piece starting at ``lo[j] = j + 2``, zero-padded on top to
-    the widest piece (49 coefficients, or 97 after a retried fit).  A call
+    zeta = 2*s - 1, s = (x - k)^(1/4), stored as one table: row j of ``coef``
+    is the piece starting at ``lo[j] = j + 2``, zero-padded on top to the
+    widest piece (49 coefficients, or 97 after a retried fit).  A call
     evaluates every point x > 2 in one Clenshaw pass over the rows its points
-    select; a Python float in (2, x_max] takes a scalar path through the same
-    recurrence.  Both give chebval's values bitwise.  A Python float on a
-    constant head, or on a closed-form segment (theta = 1 or 1/2), is
-    evaluated by the same expression as an array, so it too matches bitwise.
+    select, with chebval's values bitwise.  A Python float takes a scalar
+    path through the same expressions, so it gets the array path's bits.
     """
 
     spec: DdeSpec
     pieces: InitVar[list]
-    closed_form_head: str
     _prev: "PiecewiseSolution | None" = None  # lower rank, generalized family only
     coef: np.ndarray = field(init=False, repr=False)
     lo: np.ndarray = field(init=False, repr=False)
@@ -208,34 +231,15 @@ class PiecewiseSolution:
     def x_max(self) -> float:
         return self.spec.x_max
 
-    @property
-    def theta(self) -> float:
-        if self.spec.kind == "theta-family":
-            return self.spec.theta
-        return 1.0
-
-    def _head(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.spec.kind == "generalized-dickman":
-            return np.ones_like(x)
-        theta = self.spec.theta
-        if theta == 1.0:
-            return np.ones_like(x)
-        with np.errstate(divide="ignore"):
-            return x ** (theta - 1.0)
-
     def __call__(self, x):
-        if isinstance(x, float) and x <= self.spec.x_max:
-            if x > 2.0:
+        if isinstance(x, float) and _UNDERFLOW < x <= self.spec.x_max:  # not near the pole
+            if x <= 2.0:
+                v = float(exact_part(self.spec.exact_theta, x))
+            else:
                 j = min(int(x - 2.0), len(self.lo) - 1)
                 s = float(np.power(x - self.lo[j], 1.0 / _STRETCH))
                 v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
-                return 0.0 if abs(v) < _UNDERFLOW else v
-            if x > 1.0:
-                if _segment_theta(self.spec) in (1.0, 0.5):
-                    return float(_segment(self.spec, x))
-            elif x >= 0.0 and self.theta == 1.0:
-                return 1.0
+            return 0.0 if abs(v) < _UNDERFLOW else v
         return self._values(x)
 
     def _values(self, x):
@@ -248,12 +252,10 @@ class PiecewiseSolution:
                 f"x={xs[outside][0]} outside the solved domain (x <= x_max={self.spec.x_max})"
             )
         out = np.zeros_like(xs)
-        head = (xs >= 0.0) & (xs <= 1.0)
-        if np.any(head):
-            out[head] = self._head(xs[head])
-        seg = (xs > 1.0) & (xs <= 2.0)
-        if np.any(seg):
-            out[seg] = _segment(self.spec, xs[seg])
+        exact = (xs >= 0.0) & (xs <= 2.0)
+        if np.any(exact):
+            with np.errstate(divide="ignore", over="ignore"):  # the pole at 0, theta < 1
+                out[exact] = exact_part(self.spec.exact_theta, xs[exact])
         body = xs > 2.0
         if np.any(body) and len(self.lo):
             xb = xs[body]
@@ -340,7 +342,7 @@ def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
 
     def delayed(sol_spec, rows, s, vand):  # a solution at x - 1 = k - 1 + s^4
         if k == 2:
-            return _segment(sol_spec, 1.0 + s**_STRETCH)
+            return exact_part(sol_spec.exact_theta, 1.0 + s**_STRETCH)
         return _row_at_nodes(rows[k - 3], s, vand)  # the piece on [k-1, k]
 
     def step(s, vand, q):  # the piece on [k, k+1] with the current k and mass
@@ -363,31 +365,15 @@ def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
     """Solve the theta-family equation on (0, x_max]."""
     if spec.kind != "theta-family":
         raise DdeError("solve_theta_dde requires a theta-family spec")
-    return PiecewiseSolution(
-        spec=spec,
-        pieces=_solve_pieces(spec, spec.theta),
-        closed_form_head=f"x**(theta-1) with theta={spec.theta} on (0,1]",
-    )
+    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, spec.theta))
 
 
 def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     """Solve the rank-r recursion; lower ranks come from ``dickman_solution``."""
     if spec.kind != "generalized-dickman":
         raise DdeError("solve_generalized_dickman requires a generalized-dickman spec")
-    prev = None
-    if spec.rank > 1:
-        prev = dickman_solution(spec.rank - 1, x_max=spec.x_max, tol=spec.tol)
-    return _solve_rank(spec, prev)
-
-
-def _solve_rank(spec: DdeSpec, prev: PiecewiseSolution | None) -> PiecewiseSolution:
-    """The rank-r solution from the rank r - 1 one (None for rank 1)."""
-    return PiecewiseSolution(
-        spec=spec,
-        pieces=_solve_pieces(spec, 1.0, prev),
-        closed_form_head="1 on [0,1]",
-        _prev=prev,
-    )
+    prev = None if spec.rank == 1 else dickman_solution(spec.rank - 1, spec.x_max, spec.tol)
+    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
 
 
 def rho_closed_form(x: float) -> float:
@@ -426,7 +412,7 @@ def _dickman_cached(rank: int, x_max: float, tol: float) -> PiecewiseSolution:
     # only dickman_solution calls this, after it has fetched rank - 1
     spec = DdeSpec(kind="generalized-dickman", rank=rank, x_max=x_max, tol=tol)
     prev = _dickman_cached(rank - 1, x_max, tol) if rank > 1 else None
-    return _solve_rank(spec, prev)
+    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
 
 
 def theta_solution(theta: float, x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:

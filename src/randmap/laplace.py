@@ -26,11 +26,13 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   entirely (the deformed integral diverges; in IEEE arithmetic the node
   values overflow).  These are inverted on a vertical line by the de Hoog
   accelerated Fourier method at elevated precision, after peeling the first
-  two terms of the exp(-t E) expansion, whose inverses are elementary.
+  two terms of the exp(-t E) expansion, whose inverse is ``dde.exact_part``
+  (t in (0, dde.MAX_THETA], as for the DDE).
 
-The convolutions L^-1[E^k/eta] and L^-1[E^k/sqrt(eta)] behind the truncated
-CDF series are a tower built by the DDE's collocation step.  Like the DDE
-solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
+The levels f_k = L^-1[E^k/eta^t] behind the truncated CDF series are a tower
+keyed by t, built by the DDE's collocation step on the base levels
+x^(t-1)/Gamma(t) and that times ``dde.theta_delay_integral``'s T.  Like the
+DDE solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
 
 The erfc family is evaluated by ``specfun.erfcx``, once on the whole array
 of line nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
@@ -46,7 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad
-from .dde import _STRETCH, _clenshaw, _fit_piece, _row_at_nodes, theta_delay_integral
+from .dde import MAX_THETA, _STRETCH, _clenshaw, _fit_piece, _row_at_nodes, exact_part
+from .dde import theta_delay_integral
 from .specfun import SpecfunDomainError, dilog, e1_complex, e1_real, erfcx
 
 __all__ = [
@@ -250,8 +253,10 @@ class TransformSpec:
                 )
         elif self.id not in _NAMED_CLASSES:
             raise ValueError(f"unknown transform id {self.id!r}")
-        if self.id == "theta" and not _positive_finite(self.theta):
-            raise ValueError(f"theta transform requires finite theta > 0, got {self.theta}")
+        if self.id == "theta" and not (_positive_finite(self.theta) and self.theta <= MAX_THETA):
+            raise ValueError(
+                f"theta transform requires finite theta in (0, {MAX_THETA}], got {self.theta}"
+            )
         if self.id == "cycle-cdf" and not _positive_finite(self.b):
             raise ValueError(f"cycle-cdf transform requires finite b > 0, got {self.b}")
 
@@ -263,11 +268,7 @@ class TransformSpec:
 
     @property
     def effective_theta(self) -> float:
-        if self.id == "dickman":
-            return 1.0
-        if self.id == "watterson":
-            return 0.5
-        return self.theta
+        return {"dickman": 1.0, "watterson": 0.5}.get(self.id, self.theta)
 
 
 def transform_value(spec: TransformSpec, eta):
@@ -462,21 +463,19 @@ def _dehoog(F, xi: float, degree: int, dps: int):
 def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 80) -> float:
     """Dickman/Watterson/theta-family inverse at one point.
 
-    The first two expansion terms have elementary inverses
-    xi^(theta-1) (1 - theta T(1-1/xi)); they are exact on (0,2] where the
-    peeled remainder's inverse vanishes identically.  Beyond 2 the remainder
-    is inverted by ``_dehoog``, which works at int(1.38 degree) digits (110
-    at the default degree 80) after rounding its parameters at ``dps``.
-    Against the DDE solution on xi = 2.25, 2.5, ..., 6 the worst error at
-    degree 80 is 4.6e-10 for theta = 1 and 1.5e-9 for theta = 1/2, both at
-    the integer xi = 3, where the inverse has a kink; off the integers it is
-    below 1e-14.  Lower degrees lose accuracy at the kinks first.
+    The first two expansion terms have the inverse ``dde.exact_part`` (a
+    FloatingPointError if it overflows), exact on (0,2], where the peeled
+    remainder's inverse vanishes.  Beyond 2 ``_dehoog`` inverts the remainder
+    at int(1.38 degree) digits (110 at degree 80), its parameters rounded at
+    ``dps``.  Against the DDE solution on xi = 2.25, 2.5, ..., 6 its worst
+    error at degree 80 is 4.6e-10 (theta = 1) and 1.5e-9 (theta = 1/2), at
+    the kink xi = 3; off the integers it is below 1e-14.  Lower degrees lose
+    accuracy at the kinks first.
     """
     if xi <= 0.0:
         raise SpecfunDomainError(f"inverse evaluation requires xi > 0, got {xi}")
-    closed = xi ** (theta - 1.0)
-    if xi > 1.0:
-        closed *= 1.0 - theta * float(theta_delay_integral(theta, 1.0 - 1.0 / xi))
+    with np.errstate(over="raise", divide="raise"):
+        closed = float(exact_part(theta, xi))
     if xi <= 2.0:
         return closed
     import mpmath as mp
@@ -572,34 +571,32 @@ def hk_closed_form(k: int, xi: float) -> float:
 _TOWER_MAX = 64  # the tower's xi bound, the DDE solutions' own domain
 
 
-def _base_level(k: int, a: float, x):
-    """Levels 0 and 1 of the tower at x >= k, in closed form."""
-    if a == 0.0:
-        return np.log(x) if k else np.ones_like(x)
-    root = np.sqrt(math.pi * x)
-    return 2.0 * np.arctanh(np.sqrt((x - 1.0) / x)) / root if k else 1.0 / root
+def _base_level(k: int, theta: float, x):
+    """Levels 0 and 1 of the tower at x >= k: f_0 = x^(theta-1)/Gamma(theta), f_1 = f_0 T."""
+    f0 = np.power(x, theta - 1.0) / math.gamma(theta)
+    return f0 * (theta_delay_integral(theta, x) / theta) if k else f0
 
 
 @lru_cache(maxsize=None)
-def _level(k: int, a: float) -> list:
-    """Chebyshev pieces of f_k = L^-1[E^k/eta^(1-a)], k >= 2, on [k, 64].
+def _level(k: int, theta: float) -> list:
+    """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, 64].
 
     Entry i is ``dde._fit_piece``'s piece on [j, j+1], j = k + i, x = j + s^4:
-    f_k(x) = k x^-a (I(j) + int_j^x t^(a-1) f_{k-1}(t-1) dt) reads level k-1's
-    piece on [j-1, j] at the same nodes, and I(j) = int_k^j carries on.
+    f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta f_{k-1}(t-1) dt) reads level
+    k-1's piece on [j-1, j] at the same nodes, and I(j) = int_k^j carries on.
     """
-    lower = _level(k - 1, a) if k > 2 else None
+    lower = _level(k - 1, theta) if k > 2 else None
     carry = 0.0
 
     def step(s, vand, q):  # the piece on [j, j+1] with the current j and carry
         u = s**_STRETCH
         if lower is None:
-            lag = _base_level(1, a, (j - 1) + u)
+            lag = _base_level(1, theta, (j - 1) + u)
         else:
             lag = _row_at_nodes(lower[j - k], s, vand)
         t = j + u
-        span = q @ (_STRETCH * s ** (_STRETCH - 1) * t ** (a - 1.0) * lag)
-        return k * t**-a * (carry + span), carry + span[-1]
+        span = q @ (_STRETCH * s ** (_STRETCH - 1) * t**-theta * lag)
+        return k * t ** (theta - 1.0) * (carry + span), carry + span[-1]
 
     rows = []
     for j in range(k, _TOWER_MAX):
@@ -608,15 +605,15 @@ def _level(k: int, a: float) -> list:
     return rows
 
 
-def _tower(k: int, a: float, xi: float) -> float:
-    """f_k(xi) = L^-1[E^k/eta^(1-a)](xi); 0 on [0, k] for k >= 1."""
+def _tower(k: int, theta: float, xi: float) -> float:
+    """f_k(xi) = L^-1[E^k/eta^theta](xi); 0 on [0, k] for k >= 1."""
     if not xi <= _TOWER_MAX:
         raise SpecfunDomainError(f"the E^k tower covers xi <= {_TOWER_MAX}, got {xi}")
     if xi <= 0.0 or (k and xi <= k):
         return 0.0
     if k <= 1:
-        return float(_base_level(k, a, xi))
-    rows = _level(k, a)
+        return float(_base_level(k, theta, xi))
+    rows = _level(k, theta)
     j = min(int(xi - k), len(rows) - 1)
     s = (xi - (k + j)) ** (1.0 / _STRETCH)
     return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
@@ -626,7 +623,7 @@ def convolve_h(k: int, xi: float) -> float:
     """L^-1[E(eta)^k / eta] at xi <= 64 (SpecfunDomainError beyond); 0 for xi < k."""
     if k < 1:
         raise ValueError(f"convolve_h requires k >= 1, got {k}")
-    return _tower(k, 0.0, xi)
+    return _tower(k, 1.0, xi)
 
 
 def sqrt_weighted_hk(k: int, xi: float) -> float:
@@ -644,11 +641,11 @@ def sqrt_weighted_hk(k: int, xi: float) -> float:
 def truncated_cdf_series(a: float, kind: str) -> float:
     """Truncated alternating expansion of the limiting CDFs at xi = 1/a.
 
-    kind "permutation": sum_{k<=floor(xi)} (-1)^k/k! L^-1[E^k/eta],
-    which equals rho(1/a).  kind "component": sqrt(pi xi) times
-    sum_{k<=floor(xi)} (-1)^k/(2^k k!) L^-1[E^k/sqrt(eta)], which equals
-    sqrt(xi) sigma(xi).  Terms with index above floor(xi) vanish on the
-    support, so the truncation is exact.  The levels come from the E^k
+    Both are the theta family's Gamma(theta) sum_{k<=floor(xi)} (-theta)^k/k!
+    L^-1[E^k/eta^theta]: kind "permutation" is theta = 1, which equals
+    rho(1/a), and kind "component" is theta = 1/2 times sqrt(xi), which
+    equals sqrt(xi) sigma(xi).  Terms with index above floor(xi) vanish on
+    the support, so the truncation is exact.  The levels come from the E^k
     tower, which covers xi <= 64: a below 1/64 raises SpecfunDomainError.
     """
     if not 1.0 / _TOWER_MAX <= a <= 1.0:
@@ -656,9 +653,10 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     xi = 1.0 / a
     if kind not in ("permutation", "component"):
         raise ValueError(f"kind must be 'permutation' or 'component', got {kind!r}")
-    base, ratio = (0.0, -1.0) if kind == "permutation" else (0.5, -0.5)
-    total = sum(ratio**k / math.factorial(k) * _tower(k, base, xi) for k in range(int(xi) + 1))
-    return total if base == 0.0 else math.sqrt(math.pi * xi) * total
+    theta = 1.0 if kind == "permutation" else 0.5
+    terms = ((-theta) ** k / math.factorial(k) * _tower(k, theta, xi) for k in range(int(xi) + 1))
+    total = math.gamma(theta) * sum(terms)
+    return total if theta == 1.0 else math.sqrt(xi) * total
 
 
 def mapping_cycle_cdf_contour(b: float, check: bool = False) -> float:

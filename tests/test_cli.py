@@ -64,6 +64,25 @@ class TestEval:
         )
         assert rec["values"] == {}
 
+    def test_sigma_tilde_below_zero_is_error(self, capsys):
+        code, rec = run_json(capsys, "eval", "--fn", "sigma-tilde", "--x", "-1")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "ValueError: sigma-tilde = sqrt(x) sigma(x) needs x >= 0, got -1.0"
+        )
+
+    @pytest.mark.parametrize("theta", ["100", "1e5"])
+    def test_theta_above_bound_is_error(self, capsys, monkeypatch, theta):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve was started")
+
+        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        code, rec = run_json(capsys, "eval", "--fn", "g", f"--theta={theta}", "--x", "3.5")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            f"DdeError: theta-family requires 0 < theta <= 50.0, got {float(theta)}"
+        )
+
 
 class TestCdf:
     def test_perm_cycle(self, capsys):
@@ -168,6 +187,7 @@ class TestCdfProperty:
 
 
 class TestEvalProperty:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=3000, derandomize=True)
     @given(
         fn=st.sampled_from(("rho", "sigma", "sigma-tilde", "rho-r", "g")),
@@ -188,6 +208,7 @@ class TestEvalProperty:
         if code == 0:
             value = rec["values"]["value"]
             assert isinstance(value, float) and math.isfinite(value), (argv, value)
+            assert value >= 0.0, (argv, value)
             assert "errors" not in rec
         else:
             assert code == 1, argv
@@ -362,7 +383,8 @@ class TestSimulateAndEnumerate:
         [
             ("3", "50", "a mapping of size 3 has at most 3 components, not 50"),
             ("2", "5", "a mapping of size 2 has at most 2 components, not 5"),
-            ("20", "20", "components=20 at n = 20 has expected acceptance 5.0e-15"),
+            ("20", "20", "components=20 at n = 20 has expected acceptance 9.5e-27"),
+            ("10", "10", "components=10 at n = 10 has expected acceptance 1.0e-10"),
         ],
     )
     def test_simulate_unmeetable_constraint_is_error(self, capsys, monkeypatch, n, m, reason):

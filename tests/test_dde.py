@@ -45,6 +45,19 @@ class TestSpecValidation:
         with pytest.raises(DdeError):
             DdeSpec(kind="theta-family", theta=1.0, tol=1e-3)
 
+    @pytest.mark.parametrize("theta", [np.nextafter(dde.MAX_THETA, 99.0), 100.0, 1e5, 1e300])
+    def test_theta_above_bound_fails_before_solving(self, theta, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve was started")
+
+        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        with pytest.raises(DdeError, match="theta <= 50"):
+            theta_solution(theta)
+
+    def test_theta_at_bound_is_solved(self):
+        sol = theta_solution(dde.MAX_THETA)
+        assert np.all(sol(np.linspace(0.0, 64.0, 641)) >= 0.0)
+
     def test_bad_rank(self):
         with pytest.raises(DdeError):
             DdeSpec(kind="generalized-dickman", rank=0)
@@ -148,6 +161,13 @@ class TestSolverAgainstClosedForms:
         assert np.all(sigma(xs) > 0.0)
 
 
+def _series_segment(theta, xs):
+    """The general-theta segment x^(theta-1) (1 - theta T) with theta T by
+    the Lerch sum, which the closed forms at theta = 1 and 1/2 bypass."""
+    u = (xs - 1.0) / xs
+    return (1.0 - u**theta * dde._lerch_sum(theta, u)) / xs ** (1.0 - theta)
+
+
 class TestClosedFormSegment:
     """1 - ln x (theta = 1) and the artanh form (theta = 1/2) on (1, 2]
     against mpmath, and against the Lerch series they replace."""
@@ -169,15 +189,49 @@ class TestClosedFormSegment:
             sol = theta_solution(theta)
             closed = worst(sol(xs))
             scalar = worst([sol(float(x)) for x in xs])
-            series = worst(dde._theta_segment(theta, xs))
+            series = worst(_series_segment(theta, xs))
         assert closed == scalar
         assert closed <= series
         assert closed <= 2e-16
 
+    @pytest.mark.parametrize("theta", [1e-9, 0.25, 1.5, 3.7, 50.0])
+    def test_delay_integral_against_mpmath(self, theta):
+        # theta T(u) = theta u^theta Phi(u, 1, theta) on [1, 2], plus
+        # theta int_{ln 2}^{ln x} (1 - e^-y)^(theta-1) dy beyond
+        import mpmath as mp
+
+        xs = np.concatenate(
+            [np.linspace(1.0, 2.0, 11)[1:], np.linspace(2.0, 64.0, 12)[1:], [1e6, 1e100]]
+        )
+        with mp.workdps(25):
+            th = mp.mpf(theta)
+            expected = []
+            for x in xs:
+                x = mp.mpf(x)
+                u = min(1 - 1 / x, mp.mpf(0.5))
+                t = u**th * mp.lerchphi(u, 1, th)
+                if x > 2:
+                    cuts = [c for c in (1, 2, 4, 8, 16, 32, 64, 128) if c < mp.log(x)]
+                    edges = [mp.log(2), *cuts, mp.log(x)]
+                    t += mp.quad(lambda y: (-mp.expm1(-y)) ** (th - 1), edges)
+                expected.append(float(th * t))
+        values = dde.theta_delay_integral(theta, xs)
+        assert values == pytest.approx(expected, rel=1e-14)
+        scalars = [dde.theta_delay_integral(theta, float(x)) for x in xs]
+        assert scalars == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310])
+    def test_subnormal_theta_does_not_overflow(self, theta):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            xs = np.array([0.5, 1.5, 2.0, 3.0])
+            assert np.array_equal(dde.theta_delay_integral(theta, xs[1:]), [1.0, 1.0, 1.0])
+            assert np.array_equal(dde.exact_part(theta, xs[:2]), [2.0, 0.0])
+
     def test_general_theta_keeps_series(self):
         sol = theta_solution(1.5)
         xs = np.linspace(1.0, 2.0, 101)[1:]
-        assert np.array_equal(sol(xs), dde._theta_segment(1.5, xs))
+        assert np.array_equal(sol(xs), dde.exact_part(1.5, xs))
+        assert np.array_equal(sol(xs), _series_segment(1.5, xs))
 
 
 class TestGeneralizedDickman:
@@ -307,7 +361,7 @@ class TestFlatTable:
         widths = [49, 97, 49, 97, 49]
         pieces = [rng.standard_normal(n) * 0.5 ** np.arange(n) for n in widths]
         spec = DdeSpec(kind="theta-family", theta=1.0, x_max=7.0)
-        sol = dde.PiecewiseSolution(spec=spec, pieces=pieces, closed_form_head="test")
+        sol = dde.PiecewiseSolution(spec=spec, pieces=pieces)
         assert sol.coef.shape == (5, 97)
         xs = np.concatenate([rng.uniform(2.0, 7.0, 2000), np.arange(3.0, 8.0)])
         expected = np.empty_like(xs)
@@ -335,7 +389,8 @@ class TestFlatTable:
 
     @pytest.mark.parametrize(
         "sol",
-        [dickman_solution(r) for r in (1, 2, 3, 4)] + [theta_solution(t) for t in (0.5, 2.0)],
+        [dickman_solution(r) for r in (1, 2, 3, 4)]
+        + [theta_solution(t) for t in (0.25, 0.5, 1.5, 2.0, dde.MAX_THETA)],
     )
     def test_scalar_path_equals_vector_path(self, sol):
         xs = np.concatenate(
@@ -351,3 +406,5 @@ class TestFlatTable:
         assert all(type(v) is float for v in scalars)
         singles = [sol(np.array([x]))[0] for x in xs]
         assert np.array_equal(_bits(scalars), _bits(singles))
+        exact = np.linspace(0.0, 2.0, 2001)[1:]  # every point of (0, 2] in one array
+        assert np.array_equal(_bits([sol(float(x)) for x in exact]), _bits(sol(exact)))

@@ -399,6 +399,18 @@ def test_spec_parameters_must_be_finite_and_positive(field, value):
         TransformSpec(id=tid, **{field: value})
 
 
+@pytest.mark.parametrize("theta", [np.nextafter(dde.MAX_THETA, 99.0), 1e5])
+def test_theta_transform_shares_the_dde_bound(theta):
+    with pytest.raises(ValueError, match="theta in"):
+        TransformSpec(id="theta", theta=theta)
+    TransformSpec(id="theta", theta=dde.MAX_THETA)
+
+
+def test_theta_family_overflowing_closed_part_is_error():
+    with pytest.raises(FloatingPointError):
+        laplace._invert_theta_family(4.0, 1e300)
+
+
 def test_transform_value_real_consistency():
     spec = TransformSpec(id="dickman")
     v1 = transform_value(spec, 1.0)

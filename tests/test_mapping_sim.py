@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from randmap import _kernels
+from randmap import _kernels, gfseries
 from randmap.mapping_sim import (
     BudgetExhaustedError,
     GraphSummary,
     Mapping,
+    _expected_acceptance,
     analyze,
     interplay_estimate,
     sample_mapping,
@@ -243,7 +244,7 @@ class TestSimulate:
                 max_attempts=2000,
             )
 
-    @pytest.mark.parametrize("n, m", [(3, 50), (2, 5), (20, 20), (256, 30)])
+    @pytest.mark.parametrize("n, m", [(3, 50), (2, 5), (20, 20), (256, 30), (10, 10), (13, 11)])
     def test_unmeetable_constraint_fails_before_any_draw(self, monkeypatch, n, m):
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch was drawn")
@@ -253,6 +254,23 @@ class TestSimulate:
             simulate(n, 1, constraint=f"components={m}", seed=1, max_attempts=10)
         with pytest.raises(ValueError):
             simulate(n, 1, constraint=f"components={m}", seed=1)
+
+    def test_expected_acceptance_is_exact(self):
+        # P(M = m) against the exact counts a(n, m, l), and values no
+        # large-n law gives: only the identity has 10 components at n = 10
+        for n in range(2, 9):
+            for m in range(1, n + 1):
+                count = sum(gfseries.a_count(n, m, l) for l in range(1, n + 1))
+                assert _expected_acceptance(n, m) == pytest.approx(count / n**n, rel=1e-14)
+        assert _expected_acceptance(10, 10) == pytest.approx(1e-10, rel=1e-14)
+        assert _expected_acceptance(20, 20) == pytest.approx(20.0**-20, rel=1e-14)
+        assert _expected_acceptance(1024, 1) == pytest.approx(0.03884, abs=5e-6)
+        assert _expected_acceptance(10**6, 513) == 0.0
+
+    def test_connected_flag_has_zero_standard_error(self):
+        stats = simulate(64, 20, constraint="connected", seed=2)
+        assert stats.p_largest_contains_longest == 1.0
+        assert stats.p_largest_contains_longest_se == 0.0
 
     def test_sanity_against_limit_law(self):
         stats = simulate(4096, 3000, seed=5, cdf_grid=(0.6842,))
