@@ -33,11 +33,7 @@ from .distributions import Regime
 # of that length.
 MAX_DIVISIBILITY_STEPS = 100_000
 
-_COMPUTE_ERRORS = (
-    ValueError,
-    ArithmeticError,
-    RuntimeError,
-)
+_COMPUTE_ERRORS = (ValueError, ArithmeticError, RuntimeError, MemoryError)
 
 
 def _strict(value):
@@ -95,34 +91,25 @@ class OutputRecord:
 
 
 def _regime_from(args) -> Regime:
-    if args.regime == "rayleigh":
-        return Regime.rayleigh()
-    if args.regime == "halfnormal":
-        return Regime.halfnormal()
-    if args.regime == "pavlov":
-        if args.c is None:
-            raise ValueError("pavlov regime requires --c")
-        return Regime.pavlov(args.c)
-    raise ValueError(f"unsupported regime {args.regime!r}")
+    if args.regime == "pavlov" and args.c is None:
+        raise ValueError("pavlov regime requires --c")
+    return Regime(args.regime, args.c if args.regime == "pavlov" else None)
 
 
 def _cmd_eval(args):
     x = args.x
-    tol = 1e-12 if args.tol is None else args.tol
     if args.fn == "rho":
-        sol = dde.dickman_solution(1, tol=tol)
+        sol = dde.dickman_solution(1)
     elif args.fn in ("sigma", "sigma-tilde"):
-        sol = dde.watterson_solution(tol=tol)
+        sol = dde.watterson_solution()
     elif args.fn == "rho-r":
         if args.r is None:
             raise ValueError("--fn rho-r requires --r")
-        sol = dde.dickman_solution(args.r, tol=tol)
-    elif args.fn == "g":
+        sol = dde.dickman_solution(args.r)
+    else:  # g, the last of the parser's choices
         if args.theta is None:
             raise ValueError("--fn g requires --theta")
-        sol = dde.theta_solution(args.theta, tol=tol)
-    else:
-        raise ValueError(f"unknown function {args.fn!r}")
+        sol = dde.theta_solution(args.theta)
     pole = " (the solution has a pole at x = 0 for theta < 1)"
     if args.fn == "sigma-tilde" and x <= 0.0:  # sqrt(x) sigma(x)
         if x == 0.0:
@@ -149,7 +136,7 @@ def _cmd_cdf(args):
         if args.a is None:
             raise ValueError("largest-component requires --a")
         value = distributions.largest_component_cdf(args.a)
-    elif args.kind == "mapping-cycle":
+    else:  # mapping-cycle, the last of the parser's choices
         if args.b is None:
             raise ValueError("mapping-cycle requires --b")
         if args.regime == "connected":
@@ -158,8 +145,6 @@ def _cmd_cdf(args):
             value = distributions.mapping_longest_cycle_cdf(
                 args.b, _rank(args), _regime_from(args)
             )
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
     return {"cdf": float(value)}, {}, None
 
 
@@ -267,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--theta", type=float)
-    p.add_argument("--tol", type=float)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("cdf", parents=[common], help="limiting CDF values")

@@ -14,7 +14,7 @@ only,  x g(x) = c int_{x-1}^x g + M(x-1):  c = theta and M = 0 for the theta
 family; c = 1 and M(z) = int_0^z rho_{r-1} for rank r (M = 0 for rank 1).
 A solution is ``exact_part`` on [0, 2], the one closed form of both
 families (``laplace`` reads it too), and one Chebyshev piece per unit
-interval beyond, for theta in (0, MAX_THETA], fitted in the stretched
+interval beyond, for theta in [MIN_THETA, MAX_THETA], fitted in the stretched
 variable s = (x-k)^(1/4): the solutions carry algebraic branch points of
 exponent theta+k-1 at the integer abscissa k, which the stretch turns into
 terms a polynomial basis resolves to full tolerance.  Each piece is one
@@ -39,10 +39,14 @@ _STRETCH = 4  # x = k + s**_STRETCH on each numeric piece
 _DEGREE = 48
 _DEGREE_RETRY = 96
 _UNDERFLOW = 1e-300
+X_MAX = 64  # the solved domain (0, X_MAX]: rho(64) is about 3e-132
+TAIL_TOL = 1e-12  # every piece's Chebyshev tail, DDE and E^k tower alike
 _PAST_TWO_EDGES = math.log(2.0) + np.array([0.0] + [2.0**i for i in range(11)])
 MAX_RANK = 1000  # rank r costs r solves (every lower rank) and keeps them all
-# The solution's relative error on [2, 3] against mpmath grows with theta:
-# 5e-10 at 30, 7e-7 at 50, 4e-5 at 60, 0.1 at 80; from 85 it turns negative.
+# Relative error against mpmath below 1e-6: on [2, 3] it is 7e-7 at 50 and
+# 0.1 at 80; the (1, 2] segment 1 - theta T cancels to O(theta^2) near 2,
+# 3.4e-7 at 2e-5, 1.4e-6 at 1e-5 and all digits from 1e-8.
+MIN_THETA = 2e-5
 MAX_THETA = 50.0
 
 
@@ -60,32 +64,27 @@ class EvaluationRangeError(ValueError):
 
 @dataclass(frozen=True)
 class DdeSpec:
-    """What to solve: family, parameter, domain and tolerance."""
+    """What to solve: the family and its theta or rank."""
 
     kind: str  # "theta-family" | "generalized-dickman"
     theta: float | None = None
     rank: int | None = None
-    x_max: float = 64.0
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in ("theta-family", "generalized-dickman"):
             raise DdeError(f"unknown kind {self.kind!r}")
         if self.kind == "theta-family":
-            if self.theta is None or not 0.0 < self.theta <= MAX_THETA:
+            if self.theta is None or not MIN_THETA <= self.theta <= MAX_THETA:
                 raise DdeError(
-                    f"theta-family requires 0 < theta <= {MAX_THETA}, got {self.theta}: "
-                    "the solver's relative error grows with theta (7e-7 at 50, 0.1 at 80)"
+                    f"theta-family requires {MIN_THETA} <= theta <= {MAX_THETA}, "
+                    f"got {self.theta}: the relative error grows toward both ends "
+                    "(3.4e-7 at 2e-5, 7e-7 at 50)"
                 )
         else:
             if self.rank is None or not 1 <= self.rank <= MAX_RANK:
                 raise DdeError(
                     f"generalized-dickman requires 1 <= rank <= {MAX_RANK}, got {self.rank}"
                 )
-        if not self.x_max >= 1.0:
-            raise DdeError(f"x_max must be >= 1, got {self.x_max}")
-        if not 0.0 < self.tol <= 1e-6:
-            raise DdeError(f"tol must lie in (0, 1e-6], got {self.tol}")
 
     @property
     def exact_theta(self) -> float | None:
@@ -202,54 +201,47 @@ def _clenshaw(rows, z):
 
 @dataclass
 class PiecewiseSolution:
-    """A solved DDE: ``exact_part`` on [0, 2], which the solver reads too, and
-    one Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
+    """A solved DDE on (0, X_MAX]: ``exact_part`` on [0, 2], which the solver
+    reads too, and one Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
 
     ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
     zeta = 2*s - 1, s = (x - k)^(1/4), stored as one table: row j of ``coef``
-    is the piece starting at ``lo[j] = j + 2``, zero-padded on top to the
-    widest piece (49 coefficients, or 97 after a retried fit).  A call
-    evaluates every point x > 2 in one Clenshaw pass over the rows its points
-    select, with chebval's values bitwise.  A Python float takes a scalar
-    path through the same expressions, so it gets the array path's bits.
+    is the piece starting at j + 2, zero-padded on top to the widest piece
+    (49 coefficients, or 97 after a retried fit).  A call evaluates every
+    point x > 2 in one Clenshaw pass over the rows its points select, with
+    chebval's values bitwise.  A Python float takes a scalar path through the
+    same expressions, so it gets the array path's bits.
     """
 
     spec: DdeSpec
     pieces: InitVar[list]
     _prev: "PiecewiseSolution | None" = None  # lower rank, generalized family only
     coef: np.ndarray = field(init=False, repr=False)
-    lo: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, pieces):
-        width = max((len(c) for c in pieces), default=2)
-        self.coef = np.zeros((len(pieces), width))
+        self.coef = np.zeros((len(pieces), max(len(c) for c in pieces)))
         for row, c in zip(self.coef, pieces):
             row[: len(c)] = c
-        self.lo = 2.0 + np.arange(len(pieces), dtype=float)
 
     @property
     def x_max(self) -> float:
-        return self.spec.x_max
+        return float(X_MAX)
 
     def __call__(self, x):
-        if isinstance(x, float) and _UNDERFLOW < x <= self.spec.x_max:  # not near the pole
+        if isinstance(x, float) and _UNDERFLOW < x <= X_MAX:  # not near the pole
             if x <= 2.0:
                 v = float(exact_part(self.spec.exact_theta, x))
             else:
-                j = min(int(x - 2.0), len(self.lo) - 1)
-                s = float(np.power(x - self.lo[j], 1.0 / _STRETCH))
+                j = min(int(x - 2.0), len(self.coef) - 1)
+                s = float(np.power(x - (j + 2.0), 1.0 / _STRETCH))
                 v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
             return 0.0 if abs(v) < _UNDERFLOW else v
-        return self._values(x)
-
-    def _values(self, x):
-        """The array path of ``__call__``."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        outside = ~(xs <= self.spec.x_max * (1.0 + 1e-12))
+        outside = ~(xs <= X_MAX * (1.0 + 1e-12))
         if np.any(outside):
             raise EvaluationRangeError(
-                f"x={xs[outside][0]} outside the solved domain (x <= x_max={self.spec.x_max})"
+                f"x={xs[outside][0]} outside the solved domain (x <= x_max={self.x_max})"
             )
         out = np.zeros_like(xs)
         exact = (xs >= 0.0) & (xs <= 2.0)
@@ -257,20 +249,20 @@ class PiecewiseSolution:
             with np.errstate(divide="ignore", over="ignore"):  # the pole at 0, theta < 1
                 out[exact] = exact_part(self.spec.exact_theta, xs[exact])
         body = xs > 2.0
-        if np.any(body) and len(self.lo):
+        if np.any(body):
             xb = xs[body]
-            idx = np.minimum(np.floor(xb - 2.0).astype(int), len(self.lo) - 1)
-            s = np.power(xb - self.lo[idx], 1.0 / _STRETCH)
+            idx = np.minimum(np.floor(xb - 2.0).astype(int), len(self.coef) - 1)
+            s = np.power(xb - (idx + 2.0), 1.0 / _STRETCH)
             out[body] = _clenshaw(self.coef[idx], 2.0 * s - 1.0)
         np.copyto(out, 0.0, where=np.abs(out) < _UNDERFLOW)
         return float(out[0]) if scalar else out
 
     def derivative(self, x: float) -> float:
         """d/dx of the stored interpolant (pieces region only, x > 2)."""
-        if not 2.0 < x <= self.spec.x_max:
+        if not 2.0 < x <= X_MAX:
             raise EvaluationRangeError("interpolant derivative defined on (2, x_max]")
-        idx = min(int(math.floor(x - 2.0)), len(self.lo) - 1)
-        s = (x - float(self.lo[idx])) ** (1.0 / _STRETCH)
+        idx = min(int(math.floor(x - 2.0)), len(self.coef) - 1)
+        s = (x - (idx + 2.0)) ** (1.0 / _STRETCH)
         dcoef = _cheb.chebder(self.coef[idx])
         dg_dzeta = _cheb.chebval(2.0 * s - 1.0, dcoef)
         return float(dg_dzeta * 2.0 / (_STRETCH * s ** (_STRETCH - 1)))
@@ -289,7 +281,7 @@ class PiecewiseSolution:
     def residual_grid(self) -> np.ndarray:
         """Interior sample points away from breakpoints, one set per piece."""
         s = np.linspace(0.3, 0.98, 9)
-        return (self.lo[:, None] + s**_STRETCH).ravel()
+        return (2.0 + np.arange(len(self.coef))[:, None] + s**_STRETCH).ravel()
 
 
 def sigma_tilde(sol: PiecewiseSolution, x):
@@ -297,12 +289,12 @@ def sigma_tilde(sol: PiecewiseSolution, x):
     return np.sqrt(x) * sol(x)
 
 
-def _fit_piece(k, step, tol):
+def _fit_piece(k, step):
     """Collocate one unit piece on [k, k+1].
 
     ``step(s, vand, q)`` returns the piece's values at the nodes s and what it
     carries to the next piece; this returns the Chebyshev coefficients and
-    that carry, from the first degree whose tail meets ``tol``.
+    that carry, from the first degree whose tail meets ``TAIL_TOL``.
     """
     for degree in (_DEGREE, _DEGREE_RETRY):
         _, s, vand, interp, q = _collocation(degree)
@@ -310,10 +302,10 @@ def _fit_piece(k, step, tol):
         coef = interp @ values
         scale = max(np.max(np.abs(coef)), _UNDERFLOW)
         tail = np.max(np.abs(coef[-2:]))
-        if tail <= max(tol * scale, 1e-16 * scale):
+        if tail <= TAIL_TOL * scale:
             return coef, carry
     raise ToleranceNotAchievedError(
-        f"piece [{k}, {k + 1}] Chebyshev tail {tail:.2e} exceeds tol {tol:.2e}"
+        f"piece [{k}, {k + 1}] Chebyshev tail {tail:.2e} exceeds tol {TAIL_TOL:.2e}"
     )
 
 
@@ -327,7 +319,7 @@ def _row_at_nodes(row, s, vand):
 
 
 def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
-    """Chebyshev pieces on [2, x_max] of  x g(x) = c int_{x-1}^x g + M(x-1).
+    """Chebyshev pieces on [2, X_MAX] of  x g(x) = c int_{x-1}^x g + M(x-1).
 
     M(z) = int_0^z ``lower`` (rho_{r-1}) for rank r >= 2, and M = 0 otherwise.
     On [k, k+1] put x = k + s^4 and w = 4 s^3, so that Q(w f) = int_k^x f.
@@ -355,14 +347,14 @@ def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
         rhs = c * (span[-1] - span) + (mass + gain)
         return np.linalg.solve(np.diag(k + u) - c * q * w, rhs), mass + gain[-1]
 
-    for k in range(2, math.ceil(spec.x_max)):
-        coef, mass = _fit_piece(k, step, spec.tol)
+    for k in range(2, X_MAX):
+        coef, mass = _fit_piece(k, step)
         pieces.append(coef)
     return pieces
 
 
 def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
-    """Solve the theta-family equation on (0, x_max]."""
+    """Solve the theta-family equation on (0, X_MAX]."""
     if spec.kind != "theta-family":
         raise DdeError("solve_theta_dde requires a theta-family spec")
     return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, spec.theta))
@@ -372,7 +364,7 @@ def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
     """Solve the rank-r recursion; lower ranks come from ``dickman_solution``."""
     if spec.kind != "generalized-dickman":
         raise DdeError("solve_generalized_dickman requires a generalized-dickman spec")
-    prev = None if spec.rank == 1 else dickman_solution(spec.rank - 1, spec.x_max, spec.tol)
+    prev = None if spec.rank == 1 else dickman_solution(spec.rank - 1)
     return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
 
 
@@ -403,35 +395,35 @@ def sigma_closed_form(x: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _theta_cached(theta: float, x_max: float, tol: float) -> PiecewiseSolution:
-    return solve_theta_dde(DdeSpec(kind="theta-family", theta=theta, x_max=x_max, tol=tol))
+def _theta_cached(theta: float) -> PiecewiseSolution:
+    return solve_theta_dde(DdeSpec(kind="theta-family", theta=theta))
 
 
 @lru_cache(maxsize=64)
-def _dickman_cached(rank: int, x_max: float, tol: float) -> PiecewiseSolution:
+def _dickman_cached(rank: int) -> PiecewiseSolution:
     # only dickman_solution calls this, after it has fetched rank - 1
-    spec = DdeSpec(kind="generalized-dickman", rank=rank, x_max=x_max, tol=tol)
-    prev = _dickman_cached(rank - 1, x_max, tol) if rank > 1 else None
+    spec = DdeSpec(kind="generalized-dickman", rank=rank)
+    prev = _dickman_cached(rank - 1) if rank > 1 else None
     return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
 
 
-def theta_solution(theta: float, x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:
+def theta_solution(theta: float) -> PiecewiseSolution:
     """Cached solution of the theta family."""
-    return _theta_cached(float(theta), float(x_max), float(tol))
+    return _theta_cached(float(theta))
 
 
-def dickman_solution(rank: int = 1, x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:
+def dickman_solution(rank: int = 1) -> PiecewiseSolution:
     """Cached solution of the rank-r recursion (rank 1 is classical rho).
 
     The ranks below r are fetched first, bottom-up in a loop, so each rank is
     solved from the one below it, just fetched, and the call depth does not
     grow with r.  Ranks above ``MAX_RANK`` raise DdeError.
     """
-    spec = DdeSpec(kind="generalized-dickman", rank=int(rank), x_max=float(x_max), tol=float(tol))
+    spec = DdeSpec(kind="generalized-dickman", rank=int(rank))
     for lower in range(1, spec.rank):
-        _dickman_cached(lower, spec.x_max, spec.tol)
-    return _dickman_cached(spec.rank, spec.x_max, spec.tol)
+        _dickman_cached(lower)
+    return _dickman_cached(spec.rank)
 
 
-def watterson_solution(x_max: float = 64.0, tol: float = 1e-12) -> PiecewiseSolution:
-    return theta_solution(0.5, x_max=x_max, tol=tol)
+def watterson_solution() -> PiecewiseSolution:
+    return theta_solution(0.5)

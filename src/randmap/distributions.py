@@ -154,7 +154,10 @@ def connected_cycle_cdf(b: float) -> float:
 
 def _rank_values(sol, x):
     """rho_r at possibly deep arguments: treat anything past the solved
-    domain as 0 (the solution there is below the Gaussian weight's noise)."""
+    domain as 0 (the solution there is below the Gaussian weight's noise).
+    A float takes the solution's scalar path and gives a float."""
+    if isinstance(x, float):
+        return sol(x) if x <= sol.x_max else 0.0
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = x <= sol.x_max
@@ -225,9 +228,7 @@ def joint_density(p: JointPoint, r: int = 1, regime: Regime = Regime.rayleigh())
     if p.nu <= p.lam:
         return 0.0
     arg = p.nu / p.lam - 1.0
-    hi = _rank_solution(r)
-    val = float(hi(arg)) if arg <= hi.x_max else 0.0
+    val = _rank_values(_rank_solution(r), arg)
     if r > 1:
-        lo = _rank_solution(r - 1)
-        val -= float(lo(arg)) if arg <= lo.x_max else 0.0
+        val -= _rank_values(_rank_solution(r - 1), arg)
     return cyclic_points_density(p.nu, regime) * val / p.lam

@@ -44,9 +44,6 @@ class ExactTables:
         weights = self.joint.sum(axis=(0, 1, 3))
         return float((lam1 * weights).sum() / weights.sum())
 
-    def lambda1_histogram(self) -> np.ndarray:
-        return self.joint.sum(axis=(0, 1, 3))
-
 
 def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
     """Tally all n^n mappings, n <= 7.

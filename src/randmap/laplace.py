@@ -27,7 +27,7 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   values overflow).  These are inverted on a vertical line by the de Hoog
   accelerated Fourier method at elevated precision, after peeling the first
   two terms of the exp(-t E) expansion, whose inverse is ``dde.exact_part``
-  (t in (0, dde.MAX_THETA], as for the DDE).
+  (t in [dde.MIN_THETA, dde.MAX_THETA], as for the DDE).
 
 The levels f_k = L^-1[E^k/eta^t] behind the truncated CDF series are a tower
 keyed by t, built by the DDE's collocation step on the base levels
@@ -48,8 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad
-from .dde import MAX_THETA, _STRETCH, _clenshaw, _fit_piece, _row_at_nodes, exact_part
-from .dde import theta_delay_integral
+from .dde import MAX_THETA, MIN_THETA, X_MAX, _STRETCH, _clenshaw, _fit_piece, _row_at_nodes
+from .dde import exact_part, theta_delay_integral
 from .specfun import SpecfunDomainError, dilog, e1_complex, e1_real, erfcx
 
 __all__ = [
@@ -68,6 +68,8 @@ __all__ = [
     "divisibility_report",
     "LINE_MAX_PANELS",
     "LINE_MAX_ROUNDING",
+    "TALBOT_MAX_ROUNDING",
+    "DIVISIBILITY_MAX_ETA",
 ]
 
 # Most Gauss-Legendre panels the Bromwich line engine may use: it needs
@@ -78,6 +80,14 @@ LINE_MAX_PANELS = 4096
 # Largest rounding error estimate the Bromwich line engine accepts: 10x below
 # the 1e-8 tolerance of invert(check=True).
 LINE_MAX_ROUNDING = 1e-9
+
+# Largest eta of the divisibility report: the Rayleigh transform cancels to
+# 1/eta^2, so its reported error is 2e-4 off at 1e3, 2.2x at 1e4, inf at 1e200.
+DIVISIBILITY_MAX_ETA = 1e3
+
+# Largest Talbot rounding estimate relative to the value: the cycle-cdf values
+# in use have at most 3.4e-8 (b = 0.01); b = 0.5 passes 1e-6 near xi = 5e6.
+TALBOT_MAX_ROUNDING = 1e-6
 
 
 class LaplaceAccuracyError(RuntimeError):
@@ -253,9 +263,10 @@ class TransformSpec:
                 )
         elif self.id not in _NAMED_CLASSES:
             raise ValueError(f"unknown transform id {self.id!r}")
-        if self.id == "theta" and not (_positive_finite(self.theta) and self.theta <= MAX_THETA):
+        if self.id == "theta" and not MIN_THETA <= (self.theta or 0.0) <= MAX_THETA:
             raise ValueError(
-                f"theta transform requires finite theta in (0, {MAX_THETA}], got {self.theta}"
+                f"theta transform requires finite theta in [{MIN_THETA}, {MAX_THETA}], "
+                f"got {self.theta}"
             )
         if self.id == "cycle-cdf" and not _positive_finite(self.b):
             raise ValueError(f"cycle-cdf transform requires finite b > 0, got {self.b}")
@@ -332,18 +343,29 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
     """Fixed Talbot contour; valid only for transforms decaying off the cut.
 
     Node count is capped by IEEE double precision: roundoff grows like
-    eps * exp(2M/5), so M near 32 is the practical optimum.
+    eps * exp(2M/5), so M near 32 is the practical optimum.  Non-finite nodes
+    or weights raise a ValueError before F is called; a rounding estimate
+    eps sum |w_k F(p_k)| / (2.5 xi) above ``TALBOT_MAX_ROUNDING`` of the
+    value raises a LaplaceAccuracyError.
     """
-    m = nodes
-    r = 2.0 * m / (5.0 * xi)
-    theta = np.pi * np.arange(1, m) / m
-    cot = 1.0 / np.tan(theta)
-    p0 = r
-    pk = r * theta * (cot + 1j)
-    total = 0.5 * math.exp(r * xi) * complex(F(complex(p0))).real
-    weights = np.exp(xi * pk) * (1 + 1j * theta * (1 + cot**2) - 1j * cot)
-    vals = np.array([F(complex(p)) for p in pk])
-    total += float(np.sum((weights * vals).real))
+    with np.errstate(all="ignore"):  # refused below unless finite
+        r = 2.0 * nodes / (5.0 * xi)
+        theta = np.pi * np.arange(1, nodes) / nodes
+        cot = 1.0 / np.tan(theta)
+        pk = r * theta * (cot + 1j)
+        weights = np.exp(xi * pk) * (1 + 1j * theta * (1 + cot**2) - 1j * cot)
+    if not (0.0 < r < math.inf and np.isfinite(pk).all() and np.isfinite(weights).all()):
+        raise ValueError(f"the Talbot contour at xi = {xi!r} has non-finite nodes or weights")
+    total = 0.5 * math.exp(r * xi) * complex(F(complex(r))).real
+    terms = weights * np.array([F(complex(p)) for p in pk])
+    rounding = np.finfo(float).eps * (abs(total) + float(np.sum(np.abs(terms))))
+    total += float(np.sum(terms.real))
+    if not rounding <= TALBOT_MAX_ROUNDING * abs(total):
+        raise LaplaceAccuracyError(
+            f"the Talbot contour at xi = {xi!r} has rounding error estimate "
+            f"{rounding / (2.5 * xi):.2e}, above TALBOT_MAX_ROUNDING = "
+            f"{TALBOT_MAX_ROUNDING:.0e} of the value {total / (2.5 * xi):.2e}"
+        )
     return total / (2.5 * xi)
 
 
@@ -568,9 +590,6 @@ def hk_closed_form(k: int, xi: float) -> float:
     return -math.pi**2 / 6.0 + math.log(xi) ** 2 + 2.0 * dilog(1.0 / xi)
 
 
-_TOWER_MAX = 64  # the tower's xi bound, the DDE solutions' own domain
-
-
 def _base_level(k: int, theta: float, x):
     """Levels 0 and 1 of the tower at x >= k: f_0 = x^(theta-1)/Gamma(theta), f_1 = f_0 T."""
     f0 = np.power(x, theta - 1.0) / math.gamma(theta)
@@ -579,7 +598,7 @@ def _base_level(k: int, theta: float, x):
 
 @lru_cache(maxsize=None)
 def _level(k: int, theta: float) -> list:
-    """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, 64].
+    """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, X_MAX].
 
     Entry i is ``dde._fit_piece``'s piece on [j, j+1], j = k + i, x = j + s^4:
     f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta f_{k-1}(t-1) dt) reads level
@@ -599,16 +618,16 @@ def _level(k: int, theta: float) -> list:
         return k * t ** (theta - 1.0) * (carry + span), carry + span[-1]
 
     rows = []
-    for j in range(k, _TOWER_MAX):
-        coef, carry = _fit_piece(j, step, 1e-12)
+    for j in range(k, X_MAX):
+        coef, carry = _fit_piece(j, step)
         rows.append(coef)
     return rows
 
 
 def _tower(k: int, theta: float, xi: float) -> float:
     """f_k(xi) = L^-1[E^k/eta^theta](xi); 0 on [0, k] for k >= 1."""
-    if not xi <= _TOWER_MAX:
-        raise SpecfunDomainError(f"the E^k tower covers xi <= {_TOWER_MAX}, got {xi}")
+    if not xi <= X_MAX:
+        raise SpecfunDomainError(f"the E^k tower covers xi <= {X_MAX}, got {xi}")
     if xi <= 0.0 or (k and xi <= k):
         return 0.0
     if k <= 1:
@@ -648,8 +667,8 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     the support, so the truncation is exact.  The levels come from the E^k
     tower, which covers xi <= 64: a below 1/64 raises SpecfunDomainError.
     """
-    if not 1.0 / _TOWER_MAX <= a <= 1.0:
-        raise SpecfunDomainError(f"series requires a in [1/{_TOWER_MAX}, 1], got {a}")
+    if not 1.0 / X_MAX <= a <= 1.0:
+        raise SpecfunDomainError(f"series requires a in [1/{X_MAX}, 1], got {a}")
     xi = 1.0 / a
     if kind not in ("permutation", "component"):
         raise ValueError(f"kind must be 'permutation' or 'component', got {kind!r}")
@@ -731,6 +750,8 @@ def divisibility_report(eta_grid) -> DivisibilityReport:
     eta = np.asarray(eta_grid, dtype=float)
     if np.any(eta <= 0.0):
         raise SpecfunDomainError("eta grid must be positive")
+    if not np.all(eta <= DIVISIBILITY_MAX_ETA):
+        raise SpecfunDomainError(f"eta grid must lie below DIVISIBILITY_MAX_ETA = 1e3")
     center = np.sqrt(math.pi / 2.0) * erfcx(eta / math.sqrt(2.0))
     lower = math.pi / (math.sqrt(2.0 * math.pi) + math.pi * eta)
     upper = math.pi / (math.sqrt(2.0 * math.pi) + 2.0 * eta)

@@ -23,6 +23,7 @@ __all__ = [
     "SimStats",
     "BudgetExhaustedError",
     "MIN_ACCEPTANCE",
+    "MAX_N",
     "sample_mapping",
     "analyze",
     "simulate",
@@ -36,6 +37,10 @@ _STAT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4", "n_cyclic", "componen
 # it the default attempt budget (10^4 times the expected attempts) is out of
 # reach, e.g. components=20 at n = 20 has 20^-20 = 9.5e-27.
 MIN_ACCEPTANCE = 1e-6
+# Largest n: a worker draws (rows, n) blocks of at most MAX_N entries, about
+# 36 bytes a node at peak (140 MB) whatever the trials; past it one row is
+# drawn whole and memory grows with n up to the kernel's int32 bound 2^31.
+MAX_N = 4_000_000
 _MAX_CYCLES = 512  # |s(l, j)|/l! <= H_l^(j-1)/(j-1)! < 1e-300 above it, l <= 10^20
 
 
@@ -75,17 +80,17 @@ class GraphSummary:
         return self.cycle_lengths[r - 1] if r <= len(self.cycle_lengths) else 0
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.Philox(key=[int(rng) % 2**64, 0]))
+def _philox(seed, stream: int) -> np.random.Generator:
+    # a uint64 key: NumPy reads a list of ints past 2^63 as float64
+    key = np.array([int(seed) % 2**64, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_mapping(n: int, rng) -> Mapping:
     """Draw a uniform mapping; rng is a numpy Generator or an integer seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = _as_generator(rng)
+    gen = rng if isinstance(rng, np.random.Generator) else _philox(rng, 0)
     image = gen.integers(0, n, size=n, dtype=np.int64) + 1
     return Mapping(n=n, image=image)
 
@@ -189,12 +194,12 @@ class SimStats:
 
 
 def _worker_run(n, quota, seed, widx, workers, m_required, cap, cdf_grid):
-    rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, widx]))
+    rng = _philox(seed, widx)
     part = _Partial()
     if cdf_grid is not None:
         part.cdf_counts = np.zeros(len(cdf_grid), dtype=np.int64)
-    sqrt_n = math.sqrt(n)
-    chunk_rows = max(1, min(quota, 4_000_000 // max(n, 1)))
+    scale = np.array([math.sqrt(n)] * 5 + [1.0])
+    chunk_rows = min(quota, MAX_N // n)
     remaining = quota
     while remaining > 0:
         rows = min(chunk_rows, remaining) if m_required is None else chunk_rows
@@ -206,10 +211,7 @@ def _worker_run(n, quota, seed, widx, workers, m_required, cap, cdf_grid):
             if len(stats) > remaining:
                 stats = stats[:remaining]
         if len(stats):
-            vec = np.empty((len(stats), 6))
-            vec[:, 0:4] = stats[:, 0:4] / sqrt_n
-            vec[:, 4] = stats[:, 4] / sqrt_n
-            vec[:, 5] = stats[:, 5]
+            vec = stats[:, :6] / scale  # components unscaled
             part.vec_sum += vec.sum(axis=0)
             part.vec_sq += vec.T @ vec
             part.flag_sum += int(stats[:, 6].sum())
@@ -237,13 +239,13 @@ def simulate(
     """Aggregate structural statistics over `trials` (accepted) mappings.
 
     ``max_attempts`` caps each worker's rejection attempts; the default is
-    10^4 times the expected attempt count for the constraint.  A constraint
-    of more than n components, or one whose expected acceptance rate is
-    below ``MIN_ACCEPTANCE``, raises ValueError before any draw.  ``workers``
+    10^4 times the expected attempt count for the constraint.  An n outside
+    [2, MAX_N], more than n components or an expected acceptance rate below
+    ``MIN_ACCEPTANCE`` raise ValueError before any draw.  ``workers``
     (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     kind, m_required = _normalize_constraint(constraint)

@@ -56,7 +56,7 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
     """
     if r not in _RANKS or h not in (1, 2):
         raise ValueError(f"supported ranks 1..4 and heights 1..2, got r={r} h={h}")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
 
     def integrand(x):

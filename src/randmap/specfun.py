@@ -209,7 +209,8 @@ def _erfcx_right(z):
     p = 0.0
     for c in coef:
         p = p * zz + c
-    return 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
+    with np.errstate(over="ignore"):  # d*d past |z| ~ 1e154, where 2p/d^2 is below an ulp
+        return 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
 
 
 def erfcx(z):

@@ -47,11 +47,11 @@ class TestEval:
         assert rec["errors"]["reason"].startswith("EvaluationRangeError")
         assert "value" not in rec["values"]
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
-    def test_tol_not_positive_is_error(self, capsys, tol):
-        code, rec = run_json(capsys, "eval", "--fn", "rho", "--x", "3", f"--tol={tol}")
-        assert code == 1
-        assert rec["errors"]["reason"] == f"DdeError: tol must lie in (0, 1e-6], got {float(tol)}"
+    def test_tol_is_not_an_option(self):
+        # the DDE has one tail tolerance, dde.TAIL_TOL
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--fn", "rho", "--x", "3", "--tol", "1e-9"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv", [("--fn", "sigma"), ("--fn", "g", "--theta", "0.5"), ("--fn", "sigma-tilde")]
@@ -80,7 +80,32 @@ class TestEval:
         code, rec = run_json(capsys, "eval", "--fn", "g", f"--theta={theta}", "--x", "3.5")
         assert code == 1
         assert rec["errors"]["reason"].startswith(
-            f"DdeError: theta-family requires 0 < theta <= 50.0, got {float(theta)}"
+            f"DdeError: theta-family requires 2e-05 <= theta <= 50.0, got {float(theta)}"
+        )
+
+    @pytest.mark.parametrize("theta", ["1.9e-5", "1e-8", "1e-20"])
+    def test_theta_below_bound_is_error(self, capsys, monkeypatch, theta):
+        # 1e-8 exited 1 with a misleading ToleranceNotAchievedError, and
+        # 1e-20 gave exact zeros on (1, 2]
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve was started")
+
+        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        code, rec = run_json(capsys, "eval", "--fn", "g", f"--theta={theta}", "--x", "3")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            f"DdeError: theta-family requires 2e-05 <= theta <= 50.0, got {float(theta)}"
+        )
+
+    @pytest.mark.parametrize("theta", ["1e-8", "1e-20"])
+    def test_small_theta_inverse_is_error(self, capsys, theta):
+        code, rec = run_json(
+            capsys, "invlaplace", "--transform", "theta", f"--theta={theta}", "--xi", "3"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "ValueError: theta transform requires finite theta in [2e-05, 50.0], "
+            f"got {float(theta)}"
         )
 
 
@@ -194,11 +219,10 @@ class TestEvalProperty:
         x=st.one_of(EDGE_FLOATS, st.floats()),
         r=st.sampled_from((None, -1, 0, 1, 2, 3, 4)),
         theta=st.one_of(st.none(), EDGE_FLOATS, st.floats(0.0, 10.0)),
-        tol=st.one_of(st.none(), EDGE_FLOATS, st.floats(1e-15, 1e-6)),
     )
-    def test_finite_value_or_documented_error(self, warm_solutions, fn, x, r, theta, tol):
+    def test_finite_value_or_documented_error(self, warm_solutions, fn, x, r, theta):
         argv = ["eval", f"--fn={fn}", f"--x={x!r}"]
-        for name, value in (("r", r), ("theta", theta), ("tol", tol)):
+        for name, value in (("r", r), ("theta", theta)):
             if value is not None:
                 argv.append(f"--{name}={value!r}")
         buf = io.StringIO()
@@ -247,6 +271,7 @@ class TestInvlaplaceProperty:
     Bromwich override) take up to about a second each, so they get few.
     """
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=3000, derandomize=True)
     @given(
         transform=st.sampled_from(("cycle-cdf", "erfc-gauss", "halfnormal", "rayleigh")),
@@ -273,8 +298,100 @@ class TestInvlaplaceProperty:
         _finite_value_or_documented_error(_invlaplace_argv(transform, method, xi, b, theta))
 
 
+def _finite_record_or_documented_error(argv):
+    """A success has finite numbers only; a failure exits 1 with a reason."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    rec = json.loads(buf.getvalue())
+    if code == 0:
+        numbers = [*rec["values"].values(), *rec.get("errors", {}).values()]
+        assert numbers, argv
+        assert all(isinstance(v, float) and math.isfinite(v) for v in numbers), (argv, rec)
+    else:
+        assert code == 1, argv
+        assert rec["errors"]["reason"], argv
+        assert rec["values"] == {}
+
+
+class TestSmallInputsProperty:
+    """constants, simulate, enumerate and divisibility on edge and small
+    inputs, each fast enough for many examples."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=3000, derandomize=True)
+    @given(
+        regime=st.sampled_from(("rayleigh", "halfnormal")),
+        tol=st.one_of(st.none(), EDGE_FLOATS, st.floats()),
+        cross_rank=st.booleans(),
+    )
+    def test_constants(self, regime, tol, cross_rank):
+        argv = ["constants", f"--regime={regime}"]
+        if tol is not None:
+            argv.append(f"--tol={tol!r}")
+        if cross_rank:
+            argv.append("--cross-rank")
+        _finite_record_or_documented_error(argv)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=3000, derandomize=True)
+    @given(
+        n=st.one_of(
+            st.sampled_from((-1, 0, 1, 2, 3, mapping_sim.MAX_N + 1, 10**12)), st.integers(2, 40)
+        ),
+        trials=st.one_of(st.sampled_from((-1, 0, 1, 2)), st.integers(1, 40)),
+        m=st.one_of(st.sampled_from((None, "connected", "x", "", "1.5")), st.integers(-2, 4)),
+        m_is_n=st.booleans(),
+        seed=st.sampled_from((0, -1, 7, 2**64, 2**100)),
+        workers=st.sampled_from((None, 1, 2, 0)),
+    )
+    def test_simulate(self, n, trials, m, m_is_n, seed, workers):
+        # m_is_n asks for n components: only the identity qualifies, at
+        # rate n^-n, so anything past n = 5 is refused before any draw
+        if m_is_n and isinstance(m, int):
+            m = n
+        constraint = m if m in (None, "connected") else f"components={m}"
+        argv = ["simulate", f"--n={n}", f"--trials={trials}", f"--seed={seed}"]
+        if constraint is not None:
+            argv.append(f"--constraint={constraint}")
+        if workers is not None:
+            argv.append(f"--workers={workers}")
+        _finite_record_or_documented_error(argv)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=5000, derandomize=True)
+    @given(
+        n=st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 8, 10**9)),
+        check_egf=st.booleans(),
+        workers=st.sampled_from((None, 1, 2, 0)),
+    )
+    def test_enumerate(self, n, check_egf, workers):
+        argv = ["enumerate", f"--n={n}"]
+        if check_egf:
+            argv.append("--check-egf")
+        if workers is not None:
+            argv.append(f"--workers={workers}")
+        _finite_record_or_documented_error(argv)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=3000, derandomize=True)
+    @given(
+        bounds=st.one_of(
+            st.lists(st.floats(1e-6, 1.1e3), min_size=2, max_size=2, unique=True).map(sorted),
+            st.tuples(st.one_of(EDGE_FLOATS, st.floats()), st.one_of(EDGE_FLOATS, st.floats())),
+        ),
+        steps=st.one_of(
+            st.integers(2, 200), st.sampled_from((-1, 0, 1, 2, 3, MAX_DIVISIBILITY_STEPS + 1))
+        ),
+    )
+    def test_divisibility(self, bounds, steps):
+        lo, hi = bounds
+        argv = ["divisibility", f"--eta-min={lo!r}", f"--eta-max={hi!r}", f"--steps={steps}"]
+        _finite_record_or_documented_error(argv)
+
+
 class TestConstants:
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tol_not_positive_is_error(self, capsys, tol):
         code, rec = run_json(capsys, "constants", "--regime", "halfnormal", f"--tol={tol}")
         assert code == 1
@@ -398,6 +515,30 @@ class TestSimulateAndEnumerate:
         assert code == 1
         assert rec["errors"]["reason"].startswith(f"ValueError: {reason}")
 
+    @pytest.mark.parametrize("n", [str(mapping_sim.MAX_N + 1), "1000000000000"])
+    def test_simulate_n_above_bound_is_error(self, capsys, monkeypatch, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
+        code, rec = run_json(capsys, "simulate", f"--n={n}", "--trials=1", "--seed=1")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            f"ValueError: n must lie in [2, {mapping_sim.MAX_N}], got {n}"
+        )
+
+    def test_memory_error_is_computation_error(self, capsys, monkeypatch):
+        reason = "Unable to allocate 16.0 GiB for an array with shape (1, 2147483647)"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", out_of_memory)
+        code, rec = run_json(capsys, "simulate", "--n=64", "--trials=10", "--seed=1")
+        assert code == 1
+        assert rec["errors"]["reason"] == f"MemoryError: {reason}"
+        assert rec["values"] == {}
+
     def test_enumerate_size_error(self, capsys):
         code, rec = run_json(capsys, "enumerate", "--n", "9")
         assert code == 1
@@ -430,6 +571,18 @@ class TestDivisibility:
         )
         assert code == 1
         assert rec["errors"]["reason"] == "ValueError: need finite 0 < eta-min < eta-max"
+
+    @pytest.mark.parametrize("hi", ["1000.0000000000001", "1e200", "1e300"])
+    def test_eta_above_bound_is_error(self, capsys, hi):
+        # the reported approximation error was 2.2x the true one at 1e4 and
+        # "inf" at 1e200; at 1e300 erfcx warned of an overflow
+        code, rec = run_json(capsys, "divisibility", "--eta-min=1", f"--eta-max={hi}", "--steps=2")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "SpecfunDomainError: eta grid must lie below DIVISIBILITY_MAX_ETA = 1e3"
+        )
+        code, rec = run_json(capsys, "divisibility", "--eta-min=1", "--eta-max=1000", "--steps=2")
+        assert code == 0 and rec["values"]["bounds_strict"] == 1.0
 
     @pytest.mark.parametrize("steps", [1, MAX_DIVISIBILITY_STEPS + 1, 10**15])
     def test_steps_out_of_range_is_error_before_the_grid(self, capsys, monkeypatch, steps):

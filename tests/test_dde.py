@@ -41,10 +41,6 @@ class TestSpecValidation:
         with pytest.raises(DdeError):
             DdeSpec(kind="theta-family", theta=-1.0)
 
-    def test_bad_tol(self):
-        with pytest.raises(DdeError):
-            DdeSpec(kind="theta-family", theta=1.0, tol=1e-3)
-
     @pytest.mark.parametrize("theta", [np.nextafter(dde.MAX_THETA, 99.0), 100.0, 1e5, 1e300])
     def test_theta_above_bound_fails_before_solving(self, theta, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -57,6 +53,31 @@ class TestSpecValidation:
     def test_theta_at_bound_is_solved(self):
         sol = theta_solution(dde.MAX_THETA)
         assert np.all(sol(np.linspace(0.0, 64.0, 641)) >= 0.0)
+
+    @pytest.mark.parametrize("theta", [np.nextafter(dde.MIN_THETA, 0.0), 1e-8, 5e-324, 0.0])
+    def test_theta_below_bound_fails_before_solving(self, theta, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve was started")
+
+        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        with pytest.raises(DdeError, match="2e-05 <= theta"):
+            theta_solution(theta)
+
+    def test_theta_at_lower_bound_is_solved(self):
+        # the (1, 2] segment against mpmath: relative error 3.4e-7 at 2e-5
+        import mpmath as mp
+
+        sol = theta_solution(dde.MIN_THETA)
+        values = sol(np.linspace(1e-3, 64.0, 641))
+        assert np.all(np.isfinite(values) & (values >= 0.0))
+        th = mp.mpf(dde.MIN_THETA)
+        with mp.workdps(30):
+            for x in (1.5, 1.9, 2.0):
+                # 1 - theta T(u) = 1 - u^theta - theta int_0^u t^theta/(1-t) dt
+                u = (mp.mpf(x) - 1) / x
+                tail = mp.quad(lambda t: t**th / (1 - t), [0, u])
+                exact = x ** (th - 1) * ((1 - u**th) - th * tail)
+                assert sol(x) == pytest.approx(float(exact), rel=4e-7)
 
     def test_bad_rank(self):
         with pytest.raises(DdeError):
@@ -312,14 +333,14 @@ class TestDdeResidualsAndDerivatives:
         for sol in (rho, sigma, theta_solution(1.5), dickman_solution(2)):
             grid = sol.residual_grid()
             worst = max(abs(sol.dde_residual(float(x))) for x in grid)
-            assert worst <= 100.0 * sol.spec.tol
+            assert worst <= 100.0 * dde.TAIL_TOL
 
     def test_continuity_at_breakpoints(self, rho, sigma):
         for sol in (rho, sigma):
             for k in range(2, 40):
                 below = sol(k - 1e-13)
                 above = sol(k + 1e-13)
-                assert abs(below - above) <= 10.0 * sol.spec.tol
+                assert abs(below - above) <= 10.0 * dde.TAIL_TOL
 
 
 class TestSigmaTildeDerivativeIdentity:
@@ -360,7 +381,7 @@ class TestFlatTable:
         rng = np.random.default_rng(7)
         widths = [49, 97, 49, 97, 49]
         pieces = [rng.standard_normal(n) * 0.5 ** np.arange(n) for n in widths]
-        spec = DdeSpec(kind="theta-family", theta=1.0, x_max=7.0)
+        spec = DdeSpec(kind="theta-family", theta=1.0)
         sol = dde.PiecewiseSolution(spec=spec, pieces=pieces)
         assert sol.coef.shape == (5, 97)
         xs = np.concatenate([rng.uniform(2.0, 7.0, 2000), np.arange(3.0, 8.0)])

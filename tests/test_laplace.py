@@ -144,6 +144,25 @@ class TestInvert:
             invert(spec, 20.0)
         assert invert(spec, 8.0) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("xi", [5e-324, 1e-310, 1e-306, 1.7976931348623157e308])
+    def test_talbot_refuses_nonfinite_nodes_before_evaluating(self, xi):
+        def no_value(p):
+            raise AssertionError("the transform was evaluated")
+
+        with pytest.raises(ValueError, match="non-finite nodes or weights"):
+            laplace._invert_talbot(no_value, xi)
+
+    @pytest.mark.parametrize("xi", [1e10, 1e100, 1e200, 1e300])
+    def test_talbot_refuses_values_lost_to_rounding(self, xi):
+        # at b = 0.5 the estimate is 2.5e-20 against a value of 5.0e-16 at
+        # xi = 1e10, and of the value's size or above it from 1e100 on
+        with pytest.raises(LaplaceAccuracyError, match="TALBOT_MAX_ROUNDING"):
+            invert(TransformSpec(id="cycle-cdf", b=0.5), xi)
+
+    @pytest.mark.parametrize("b, xi", [(0.5, 1e-300), (0.5, 0.05), (0.5, 1e4), (0.01, 100.0)])
+    def test_talbot_keeps_resolved_values(self, b, xi):
+        assert invert(TransformSpec(id="cycle-cdf", b=b), xi) > 0.0
+
     def test_method_mismatch(self):
         with pytest.raises(MethodMismatchError):
             invert(TransformSpec(id="erfc-gauss"), 1.0, method="talbot")
@@ -399,11 +418,15 @@ def test_spec_parameters_must_be_finite_and_positive(field, value):
         TransformSpec(id=tid, **{field: value})
 
 
-@pytest.mark.parametrize("theta", [np.nextafter(dde.MAX_THETA, 99.0), 1e5])
+@pytest.mark.parametrize(
+    "theta", [np.nextafter(dde.MAX_THETA, 99.0), 1e5, np.nextafter(dde.MIN_THETA, 0.0), 1e-8]
+)
 def test_theta_transform_shares_the_dde_bound(theta):
     with pytest.raises(ValueError, match="theta in"):
         TransformSpec(id="theta", theta=theta)
     TransformSpec(id="theta", theta=dde.MAX_THETA)
+    low = TransformSpec(id="theta", theta=dde.MIN_THETA)
+    assert invert(low, 1.5) == dde.theta_solution(dde.MIN_THETA)(1.5)
 
 
 def test_theta_family_overflowing_closed_part_is_error():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from randmap import _kernels, gfseries
+from randmap import _kernels, gfseries, mapping_sim
 from randmap.mapping_sim import (
+    MAX_N,
     BudgetExhaustedError,
     GraphSummary,
     Mapping,
@@ -254,6 +255,38 @@ class TestSimulate:
             simulate(n, 1, constraint=f"components={m}", seed=1, max_attempts=10)
         with pytest.raises(ValueError):
             simulate(n, 1, constraint=f"components={m}", seed=1)
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 2**31, 10**18])
+    def test_n_above_bound_fails_before_any_draw(self, monkeypatch, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
+        monkeypatch.setattr(_kernels, "batch_stats", no_draw)
+        with pytest.raises(ValueError, match=f"n must lie in \\[2, {MAX_N}\\], got {n}"):
+            simulate(n, 1, seed=1)
+
+    def test_n_at_bound_is_drawn(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(n, *args):
+            assert n == MAX_N
+            raise Drawn
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", drawn)
+        with pytest.raises(Drawn):
+            simulate(MAX_N, 1, seed=1)
+
+    def test_seeds_past_two_to_the_63_keep_their_own_stream(self):
+        # the Philox key was a list of Python ints, which NumPy read as
+        # float64 past 2^63: seed -1 (2^64 - 1) gave seed 0's stream
+        def lam1(seed):
+            return simulate(64, 20, seed=seed).mean["lambda1"]
+
+        assert lam1(-1) == lam1(2**64 - 1) != lam1(0)
+        assert lam1(2**63) != lam1(2**63 + 1)
+        assert sample_mapping(64, -1).image.tolist() != sample_mapping(64, 0).image.tolist()
 
     def test_expected_acceptance_is_exact(self):
         # P(M = m) against the exact counts a(n, m, l), and values no
