@@ -3,7 +3,8 @@
 Usage:
     python benchmarks/bench_kernels.py [--quick]
 
-Times the batch analyzer across problem sizes (from enumeration-sized rows
+Times the batch analyzer and its count-only pass (the rejection filter of
+constrained simulation) across problem sizes (from enumeration-sized rows
 of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call.
 A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
@@ -42,7 +43,7 @@ def _time(fn, repeats=3, number=1):
 
 
 def bench_batch(quick: bool):
-    print(f"{'batch analyze':<28}{'rows x n':>16}{'time':>10}")
+    print(f"{'batch analyze':<28}{'rows x n':>16}{'time':>10}{'counts only':>13}")
     cases = [(2000, 6), (2000, 100), (2000, 1000), (500, 10_000)]
     if not quick:
         cases.append((100, 100_000))
@@ -50,7 +51,8 @@ def bench_batch(quick: bool):
     for rows, n in cases:
         imgs = rng.integers(0, n, size=(rows, n), dtype=np.int64)
         t = _time(lambda: _kernels.batch_stats(imgs))
-        print(f"{'':<28}{rows:>8} x {n:<6}{t:>9.3f}s")
+        t_counts = _time(lambda: _kernels.component_counts(imgs))
+        print(f"{'':<28}{rows:>8} x {n:<6}{t:>9.3f}s{t_counts:>12.3f}s")
 
 
 def bench_enumerate(quick: bool):

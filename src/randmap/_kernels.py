@@ -2,14 +2,21 @@
 
 A batch of mappings is analyzed in one component pass with no per-row Python
 loop: the rows are flattened into a single functional graph on the nodes
-row*n + v, and squaring it ceil(log2 n) times maps every node onto the cycle of its
-component, so the image of the result is the set of cyclic nodes.  Min-label
-doubling on the compressed cyclic nodes names each cycle by its smallest
-node, and each node's component is the name at its landing point.  Bincounts
-give cycle lengths, component sizes and per-row counts; one integer sort
-ranks the cycle lengths and a per-row maximum picks the largest component.
-Rows are processed in blocks of at most _BLOCK nodes, which keeps the int32
-temporary arrays small.
+row*n + v, and squaring it k times maps every node v to f^K(v), K = 2^k.  The
+image S of f^K holds every cyclic node, and f maps S into itself; once f is
+also injective on S it permutes S, so S is exactly the cyclic set and f^K
+lands every node on the cycle of its component.  Squaring stops at the first
+K >= 4 sqrt(n) where sorted f[S] equals S, and at the latest at K >= n, which
+bounds every tail; a uniform random row rarely has a tail longer than
+4 sqrt(n), so the first test almost always passes.  Min-label doubling on
+the cyclic nodes, as many rounds as the largest per-row cyclic-point count
+needs, names each cycle by its smallest node; a scatter map from cyclic node
+to name gives each node's component at its landing point.  Bincounts give
+cycle lengths, component sizes and per-row counts; one integer sort ranks
+the cycle lengths and a per-row maximum picks the largest component.
+component_counts stops after the naming, which is all a rejection test on
+the component count needs.  Rows are processed in blocks of at most _BLOCK
+nodes, which keeps the int32 temporary arrays small.
 """
 
 from __future__ import annotations
@@ -41,35 +48,63 @@ def worker_count(workers=None) -> int:
     return workers
 
 
-def _components(block: np.ndarray):
-    """Cycles of a block of 0-based mappings, one entry per component.
+def _permutes(succ, cyc) -> bool:
+    """Stop test of the cycle finder: f maps S = cyc (ascending) into itself,
+    so it permutes S, and S is the cyclic set, when sorted f[S] is S."""
+    return np.array_equal(np.sort(succ), cyc)
 
-    Returns (row, cycle length, component size) with rows ascending, plus
-    the per-row cyclic-point counts.  Gathers use np.take, which reads int32
-    indices directly where fancy indexing first converts them to intp.
+
+def _cycles(block: np.ndarray):
+    """Cycle finder shared by batch_stats and component_counts.
+
+    Returns each node's landing point on its cycle, the cyclic nodes
+    (ascending), each cyclic node's cycle label (the compressed index of the
+    cycle's smallest node), the node -> compressed index map (valid at cyclic
+    nodes) and the per-row cyclic-point counts.  Gathers use np.take, which
+    reads int32 indices directly where fancy indexing first converts them to
+    intp.
     """
     rows, n = block.shape
     f = (block.astype(np.int32) + np.arange(0, rows * n, n, dtype=np.int32)[:, None]).ravel()
     steps = max(1, (n - 1).bit_length())  # 2^steps >= n bounds tails and cycles
+    first_test = min(steps, ((16 * n - 1).bit_length() + 1) // 2)  # least k: 2^k >= 4 sqrt(n)
     land = f
-    for _ in range(steps):
+    for k in range(steps + 1):
+        if k >= first_test:
+            cyclic = np.zeros(f.size, dtype=bool)
+            cyclic[land.astype(np.intp)] = True  # an intp index scatters faster than int32
+            cyc = np.flatnonzero(cyclic)
+            del cyclic
+            succ = np.take(f, cyc)
+            if k == steps or _permutes(succ, cyc):
+                break
         land = np.take(land, land)
-    cyclic = np.zeros(f.size, dtype=bool)
-    cyclic[land] = True
-    cyc = np.flatnonzero(cyclic)
-    pos = np.cumsum(cyclic, dtype=np.int32) - 1  # compressed index of each cyclic node
-    del cyclic
-    succ = np.take(pos, np.take(f, cyc))
+    n_cyclic = np.bincount(cyc // n, minlength=rows)
+    index = np.empty(f.size, dtype=np.int32)  # compressed index, read at cyclic nodes only
+    index[cyc] = np.arange(cyc.size, dtype=np.int32)
+    succ = np.take(index, succ)
     label = np.arange(cyc.size, dtype=np.int32)
-    for _ in range(steps):
+    for _ in range((int(n_cyclic.max()) - 1).bit_length()):  # 2^rounds >= every cycle length
         label = np.minimum(label, np.take(label, succ))
         succ = np.take(succ, succ)
-    comp = np.take(label, np.take(pos, land))
-    del pos, land, succ
+    return land, cyc, label, index, n_cyclic
+
+
+def _components(block: np.ndarray):
+    """Cycles of a block of 0-based mappings, one entry per component.
+
+    Returns (row, cycle length, component size) with rows ascending, plus
+    the per-row cyclic-point counts.
+    """
+    n = block.shape[1]
+    land, cyc, label, index, n_cyclic = _cycles(block)
+    index[cyc] = label
+    comp = np.take(index, land)
+    del index, land
     reps = np.flatnonzero(label == np.arange(cyc.size))
     length = np.bincount(label, minlength=cyc.size)[reps]
     size = np.bincount(comp, minlength=cyc.size)[reps]
-    return cyc[reps] // n, length, size, np.bincount(cyc // n, minlength=rows)
+    return cyc[reps] // n, length, size, n_cyclic
 
 
 def _stats(n, row, length, size, n_cyclic):
@@ -92,6 +127,12 @@ def _stats(n, row, length, size, n_cyclic):
     return out
 
 
+def _blocks(m, n):
+    """Row slices of at most _BLOCK nodes each (at least one row)."""
+    step = max(1, _BLOCK // max(n, 1))
+    return (slice(start, start + step) for start in range(0, m, step))
+
+
 def _batch_stats(images: np.ndarray) -> np.ndarray:
     """Per-row structural stats of a batch of 0-based mappings.
 
@@ -102,9 +143,21 @@ def _batch_stats(images: np.ndarray) -> np.ndarray:
     images = np.asarray(images)
     m, n = images.shape
     out = np.empty((m, _COLS), dtype=np.int64)
-    step = max(1, _BLOCK // max(n, 1))
-    for start in range(0, m, step):
-        out[start : start + step] = _stats(n, *_components(images[start : start + step]))
+    for rows in _blocks(m, n):
+        out[rows] = _stats(n, *_components(images[rows]))
+    return out
+
+
+def component_counts(images: np.ndarray) -> np.ndarray:
+    """Per-row component counts of a batch of 0-based mappings, as int64:
+    column 5 of batch_stats, from the cycle finder alone."""
+    images = np.asarray(images)
+    m, n = images.shape
+    out = np.empty(m, dtype=np.int64)
+    for rows in _blocks(m, n):
+        _, cyc, label, _, n_cyclic = _cycles(images[rows])
+        reps = cyc[label == np.arange(cyc.size)]
+        out[rows] = np.bincount(reps // n, minlength=n_cyclic.size)
     return out
 
 

@@ -3,12 +3,16 @@
 Sampling is counter-based: worker w draws from a Philox stream keyed by
 (seed, w), and trial t is assigned to stream t mod workers, so results are
 reproducible for a fixed (seed, workers) pair regardless of scheduling.
-Constrained runs (connected, exactly m components) use rejection against the
-analyzed component count.
+Constrained runs (connected, exactly m components) use rejection: each drawn
+block is filtered on its component counts alone (_kernels.component_counts),
+and only the accepted rows, in draw order and cut at the worker's remaining
+quota, go through the full analysis (_kernels.batch_stats).  The draws, the
+accepted rows and the attempt count are those of analyzing every draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -124,12 +128,14 @@ def _normalize_constraint(constraint):
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
+@functools.lru_cache
 def _expected_acceptance(n: int, m: int | None) -> float:
     """P(M = m), M the component count (the cycles of the permutation of the N
     cyclic points) of a uniform mapping of size n: sum_l P(N = l) |s(l, m)|/l!
     with P(N = l) = (l/n) prod_{i<l} (1 - i/n) and the Stirling recursion in l,
     until P(N > l) < e^(-l^2/2n) is below 1e-17 of the sum or 1e-300: O(sqrt(n))
-    steps of O(min(m, 512)) work, subnormals flushed to 0."""
+    steps of O(min(m, 512)) work, subnormals flushed to 0.  Cached per (n, m),
+    as every constrained simulate call at a size needs the same value."""
     if m is None or m > _MAX_CYCLES:
         return 1.0 if m is None else 0.0
     q = np.zeros(m + 1)
@@ -204,13 +210,12 @@ def _worker_run(n, quota, seed, widx, workers, m_required, cap, cdf_grid):
     while remaining > 0:
         rows = min(chunk_rows, remaining) if m_required is None else chunk_rows
         images = rng.integers(0, n, size=(rows, n), dtype=np.int64)
-        stats = _kernels.batch_stats(images)
         part.attempts += rows
         if m_required is not None:
-            stats = stats[stats[:, 5] == m_required]
-            if len(stats) > remaining:
-                stats = stats[:remaining]
-        if len(stats):
+            accepted = np.flatnonzero(_kernels.component_counts(images) == m_required)
+            images = images[accepted[:remaining]]
+        if len(images):
+            stats = _kernels.batch_stats(images)
             vec = stats[:, :6] / scale  # components unscaled
             part.vec_sum += vec.sum(axis=0)
             part.vec_sq += vec.T @ vec

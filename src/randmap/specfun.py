@@ -209,8 +209,11 @@ def _erfcx_right(z):
     p = 0.0
     for c in coef:
         p = p * zz + c
-    with np.errstate(over="ignore"):  # d*d past |z| ~ 1e154, where 2p/d^2 is below an ulp
-        return 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
+    big = np.abs(d) > 1e152  # d*d overflows past |d| ~ 1.3e154: divide by d twice there
+    tail = 2.0 * p / (d * np.where(big, 1.0, d))
+    if big.any():
+        tail[big] /= d[big]
+    return tail + (1.0 / math.sqrt(math.pi)) / d
 
 
 def erfcx(z):
@@ -220,9 +223,10 @@ def erfcx(z):
     gives the bits of the same element in an array.  Against mpmath the
     relative error is below 1e-15 on the real axis to x = 30, on Re z in
     [0, 20] with |Im z| <= 60, and on Re z in [-1, 0) with |Im z| <= 1.
-    Farther left the reflection e^(z^2) carries the rounding of z^2, about
-    |z|^2 ulp, and where e^(z^2) overflows the value is infinite or NaN,
-    without a warning.
+    On Re z >= 0 it stays finite, without a warning, up to |z| = 1e300,
+    where it meets the asymptote 1/(sqrt(pi) z).  Farther left the
+    reflection e^(z^2) carries the rounding of z^2, about |z|^2 ulp, and
+    where e^(z^2) overflows the value is infinite or NaN, without a warning.
     """
     arr = np.asarray(z)
     if arr.dtype.kind not in "fc":

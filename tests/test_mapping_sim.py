@@ -156,6 +156,9 @@ class TestReferenceParity:
         assert stats.dtype == np.int64
         for image, row in zip(imgs, stats):
             assert row.tolist() == _reference_row(image)
+        counts = _kernels.component_counts(imgs)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, stats[:, 5])
 
     @pytest.mark.parametrize("n", [6, 17, 1000])
     def test_batch_stats_across_block_seams(self, n):
@@ -167,6 +170,36 @@ class TestReferenceParity:
         seams = {k for s in range(0, rows, step) for k in (s - 1, s) if 0 <= k < rows}
         for k in sorted(seams | set(range(0, rows, 97))):
             assert stats[k].tolist() == _reference_row(imgs[k]), k
+        assert np.array_equal(_kernels.component_counts(imgs), stats[:, 5])
+
+    def test_long_tail_keeps_doubling_past_the_first_stop_test(self, monkeypatch):
+        # a path of 300 nodes into a fixed point, every other node mapped
+        # straight onto that fixed point, amid random rows: at n = 1024 the
+        # stop test first runs at K = 128 >= 4 sqrt(n), where f^K(path start)
+        # is still on the path, and passes only at K = 512
+        n, length = 1024, 300
+        rng = np.random.default_rng(41)
+        imgs = rng.integers(0, n, size=(40, n), dtype=np.int64)
+        path = rng.permutation(n)[:length]
+        imgs[17] = path[-1]
+        imgs[17, path[:-1]] = path[1:]
+        outcomes = []
+
+        def recorded(succ, cyc):
+            outcomes.append(permutes(succ, cyc))
+            return outcomes[-1]
+
+        permutes = _kernels._permutes
+        monkeypatch.setattr(_kernels, "_permutes", recorded)
+        stats = _kernels.batch_stats(imgs)
+        assert outcomes == [False, False, True]
+        outcomes.clear()
+        counts = _kernels.component_counts(imgs)
+        assert outcomes == [False, False, True]
+        assert stats[17].tolist() == [1, 0, 0, 0, 1, 1, 1]
+        for image, row, count in zip(imgs, stats, counts):
+            assert row.tolist() == _reference_row(image)
+            assert count == row[5]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64, 257])
     def test_analyze_arrays_matches_reference(self, n):
@@ -234,6 +267,28 @@ class TestSimulate:
         stats = simulate(128, 150, constraint="components=2", seed=3)
         assert stats.mean["components"] == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, constraint", [(64, "connected"), (128, "components=2")])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_pass_keeps_every_field(self, monkeypatch, n, constraint, workers):
+        # filtering on the full analysis gives the same draws, accepted rows
+        # and attempts; the full analysis only ever sees accepted rows
+        def run():
+            return simulate(n, 40, constraint=constraint, seed=9, workers=workers, cdf_grid=(0.5, 1.0))
+
+        fast = run()
+        batch_stats = _kernels.batch_stats
+        seen = []
+
+        def accepted_only(images):
+            seen.append(len(images))
+            return batch_stats(images)
+
+        monkeypatch.setattr(_kernels, "batch_stats", accepted_only)
+        assert run() == fast
+        assert seen and min(seen) > 0 and sum(seen) == 40
+        monkeypatch.setattr(_kernels, "component_counts", lambda im: _kernels.batch_stats(im)[:, 5])
+        assert run() == fast
+
     def test_budget_error(self):
         with pytest.raises(BudgetExhaustedError):
             simulate(
@@ -250,6 +305,8 @@ class TestSimulate:
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch was drawn")
 
+        # a constrained draw reaches the count pass first
+        monkeypatch.setattr(_kernels, "component_counts", no_batch)
         monkeypatch.setattr(_kernels, "batch_stats", no_batch)
         with pytest.raises(ValueError):
             simulate(n, 1, constraint=f"components={m}", seed=1, max_attempts=10)

@@ -233,6 +233,19 @@ class TestErfcx:
         assert _max_rel_err(out, [_erfcx_ref(z) for z in zs]) < 2e-15
         assert big[0] == big[1] == math.inf and big[2] == pytest.approx(0.4275835761558070)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "z",
+        [1e160 + 1e159j, 1e300 + 1e299j, 1e200j, -1e250j, 1e152 + 1e151j, 9e151 - 1e151j,
+         1e155 - 1e153j, 1e300],
+    )
+    def test_large_modulus_meets_the_asymptote(self, z):
+        # d*d in the series overflows past |z| ~ 1.3e154; it gave nan+nanj
+        # with "invalid value encountered in divide"
+        asymptote = 1.0 / (math.sqrt(math.pi) * z)
+        assert abs(erfcx(z) - asymptote) <= 1e-15 * abs(asymptote)
+        assert erfcx(np.array([z, 2.0]))[0] == erfcx(z)
+
     def test_scalars_keep_their_type_and_match_the_array(self):
         zs = np.array([0.3, 2.0, -0.7, 15.0])
         for z, a in zip(zs, erfcx(zs)):
