@@ -10,9 +10,9 @@ A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
 scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
-the largest-component CDF on the sigma segment, one uncached cross-rank
-moment, one de Hoog inversion, and the truncated CDF series at a = 1/16 of
-each kind from a cleared E^k tower.
+the largest-component CDF on the sigma segment, the rank-1 mode, one
+uncached cross-rank moment, one de Hoog inversion, and the truncated CDF
+series at a = 1/16 of each kind from a cleared E^k tower.
 The cold-start section runs ``import randmap`` and each cheap README command
 in a fresh interpreter (best of 5 wall times) and lists which of scipy,
 scipy.special, scipy.optimize and mpmath each one loaded.
@@ -96,11 +96,13 @@ def bench_analytic(quick: bool):
     xs = np.linspace(0.5, 60.0, 1000)
     t = _time(lambda: rho(xs), repeats=5, number=number)
     print(f"{'rho(x) vector':<28}{'1000 points':>16}{t * 1e3:>11.3f} ms")
-    for b in (0.01, 0.6842, 4.0):
+    for b in (0.01, 0.1, 0.6842, 4.0):
         t = _time(lambda: distributions.mapping_longest_cycle_cdf(b), repeats=5, number=number)
         print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
     t = _time(lambda: distributions.largest_component_cdf(0.7), repeats=5, number=number)
     print(f"{'largest_component_cdf':<28}{'a=0.7':>16}{t * 1e6:>11.1f} us")
+    t = _time(lambda: moments.mode_lambda1(), repeats=5)
+    print(f"{'mode_lambda1':<28}{'rayleigh':>16}{t * 1e3:>11.3f} ms")
     # __wrapped__ skips the lru_cache, so every call integrates
     t = _time(lambda: moments.cross_rank_moment.__wrapped__(1, 2), repeats=5)
     print(f"{'cross_rank_moment':<28}{'(1,2)':>16}{t * 1e3:>11.3f} ms")

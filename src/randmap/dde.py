@@ -211,12 +211,17 @@ class PiecewiseSolution:
     point x > 2 in one Clenshaw pass over the rows its points select, with
     chebval's values bitwise.  A Python float takes a scalar path through the
     same expressions, so it gets the array path's bits.
+
+    ``unit_table(n)`` holds the solution at the n Gauss-Legendre nodes of
+    every unit interval, computed once per rule: a panel [k b, (k+1) b] of
+    the mixture quadratures maps onto [k, k+1] at those nodes whatever b is.
     """
 
     spec: DdeSpec
     pieces: InitVar[list]
     _prev: "PiecewiseSolution | None" = None  # lower rank, generalized family only
     coef: np.ndarray = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, pieces):
         self.coef = np.zeros((len(pieces), max(len(c) for c in pieces)))
@@ -256,6 +261,20 @@ class PiecewiseSolution:
             out[body] = _clenshaw(self.coef[idx], 2.0 * s - 1.0)
         np.copyto(out, 0.0, where=np.abs(out) < _UNDERFLOW)
         return float(out[0]) if scalar else out
+
+    def unit_table(self, nodes: int) -> np.ndarray:
+        """Row k, for k = 0, ..., X_MAX - 1, holds the solution at k + (1 + x_i)/2,
+        x_i the nodes of the ``nodes``-point Gauss-Legendre rule, from one
+        array call; row X_MAX, past the solved domain, is 0.  Read-only and
+        cached per rule."""
+        table = self._tables.get(nodes)
+        if table is None:
+            x, _ = _quad.gl_rule(nodes)
+            table = np.zeros((X_MAX + 1, nodes))
+            table[:X_MAX] = self(np.arange(X_MAX)[:, None] + (1.0 + x) / 2.0)
+            table.flags.writeable = False
+            self._tables[nodes] = table
+        return table
 
     def derivative(self, x: float) -> float:
         """d/dx of the stored interpolant (pieces region only, x > 2)."""

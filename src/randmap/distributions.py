@@ -19,6 +19,7 @@ unconditional CDFs and joint densities below.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,11 +177,16 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     _TAIL_TOL (c above about 3).  The integrand is 0 past nu = x_max b, so
     kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
     and small b costs no more than b = 8.75 / (x_max + 1).  The 32 nodes of
-    every panel go into one (panels, 32) array, so there is one density call
-    and one solution call for all panels; each panel's sum is
-    sum(w * density * rho), and the panel sums are added in edge order.  For
-    subnormal b the nodes of [0, b] may round to 0; that panel adds less than
-    b and is skipped, and nu / b may overflow to inf, where rho_r is 0.
+    every panel go into one (panels, 32) array and one density call.  A
+    window that starts at 0 begins with the panels [kb, (k+1)b], k = 0, 1, ...,
+    up to its next edge; at their nodes nu/b is k + (1 + x_i)/2 up to
+    rounding, so rho_r there is row k of the solution's 32-node
+    ``unit_table``.  Only the remaining panels, the last partial one and
+    those of a mode window, evaluate rho_r at nu/b node by node.  Each
+    panel's sum is sum(w * density * rho), and the panel sums are added in
+    edge order.  For subnormal b the nodes of [0, b] may round to 0; that
+    panel adds less than b and is skipped, and nu / b may overflow to inf,
+    where rho_r is 0.
     """
     if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
@@ -193,14 +199,19 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     # a sorted set rather than np.unique, whose first call imports numpy.ma
     # (about 12 ms of a cold `randmap cdf`)
     edges = np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
+    # panels [kb, (k+1)b] from 0 to the window's next edge; at most x_max + 1
+    tabled = bisect.bisect_left(kinks, window[1]) if lo == 0.0 else 0
     _, w = _quad.gl_rule(32)
     nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
-    keep = nu[:, 0] > 0.0
-    nu, half = nu[keep], half[keep]
+    skip = 0 if nu[0, 0] > 0.0 else 1  # only [0, b], a table panel, can round to 0
+    nu, half = nu[skip:], half[skip:]
+    tabled -= skip
+    rho = np.empty_like(nu)
+    rho[:tabled] = sol.unit_table(32)[skip : skip + tabled]
     with np.errstate(over="ignore"):
-        ratio = nu / b
+        rho[tabled:] = _rank_values(sol, nu[tabled:] / b)
     weighted = w * cyclic_points_density(nu, regime)
-    sums = np.sum(weighted * _rank_values(sol, ratio), axis=1)
+    sums = np.sum(weighted * rho, axis=1)
     total = 0.0
     for h, s in zip(half.tolist(), sums.tolist()):
         total += h * s

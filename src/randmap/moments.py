@@ -264,21 +264,32 @@ def _mode_balance(lam: float) -> float:
     exp(-lam^2/2) = (1/lam^2) int_lam^inf [ -rho((nu-lam)/lam)
         + nu/(nu-lam) rho((nu-2 lam)/lam) ] nu exp(-nu^2/2) dnu.
     The second term vanishes for nu < 2 lam, cancelling the nu/(nu-lam) pole.
+    Both terms use 48-point panels split at the kinks k lam up to _NU_CUT.  On
+    a panel [k lam, (k+1) lam] the argument of rho is k - 1 + (1 + x_i)/2 in
+    the first term and k - 2 + (1 + x_i)/2 in the second, up to rounding, so
+    rho there is row k - 1 or k - 2 of rho's 48-node ``unit_table`` (0 past
+    its last row, as past x_max).  Only the last partial panel before
+    _NU_CUT evaluates rho node by node.
     """
     sol = dde.dickman_solution(1)
+    table = sol.unit_table(48).ravel()
     cut = distributions._NU_CUT
 
+    def rho_at(nu, shift, edges):
+        # rho(nu/lam - shift) on the flat nodes of the panels between edges:
+        # all but the last are [k lam, (k+1) lam], rows 0, 1, ... of the table
+        tabled = 48 * (len(edges) - 2)
+        out = np.zeros_like(nu)
+        head = table[:tabled]
+        out[: head.size] = head
+        out[tabled:] = distributions._rank_values(sol, nu[tabled:] / lam - shift)
+        return out
+
     def term1(nu):
-        return -distributions._rank_values(sol, nu / lam - 1.0) * nu * np.exp(-nu * nu / 2.0)
+        return -rho_at(nu, 1.0, edges1) * nu * np.exp(-nu * nu / 2.0)
 
     def term2(nu):
-        return (
-            nu
-            / (nu - lam)
-            * distributions._rank_values(sol, nu / lam - 2.0)
-            * nu
-            * np.exp(-nu * nu / 2.0)
-        )
+        return nu / (nu - lam) * rho_at(nu, 2.0, edges2) * nu * np.exp(-nu * nu / 2.0)
 
     kinks = [k * lam for k in range(1, int(cut / lam) + 2)]
     edges1 = sorted({lam, cut} | {k for k in kinks if lam < k < cut})

@@ -205,15 +205,20 @@ def _erfcx_right(z):
     # L - i(iz) = L + z and Z = (L - z)/(L + z)
     lam, coef = _weideman_coefficients()
     d = lam + z
-    zz = (lam - z) / d
+    # d*d overflows past |d| ~ 1.3e154, and near the float maximum so does a
+    # complex quotient by d: where |d| > 1e152 each quotient is by d/4, its
+    # numerator scaled by the same exact power of 2, and by d twice, not d*d
+    big = np.abs(d) > 1e152
+    scale = np.where(big, 0.25, 1.0)
+    dq = scale * d
+    zz = scale * (lam - z) / dq
     p = 0.0
     for c in coef:
         p = p * zz + c
-    big = np.abs(d) > 1e152  # d*d overflows past |d| ~ 1.3e154: divide by d twice there
-    tail = 2.0 * p / (d * np.where(big, 1.0, d))
+    tail = 2.0 * scale * scale * p / (dq * np.where(big, 1.0, dq))
     if big.any():
-        tail[big] /= d[big]
-    return tail + (1.0 / math.sqrt(math.pi)) / d
+        tail[big] /= dq[big]
+    return tail + (scale / math.sqrt(math.pi)) / dq
 
 
 def erfcx(z):
@@ -223,8 +228,8 @@ def erfcx(z):
     gives the bits of the same element in an array.  Against mpmath the
     relative error is below 1e-15 on the real axis to x = 30, on Re z in
     [0, 20] with |Im z| <= 60, and on Re z in [-1, 0) with |Im z| <= 1.
-    On Re z >= 0 it stays finite, without a warning, up to |z| = 1e300,
-    where it meets the asymptote 1/(sqrt(pi) z).  Farther left the
+    On Re z >= 0 it stays finite, without a warning, up to the largest
+    finite |z|, where it meets the asymptote 1/(sqrt(pi) z).  Farther left the
     reflection e^(z^2) carries the rounding of z^2, about |z|^2 ulp, and
     where e^(z^2) overflows the value is infinite or NaN, without a warning.
     """

@@ -429,3 +429,24 @@ class TestFlatTable:
         assert np.array_equal(_bits(scalars), _bits(singles))
         exact = np.linspace(0.0, 2.0, 2001)[1:]  # every point of (0, 2] in one array
         assert np.array_equal(_bits([sol(float(x)) for x in exact]), _bits(sol(exact)))
+
+
+class TestUnitTable:
+    @pytest.mark.parametrize("nodes", [32, 48])
+    @pytest.mark.parametrize(
+        "sol",
+        [dickman_solution(r) for r in (1, 2, 4)] + [watterson_solution(), theta_solution(1.5)],
+    )
+    def test_rows_are_the_solution_at_unit_nodes(self, sol, nodes):
+        x, _ = np.polynomial.legendre.leggauss(nodes)
+        table = sol.unit_table(nodes)
+        assert table.shape == (dde.X_MAX + 1, nodes)
+        for k in range(dde.X_MAX):
+            assert np.array_equal(_bits(table[k]), _bits(sol(k + (1.0 + x) / 2.0)))
+        assert not table[dde.X_MAX].any()  # past the solved domain
+
+    def test_computed_once_and_read_only(self):
+        sol = dickman_solution(1)
+        table = sol.unit_table(32)
+        assert sol.unit_table(32) is table
+        assert not table.flags.writeable

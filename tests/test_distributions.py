@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from randmap import dde, distributions
+from randmap import _quad, dde, distributions
 from randmap.distributions import (
     JointPoint,
     Regime,
@@ -133,6 +133,26 @@ class TestPermAndComponentCdfs:
                 largest_component_cdf(bad)
 
 
+def _per_node_cdf(b, r, regime):
+    """The mixture CDF with rho_r evaluated at nu / b on every node."""
+    sol = dde.dickman_solution(r)
+    window = distributions._nu_window(regime)
+    lo, hi = window[0], window[-1]
+    kinks = [k * b for k in range(1, int(min(hi / b, sol.x_max + 1.0)) + 1)]
+    edges = np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
+    _, w = _quad.gl_rule(32)
+    nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
+    keep = nu[:, 0] > 0.0
+    nu, half = nu[keep], half[keep]
+    with np.errstate(over="ignore"):
+        rho = distributions._rank_values(sol, nu / b)
+    sums = np.sum(w * cyclic_points_density(nu, regime) * rho, axis=1)
+    total = 0.0
+    for h, s in zip(half.tolist(), sums.tolist()):
+        total += h * s
+    return min(max(total, 0.0), 1.0)
+
+
 class TestMappingCycleCdf:
     def test_rayleigh_median(self):
         assert mapping_longest_cycle_cdf(0.6842, 1, Regime.rayleigh()) == pytest.approx(
@@ -185,23 +205,65 @@ class TestMappingCycleCdf:
     @pytest.mark.parametrize("b", [0.01, 0.1, 0.6842, 1.0, 4.0])
     def test_kink_cap_drops_only_zero_panels(self, b):
         # the same Gauss-Legendre panel sum with a kink at every multiple of
-        # b up to the Gaussian cutoff, as before the kinks were capped
+        # b up to the Gaussian cutoff, as before the kinks were capped.  The
+        # panel [kb, (k+1)b] reads row k of the unit table, as the function
+        # does, and rows past the table's last (zero) row read 0; the last
+        # partial panel evaluates rho at nu / b
         x, w = np.polynomial.legendre.leggauss(32)
         for r in (1, 2):
             sol = dde.dickman_solution(r)
+            table = sol.unit_table(32)
             cut = distributions._NU_CUT
             kinks = [k * b for k in range(1, int(cut / b) + 1)]
             edges = np.unique(np.concatenate([[0.0], kinks, [cut]]))
             edges = edges[edges <= cut]
             for reg in (Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)):
                 total = 0.0
-                for lo, hi in zip(edges, edges[1:]):
+                for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
                     nu = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                    rho = np.where(nu / b <= sol.x_max, sol(np.minimum(nu / b, sol.x_max)), 0.0)
+                    if hi < cut:
+                        rho = table[k] if k < len(table) else 0.0
+                    else:
+                        ratio = nu / b
+                        rho = np.where(ratio <= sol.x_max, sol(np.minimum(ratio, sol.x_max)), 0.0)
                     total += 0.5 * (hi - lo) * float(
                         np.sum(w * cyclic_points_density(nu, reg) * rho)
                     )
                 assert mapping_longest_cycle_cdf(b, r, reg) == min(max(total, 0.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "b",
+        [5e-324, 1e-310, 1e-9, 0.01, 8.75 / 65, 0.1, 0.6842, 8.75 / 7, 1.0, 4.0, 8.75, 50.0, 1e3],
+    )
+    @pytest.mark.parametrize(
+        "reg",
+        [Regime.rayleigh(), Regime.halfnormal()]
+        + [Regime.pavlov(c) for c in (0.0, 1.0, 2.0, 10.0, 1e3, 1e5)],
+    )
+    def test_unit_table_matches_per_node_path(self, b, reg):
+        # the kink panels read rho_r from the unit table where nu / b on
+        # their nodes is k + (1 + x_i)/2 up to rounding
+        for r in (1, 2, 3, 4):
+            assert abs(mapping_longest_cycle_cdf(b, r, reg) - _per_node_cdf(b, r, reg)) <= 4.4e-16
+
+    def test_warm_call_evaluates_one_panel_of_nodes(self, monkeypatch):
+        # with the table warm, only the last partial panel's nodes reach the
+        # solution
+        for r in (1, 2):
+            mapping_longest_cycle_cdf(0.5, r, Regime.rayleigh())
+        evaluated = []
+        call = dde.PiecewiseSolution.__call__
+
+        def counting(sol, x):
+            evaluated.append(np.size(x))
+            return call(sol, x)
+
+        monkeypatch.setattr(dde.PiecewiseSolution, "__call__", counting)
+        for r in (1, 2):
+            for b in np.geomspace(0.01, 4.0, 40).tolist():
+                evaluated.clear()
+                mapping_longest_cycle_cdf(b, r, Regime.rayleigh())
+                assert sum(evaluated) <= 96, (r, b)
 
     @pytest.mark.parametrize("b", [5e-324, 1e-310])
     @pytest.mark.parametrize("reg", [Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randmap import _quad, moments
+from randmap import _quad, dde, distributions, moments
 from randmap.distributions import Regime
 from randmap.moments import (
     cross_rank_moment,
@@ -104,6 +104,28 @@ class TestModeAndMedian:
         mode = mode_lambda1(Regime.rayleigh())
         assert abs(moments._mode_balance(mode)) < 1e-8
 
+    @pytest.mark.parametrize("lam", [0.1, 0.13, 0.3, 0.4809195267434427, 0.75, 1.2, 1.5, 4.0])
+    def test_mode_balance_table_matches_per_node(self, lam):
+        # the balance with rho evaluated at nu/lam - 1 and nu/lam - 2 on every
+        # node, as before the panels read rho's unit table; at lam = 0.1 and
+        # 0.13 the kink panels run past the table's rows
+        sol = dde.dickman_solution(1)
+        cut = distributions._NU_CUT
+        kinks = [k * lam for k in range(1, int(cut / lam) + 2)]
+
+        def term(shift):
+            def f(nu):
+                rho = distributions._rank_values(sol, nu / lam - shift)
+                factor = nu / (nu - lam) if shift == 2.0 else -1.0
+                return factor * rho * nu * np.exp(-nu * nu / 2.0)
+
+            start = shift * lam
+            edges = sorted({start, cut} | {k for k in kinks if start < k < cut})
+            return _quad.gl_panels(f, edges, 48)
+
+        per_node = math.exp(-lam * lam / 2.0) - (term(1.0) + term(2.0)) / (lam * lam)
+        assert moments._mode_balance(lam) == pytest.approx(per_node, rel=0, abs=4e-15)
+
     def test_mode_integrand_finite_near_lambda(self):
         # the nu/(nu - lambda) factor multiplies a vanishing rho argument
         # below 2 lambda, so the balance function evaluates finitely
@@ -129,7 +151,7 @@ class TestModeAndMedian:
         for regime in (Regime.rayleigh(), Regime.halfnormal()):
             f = lambda b: distributions.mapping_longest_cycle_cdf(b, 1, regime) - 0.5
             assert median_lambda(1, regime) == brentq(f, 1e-3, 8.0, xtol=1e-8)
-        assert mode_lambda1() == 0.4809195267434427
+        assert mode_lambda1() == 0.4809195267434426
         assert median_lambda(1, Regime.rayleigh()) == 0.6842747941345148
 
     @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 2e-12])

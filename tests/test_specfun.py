@@ -237,14 +237,18 @@ class TestErfcx:
     @pytest.mark.parametrize(
         "z",
         [1e160 + 1e159j, 1e300 + 1e299j, 1e200j, -1e250j, 1e152 + 1e151j, 9e151 - 1e151j,
-         1e155 - 1e153j, 1e300],
+         1e155 - 1e153j, 1e300, 1e308 + 1e308j, 1.7e308, 1.7e308j],
     )
     def test_large_modulus_meets_the_asymptote(self, z):
         # d*d in the series overflows past |z| ~ 1.3e154; it gave nan+nanj
-        # with "invalid value encountered in divide"
-        asymptote = 1.0 / (math.sqrt(math.pi) * z)
+        # with "invalid value encountered in divide".  Near the float maximum
+        # a complex quotient by d overflowed too ("overflow encountered in
+        # divide" at 1e308+1e308j), as sqrt(pi) z does, so the asymptote
+        # comes from mpmath
+        asymptote = complex(1 / (mp.sqrt(mp.pi) * mp.mpc(z)))
         assert abs(erfcx(z) - asymptote) <= 1e-15 * abs(asymptote)
         assert erfcx(np.array([z, 2.0]))[0] == erfcx(z)
+        erfcx(complex(-z.real, z.imag))  # the left half-plane warns no more
 
     def test_scalars_keep_their_type_and_match_the_array(self):
         zs = np.array([0.3, 2.0, -0.7, 15.0])
