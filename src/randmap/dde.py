@@ -418,12 +418,10 @@ def _theta_cached(theta: float) -> PiecewiseSolution:
     return solve_theta_dde(DdeSpec(kind="theta-family", theta=theta))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)  # each solve fetches ranks 1..r-1 again; _prev keeps them anyway
 def _dickman_cached(rank: int) -> PiecewiseSolution:
     # only dickman_solution calls this, after it has fetched rank - 1
-    spec = DdeSpec(kind="generalized-dickman", rank=rank)
-    prev = _dickman_cached(rank - 1) if rank > 1 else None
-    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
+    return solve_generalized_dickman(DdeSpec(kind="generalized-dickman", rank=rank))
 
 
 def theta_solution(theta: float) -> PiecewiseSolution:

@@ -35,7 +35,8 @@ x^(t-1)/Gamma(t) and that times ``dde.theta_delay_integral``'s T.  Like the
 DDE solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
 
 The erfc family is evaluated by ``specfun.erfcx``, once on the whole array
-of line nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
+of line nodes, and ``cycle-cdf`` by ``specfun.e1_complex``, once on the
+Talbot nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
 functions that use it, so every other path runs without loading it.
 """
 
@@ -283,21 +284,21 @@ class TransformSpec:
 
 
 def transform_value(spec: TransformSpec, eta):
-    """Evaluate the transform at a (possibly complex) point eta.
+    """Evaluate the transform at a (possibly complex) point eta or array of them.
 
-    The erfc family and the custom transforms that allow it also take an
-    array of points.
+    A named transform gives an array element the bits of the same point alone;
+    a custom transform gets eta as it is.
     """
     if spec.id == "custom":
         return spec.func(eta)
     if spec.id in ("dickman", "watterson", "theta"):
         th = spec.effective_theta
-        e1 = e1_real(eta) if isinstance(eta, float) and eta > 0 else e1_complex(eta)
-        return math.gamma(th) * np.exp(-th * e1) / eta**th
+        eta = np.asarray(eta)
+        e1 = e1_real(eta) if np.isrealobj(eta) else e1_complex(eta)
+        return (math.gamma(th) * np.exp(-th * e1) / eta**th)[()]
     if spec.id == "cycle-cdf":
-        z = np.sqrt(complex(2.0 * spec.b * eta))
-        e1 = e1_complex(complex(z))
-        return np.exp(-e1) / np.sqrt(complex(eta))
+        eta = np.asarray(eta, dtype=complex)
+        return (np.exp(-e1_complex(np.sqrt(2.0 * spec.b * eta))) / np.sqrt(eta))[()]
     if spec.id == "halfnormal":
         return erfcx(eta / math.sqrt(2.0))
     if spec.id == "rayleigh":
@@ -344,9 +345,10 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
 
     Node count is capped by IEEE double precision: roundoff grows like
     eps * exp(2M/5), so M near 32 is the practical optimum.  Non-finite nodes
-    or weights raise a ValueError before F is called; a rounding estimate
-    eps sum |w_k F(p_k)| / (2.5 xi) above ``TALBOT_MAX_ROUNDING`` of the
-    value raises a LaplaceAccuracyError.
+    or weights raise a ValueError before F is called, once on the array
+    [r, p_1, ..., p_(M-1)] if F takes one (``_node_values``); a rounding
+    estimate eps sum |w_k F(p_k)| / (2.5 xi) above ``TALBOT_MAX_ROUNDING`` of
+    the value raises a LaplaceAccuracyError.
     """
     with np.errstate(all="ignore"):  # refused below unless finite
         r = 2.0 * nodes / (5.0 * xi)
@@ -356,8 +358,9 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
         weights = np.exp(xi * pk) * (1 + 1j * theta * (1 + cot**2) - 1j * cot)
     if not (0.0 < r < math.inf and np.isfinite(pk).all() and np.isfinite(weights).all()):
         raise ValueError(f"the Talbot contour at xi = {xi!r} has non-finite nodes or weights")
-    total = 0.5 * math.exp(r * xi) * complex(F(complex(r))).real
-    terms = weights * np.array([F(complex(p)) for p in pk])
+    values = _node_values(F, complex)(np.concatenate(([r], pk)))
+    total = 0.5 * math.exp(r * xi) * float(values[0].real)
+    terms = weights * values[1:]
     rounding = np.finfo(float).eps * (abs(total) + float(np.sum(np.abs(terms))))
     total += float(np.sum(terms.real))
     if not rounding <= TALBOT_MAX_ROUNDING * abs(total):

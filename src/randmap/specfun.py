@@ -5,13 +5,12 @@ function and inverse hyperbolic tangent.
 All functions are pure and deterministic, and all are implemented here with
 NumPy and the standard library:
 
-* real E1 (scalar or array): its power series, summed by Horner's rule, for
-  x <= 1; beyond, the continued fraction E1(x) = e^(-x)/(x + 1/(1 + 1/(x +
-  2/(1 + 2/(x + ...))))) evaluated backward from a fixed depth per band of x.
-  A scalar runs as a one-element array, so it gets an array element's bits.
-* complex E1: its power series near the origin and a modified-Lentz
-  continued fraction beyond (with the series again where the fraction
-  stalls, near the negative real axis).
+* E1, real or complex, scalar or array: one kernel, chosen per point by
+  d = (|z| + Re z)/2 = (Re sqrt z)^2 (x on the real axis).  Where d <= 1 it
+  sums the power series with a fixed number of terms per band of |z|, and
+  elsewhere the continued fraction E1(z) = e^(-z)/(z + 1/(1 + 1/(z + 2/(1 +
+  2/(z + ...))))) backward from a fixed depth per band of d.  A scalar runs
+  as a one-element array, so it gets an array element's bits.
 * erfcx (real or complex, scalar or array): Weideman's (1994) rational
   series for the Faddeeva function w, erfcx(z) = w(iz), in Re z >= 0, and
   erfcx(z) = 2 e^(z^2) - erfcx(-z) in Re z < 0.  Its 40 coefficients come
@@ -24,7 +23,6 @@ The test suite checks each against mpmath and an independent quadrature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -32,14 +30,14 @@ import numpy as np
 
 EULER_GAMMA = 0.57721566490153286061
 
-_SERIES_RADIUS_COMPLEX = 4.0
-_MAX_ITER = 2000
-# partial numerators -(j-1)^2 of the contracted fraction, j = 2, 3, ...
-_CF_NUMERATORS = (-np.arange(1.0, _MAX_ITER - 1) ** 2).tolist()
-
-# E1 series coefficients (-1)^(k+1)/(k k!), k = 25 down to 1, for Horner's rule
-_E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
-# (upper end of a band of x > 1, depth of the continued fraction on it)
+# E1 series coefficients (-1)^(k+1)/(k k!), k = 41 down to 1, for Horner's rule
+_E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(41, 0, -1))
+# (upper end of a band of |z|, terms of the series on it) where d <= 1: 25
+# terms reach full precision for |z| <= 1, ceil(e |z|) + 30 beyond
+_E1_SERIES_BANDS = ((1.0, 25),) + tuple(
+    (2.0**j, math.ceil(math.e * 2.0**j) + 30) for j in range(2, 11)
+)
+# (upper end of a band of d > 1, depth of the continued fraction on it)
 _E1_CF_BANDS = ((2.0, 100), (4.0, 60), (10.0, 40), (math.inf, 28))
 _WEIDEMAN_TERMS = 40
 # the Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator)
@@ -57,63 +55,53 @@ class SpecfunDomainError(ValueError):
     """Argument outside a function's domain (e.g. E1 on the branch cut)."""
 
 
-def _e1_series(z: complex) -> complex:
-    # E1(z) = -gamma - log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!)
-    p = complex(1.0)
-    s = complex(0.0)
-    for k in range(1, _MAX_ITER):
-        p *= -z / k
-        term = -p / k
-        s += term
-        if abs(term) <= 1e-18 * (abs(s) + 1e-300):
-            break
-    return s
-
-
-def _e1_cf(z: complex) -> complex | None:
-    # Even-contracted continued fraction e^{-z}/(z+1 - 1/(z+3 - 4/(z+5 - ...)))
-    # evaluated by the modified Lentz algorithm; None if it has not converged.
-    # No smaller cap keeps every value that converges: on Re z in [-45, -0.5],
-    # |Im z| <= 8, points near the negative real axis converge after as many
-    # as 1997 iterations, right beside points that stall.
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for a in _CF_NUMERATORS:
-        b = b + 2.0
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
+def _e1_series(z, terms: int):
+    # E1(z) = -gamma - ln z + sum_{k=1}^terms (-1)^(k+1) z^k/(k k!): by Horner's
+    # rule while _E1_SERIES holds the terms, else forward, as k! overflows (the
+    # long sums run near the negative real axis, where the terms barely cancel)
+    if terms <= len(_E1_SERIES):
+        s = 0.0
+        for c in _E1_SERIES[-terms:]:
+            s = s * z + c
+        s = s * z
     else:
-        return None
-    return cmath.exp(-z) * h
+        p, s, minus_z = 1.0, 0.0, -z  # p = (-z)^k/k!
+        for k in range(1, terms + 1):
+            p = p * minus_z / k
+            s = s - p / k
+    return (s - EULER_GAMMA) - np.log(z)
 
 
-def _e1_series_real(x):
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k/(k k!); 25 terms reach
-    # full precision for x <= 1
-    s = 0.0
-    for c in _E1_SERIES:
-        s = s * x + c
-    return (s * x - EULER_GAMMA) - np.log(x)
-
-
-def _e1_cf_real(x, depth: int):
-    # E1(x) = e^(-x)/(x + t_1) with t_k = k/(1 + k/(x + t_(k+1))), t_(depth+1) = 0
+def _e1_cf(z, depth: int):
+    # E1(z) = e^(-z)/(z + t_1) with t_k = k/(1 + k/(z + t_(k+1))), t_(depth+1) = 0
     t = 0.0
-    for k in range(depth, 0, -1):
-        t = k / (1.0 + k / (x + t))
-    return np.exp(-x) / (x + t)
+    for k in map(float, range(depth, 0, -1)):  # float operands dispatch faster
+        t = k / (1.0 + k / (z + t))
+    return np.exp(-z) / (z + t)
+
+
+def _e1(z, d, modulus):
+    # E1 at the points z (float or complex) off the branch cut, d = (|z| + Re z)/2:
+    # the series where d <= 1, in bands of modulus = |z|, and the continued
+    # fraction beyond, in bands of d; a point past every series band stays NaN
+    out = np.full_like(z, np.nan)
+    near = d <= 1.0
+    top = modulus[near].max(initial=0.0)
+    lo = 0.0
+    for hi, terms in _E1_SERIES_BANDS:
+        if lo >= top:
+            break
+        band = near & (modulus > lo) & (modulus <= hi)
+        if np.any(band):
+            out[band] = _e1_series(z[band], terms)
+        lo = hi
+    lo = 1.0
+    for hi, depth in _E1_CF_BANDS:
+        band = (d > lo) & (d <= hi)
+        if np.any(band):
+            out[band] = _e1_cf(z[band], depth)
+        lo = hi
+    return out
 
 
 def e1_real(x):
@@ -127,35 +115,30 @@ def e1_real(x):
     if not np.all(arr > 0.0):
         raise SpecfunDomainError(f"e1_real requires x > 0, got {arr[~(arr > 0.0)][0]}")
     flat = arr.reshape(-1)  # a scalar runs as an array element, and gets its bits
-    out = np.empty_like(flat)
-    small = flat <= 1.0
-    out[small] = _e1_series_real(flat[small])
-    lo = 1.0
-    for hi, depth in _E1_CF_BANDS:
-        band = (flat > lo) & (flat <= hi)
-        if np.any(band):
-            out[band] = _e1_cf_real(flat[band], depth)
-        lo = hi
+    out = _e1(flat, flat, flat)  # on the real axis d = |x| = x
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def e1_complex(z: complex) -> complex:
-    """Analytic continuation of E1, principal branch (cut on (-inf, 0])."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise SpecfunDomainError(f"e1_complex is undefined on the branch cut, got {z}")
-    if abs(z) > _SERIES_RADIUS_COMPLEX:
-        if z.real > 700.0:
-            return complex(0.0)
-        value = _e1_cf(z)
-        if value is not None:
-            return value
-        if z.real >= 0.0:
-            raise SpecfunDomainError(f"continued fraction for E1 did not converge at {z!r}")
-        # Near the negative real axis the fraction can stall.  There the
-        # series terms (-1)^(k+1) z^k/(k k!) nearly share one sign, so they
-        # barely cancel and the series keeps full accuracy far past |z| = 4.
-    return -EULER_GAMMA - cmath.log(z) + _e1_series(z)
+def e1_complex(z):
+    """Analytic continuation of E1, principal branch (cut on (-inf, 0]).
+
+    Takes a scalar or an array, like ``e1_real``, and runs its kernel.  NaN,
+    the cut and a value that overflows (Re z below about -709) raise
+    SpecfunDomainError, without a warning.  Against mpmath the relative error
+    is below 3e-15 on Re z in [-45, -0.5] with |Im z| <= 8 and on [-40, 40]
+    x [-30, 30], and below 6e-15 for |z| up to 650 (the long series sums).
+    """
+    arr = np.asarray(z, dtype=complex)
+    flat = arr.reshape(-1)  # a scalar runs as an array element, and gets its bits
+    bad = np.isnan(flat) | ((flat.imag == 0.0) & (flat.real <= 0.0))
+    if np.any(bad):
+        raise SpecfunDomainError(f"e1_complex is undefined at NaN and on the cut: {flat[bad][0]}")
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        modulus = np.abs(flat)
+        out = _e1(flat, 0.5 * (modulus + flat.real), modulus)
+    if not np.all(np.isfinite(out)):
+        raise SpecfunDomainError(f"e1_complex overflows at {flat[~np.isfinite(out)][0]}")
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _dilog_series(x: float) -> float:
@@ -231,7 +214,9 @@ def erfcx(z):
     On Re z >= 0 it stays finite, without a warning, up to the largest
     finite |z|, where it meets the asymptote 1/(sqrt(pi) z).  Farther left the
     reflection e^(z^2) carries the rounding of z^2, about |z|^2 ulp, and
-    where e^(z^2) overflows the value is infinite or NaN, without a warning.
+    where e^(z^2) overflows the value is infinite or NaN, without a warning:
+    NaN wherever z^2 itself overflows (|z| past about 1.3e154), save on the
+    real axis, where e^(z^2) is +inf.
     """
     arr = np.asarray(z)
     if arr.dtype.kind not in "fc":
@@ -242,7 +227,11 @@ def erfcx(z):
     if np.any(left):
         zl = flat[left]
         with np.errstate(over="ignore", invalid="ignore"):
-            out[left] = 2.0 * np.exp(zl * zl) - out[left]
+            zz = zl * zl
+            value = 2.0 * np.exp(zz) - out[left]
+        # past |z| ~ 1.3e154 z*z overflows, and e^(z^2) then tells nothing of
+        # the value's size, save on the real axis (z*z = +inf): NaN there
+        out[left] = np.where(np.isfinite(zz) | (zz == math.inf), value, math.nan)
     return out.reshape(arr.shape)[()]
 
 

@@ -305,6 +305,25 @@ class TestGeneralizedDickman:
         for r, coef in zip((1, 2, 3, 4), before):
             assert np.array_equal(dickman_solution(r).coef, coef)
 
+    def test_ranks_are_solved_by_solve_generalized_dickman(self, monkeypatch):
+        # the cache solves each rank through the public function, so a
+        # wrapper of it sees every rank solve, and the solutions keep their bits
+        before = [dickman_solution(r).coef for r in (1, 2, 3)]
+        solved = []
+        real_solve = dde.solve_generalized_dickman
+
+        def counting(spec):
+            solved.append(spec.rank)
+            return real_solve(spec)
+
+        monkeypatch.setattr(dde, "solve_generalized_dickman", counting)
+        dde._dickman_cached.cache_clear()
+        assert np.array_equal(dickman_solution(3).coef, before[2])
+        assert solved == [1, 2, 3]
+        for r, coef in zip((1, 2), before):
+            assert np.array_equal(dickman_solution(r).coef, coef)
+        assert solved == [1, 2, 3]
+
     @pytest.mark.parametrize("rank", [0, dde.MAX_RANK + 1])
     def test_rank_out_of_range_fails_before_solving(self, rank):
         dde._dickman_cached.cache_clear()

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -215,6 +216,46 @@ class TestInvert:
         )
         assert invert(scalar_only, 1.5) == pytest.approx(value, rel=1e-14, abs=0.0)
         assert len(shapes) > 1000
+
+    @pytest.mark.parametrize("b, xi", [(0.05, 20.0), (0.5, 2.0), (5.0, 0.2), (0.3, 7.0)])
+    def test_talbot_evaluates_named_transform_once(self, monkeypatch, b, xi):
+        # one e1_complex call on [r, p_1, ..., p_31], and the bits a
+        # scalar-only copy of the same transform gives node by node
+        shapes = []
+        real_e1_complex = laplace.e1_complex
+
+        def counting(z):
+            shapes.append(np.shape(z))
+            return real_e1_complex(z)
+
+        monkeypatch.setattr(laplace, "e1_complex", counting)
+        spec = TransformSpec(id="cycle-cdf", b=b)
+        value = invert(spec, xi)
+        assert shapes == [(32,)]
+        scalar_only = TransformSpec(
+            id="custom",
+            func=lambda p: complex(transform_value(spec, complex(p))),
+            analyticity="branch-cut-on-negative-axis",
+        )
+        assert invert(scalar_only, xi) == value
+        assert shapes == [(32,)] + [()] * 32
+
+    def test_talbot_inverts_scalar_only_custom_transform(self):
+        # e^(-sqrt(p))/sqrt(p) <-> e^(-1/(4 xi))/sqrt(pi xi), written with
+        # cmath, so it takes one point at a time: an array probe, then one
+        # call per node
+        calls = []
+
+        def F(p):
+            calls.append(p)
+            return cmath.exp(-cmath.sqrt(p)) / cmath.sqrt(p)
+
+        spec = TransformSpec(id="custom", func=F, analyticity="branch-cut-on-negative-axis")
+        for xi in (0.3, 0.8, 2.5):
+            calls.clear()
+            expected = math.exp(-1.0 / (4.0 * xi)) / math.sqrt(math.pi * xi)
+            assert invert(spec, xi) == pytest.approx(expected, rel=1e-10)
+            assert len(calls) == 33 and isinstance(calls[0], np.ndarray)
 
 
 class TestDeHoogEngine:
@@ -439,3 +480,27 @@ def test_transform_value_real_consistency():
     v1 = transform_value(spec, 1.0)
     v2 = transform_value(spec, complex(1.0, 0.0))
     assert complex(v1).real == pytest.approx(complex(v2).real, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TransformSpec(id="dickman"),
+        TransformSpec(id="watterson"),
+        TransformSpec(id="theta", theta=1.5),
+        TransformSpec(id="cycle-cdf", b=0.05),
+        TransformSpec(id="cycle-cdf", b=0.5),
+        TransformSpec(id="cycle-cdf", b=5.0),
+    ],
+    ids=lambda spec: f"{spec.id}-{spec.theta or spec.b}",
+)
+def test_transform_value_array_matches_scalar_calls(spec):
+    re, im = np.meshgrid(np.linspace(-3.0, 6.0, 19), np.linspace(-40.0, 40.0, 9))
+    etas = (re + 1j * im).ravel()
+    etas = etas[(etas.imag != 0.0) | (etas.real > 0.0)]  # off the branch cut
+    out = transform_value(spec, etas)
+    assert out.shape == etas.shape
+    assert all(v == transform_value(spec, complex(eta)) for eta, v in zip(etas, out))
+    reals = np.geomspace(0.05, 20.0, 30)
+    out = transform_value(spec, reals)
+    assert all(v == transform_value(spec, float(eta)) for eta, v in zip(reals, out))

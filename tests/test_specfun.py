@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from randmap import specfun
 from randmap.specfun import (
     EULER_GAMMA,
     SpecfunDomainError,
@@ -132,24 +131,46 @@ class TestE1Complex:
             assert e1_complex(z) == pytest.approx(ref, rel=1e-13)
 
     def test_negative_half_plane_grid(self):
-        # near the negative real axis (|z| > 4, |Im z| < 1.6) the continued
-        # fraction stalls and the series takes over; elsewhere the fraction's
-        # value is returned as it is (checked at every fourth point)
+        # near the negative real axis d = (|z| + Re z)/2 <= 1 and the series
+        # holds the value; elsewhere the fixed-depth continued fraction does
         re_grid = np.linspace(-45.0, -0.5, 150)
         im_grid = np.linspace(-8.0, 8.0, 100)
-        zs = [complex(x, y) for x in re_grid for y in im_grid]
-        for i, z in enumerate(zs):
-            value = e1_complex(z)
+        zs = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
+        values = e1_complex(zs)
+        for z, value in zip(zs, values):
             ref = complex(mp.e1(mp.mpc(z)))
             assert abs(value - ref) <= 1e-13 * abs(ref), z
-            if i % 4 == 0 and abs(z) > 4.0:
-                cf = specfun._e1_cf(z)
-                assert cf is None or value == cf
 
+    def test_series_bands_to_modulus_650(self):
+        # points with d in (0, 1] and |z| from 1 to 650, where the series
+        # runs ceil(e |z|) + 30 terms per band of |z|, and E1 reaches 1e280
+        rng = np.random.default_rng(3)
+        modulus = np.geomspace(1.0, 650.0, 400)
+        d = rng.uniform(0.01, 1.0, modulus.size)
+        re = 2.0 * d - modulus
+        zs = re + 1j * np.sqrt(modulus**2 - re**2) * rng.choice([-1.0, 1.0], modulus.size)
+        with mp.workdps(30):
+            refs = [mp.e1(mp.mpc(complex(z))) for z in zs]
+        assert _max_rel_err(e1_complex(zs), refs) < 1e-13
+
+    def test_array_matches_scalar_calls(self):
+        re, im = np.meshgrid(np.linspace(-60.0, 60.0, 25), np.linspace(-40.0, 40.0, 16))
+        zs = re + 1j * im
+        out = e1_complex(zs)
+        assert out.shape == zs.shape
+        assert all(a == e1_complex(complex(z)) for a, z in zip(out.ravel(), zs.ravel()))
+        assert type(e1_complex(2.0 + 1.0j)) is complex
+
+    @pytest.mark.filterwarnings("error")
     def test_branch_cut_rejected(self):
-        for z in [0.0, -1.0 + 0j, -10.0 + 0j]:
+        # the cut, NaN, and values that overflow (Re z below about -709),
+        # alone and in an array, without a warning
+        for z in [0.0, -1.0 + 0j, -10.0 + 0j, math.nan, complex(math.nan, 1.0), -800.0 + 1.0j,
+                  -1e300 + 1e300j]:
             with pytest.raises(SpecfunDomainError):
                 e1_complex(z)
+            with pytest.raises(SpecfunDomainError):
+                e1_complex(np.array([1.0 + 1.0j, z]))
 
 
 class TestDilog:
@@ -230,6 +251,7 @@ class TestErfcx:
             out = erfcx(zs)
             big = erfcx(np.array([-30.0, -27.0, 1.0]))
             assert erfcx(-30.0) == math.inf
+            assert erfcx(-1e200) == math.inf  # z*z is +inf: e^(z^2) is truly infinite
         assert _max_rel_err(out, [_erfcx_ref(z) for z in zs]) < 2e-15
         assert big[0] == big[1] == math.inf and big[2] == pytest.approx(0.4275835761558070)
 
@@ -249,6 +271,16 @@ class TestErfcx:
         assert abs(erfcx(z) - asymptote) <= 1e-15 * abs(asymptote)
         assert erfcx(np.array([z, 2.0]))[0] == erfcx(z)
         erfcx(complex(-z.real, z.imag))  # the left half-plane warns no more
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "z", [-1e300 + 1e300j, -1e300 - 1e299j, -1e155 + 1e155j, -1e160 + 1e150j, -1e200 + 1.0j]
+    )
+    def test_left_past_overflow_of_z_squared_is_nan(self, z):
+        # z*z overflows, so e^(z^2) says nothing of the value (about 2 in
+        # size on the diagonals); it gave -2.82e-301 - 2.82e-301j at the first
+        assert np.isnan(erfcx(z))
+        assert np.isnan(erfcx(np.array([z, 1.0]))[0])
 
     def test_scalars_keep_their_type_and_match_the_array(self):
         zs = np.array([0.3, 2.0, -0.7, 15.0])
