@@ -9,7 +9,8 @@ of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call.
 A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
 scalar rho on the head, the closed-form segment and the Chebyshev
-body, one 1000-point vector evaluation, the mixture CDF of the longest cycle,
+body, one 1000-point vector evaluation, the mixture CDF of the longest cycle
+(rayleigh at four b, and pavlov c = 10 on its window split at the mode),
 the largest-component CDF on the sigma segment, the rank-1 mode, one
 uncached cross-rank moment, one de Hoog inversion, and the truncated CDF
 series at a = 1/16 of each kind from a cleared E^k tower.
@@ -99,6 +100,10 @@ def bench_analytic(quick: bool):
     for b in (0.01, 0.1, 0.6842, 4.0):
         t = _time(lambda: distributions.mapping_longest_cycle_cdf(b), repeats=5, number=number)
         print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
+    # a pavlov window split at the mode sqrt(20), past the rayleigh window
+    pavlov = distributions.Regime.pavlov(10.0)
+    t = _time(lambda: distributions.mapping_longest_cycle_cdf(1.0, 1, pavlov), repeats=5, number=number)
+    print(f"{'mapping_longest_cycle_cdf':<28}{'c=10 b=1':>16}{t * 1e3:>11.3f} ms")
     t = _time(lambda: distributions.largest_component_cdf(0.7), repeats=5, number=number)
     print(f"{'largest_component_cdf':<28}{'a=0.7':>16}{t * 1e6:>11.1f} us")
     t = _time(lambda: moments.mode_lambda1(), repeats=5)

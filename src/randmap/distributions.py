@@ -19,7 +19,6 @@ unconditional CDFs and joint densities below.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,7 +101,10 @@ def _nu_window(regime: Regime):
     then the density's mode sqrt(2c) -/+ _NU_CUT, split at the mode.  The
     log-density has second derivative -1 - 2c/nu^2 <= -1, so the mass beyond
     a point x past the mode is at most density(x) / (x - 2c/x), and the mass
-    more than _NU_CUT from the mode is below 3e-17 for every c.
+    more than _NU_CUT from the mode is below 3e-17 for every c.  The mixture
+    CDF may end a window that starts at 0 on the next kink past its end;
+    that piece lies in this bounded tail, so it moves a value by at most the
+    tail bound (up to 7e-14 at c = 3, below rounding for c <= 1).
     """
     if regime.tag != "pavlov":
         return [0.0, _NU_CUT]
@@ -170,51 +172,38 @@ def _rank_values(sol, x):
 def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayleigh()) -> float:
     """Limiting P{r-th longest cycle of a mapping <= b sqrt(n)}.
 
-    Integral of the regime's N-density against rho_r(nu/b), with panels split
-    at the integrand's kink abscissae nu = b, 2b, ... on the window of
+    Integral of the regime's N-density against rho_r(nu/b) on the window of
     _nu_window: [0, 8.75], where the Gaussian weight ends below 3e-17, or a
     window around the mode when the pavlov mass past 8.75 may exceed
-    _TAIL_TOL (c above about 3).  The integrand is 0 past nu = x_max b, so
-    kinks stop at (x_max + 1) b: the panels they would split add exactly 0,
-    and small b costs no more than b = 8.75 / (x_max + 1).  The 32 nodes of
-    every panel go into one (panels, 32) array and one density call.  A
-    window that starts at 0 begins with the panels [kb, (k+1)b], k = 0, 1, ...,
-    up to its next edge; at their nodes nu/b is k + (1 + x_i)/2 up to
-    rounding, so rho_r there is row k of the solution's 32-node
-    ``unit_table``.  Only the remaining panels, the last partial one and
-    those of a mode window, evaluate rho_r at nu/b node by node.  Each
-    panel's sum is sum(w * density * rho), and the panel sums are added in
-    edge order.  For subnormal b the nodes of [0, b] may round to 0; that
-    panel adds less than b and is skipped, and nu / b may overflow to inf,
-    where rho_r is 0.
+    _TAIL_TOL (c above about 3).  ``_quad.kink_panels`` splits it into
+    32-node panels at the integrand's kinks nu = b, 2b, ...: a panel
+    [kb, (k+1)b] reads rho_r from row k of the solution's 32-node
+    ``unit_table``, and only pieces off the kinks evaluate rho_r at nu/b node
+    by node.  The integrand is 0 past nu = x_max b, so kinks stop at
+    (x_max + 1) b, and small b costs no more than b = 8.75 / (x_max + 1).
+    A window that starts at 0, with b at most half its end, ends on the
+    first kink at or past its end (or at (x_max + 1) b): on [0, 8.75] with
+    b <= 4.375 a warm call evaluates the solution nowhere, and a pavlov
+    window split at the mode only on the pieces at the split.  The piece
+    this adds past the end lies in the tail that _nu_window bounds.  All
+    nodes go into one density call; each panel's sum is
+    sum(w * density * rho), and the panel sums are added in edge order.
+    For subnormal b the nodes of [0, b] may round to 0; that panel adds less
+    than b and is skipped, and nu / b may overflow to inf, where rho_r is 0.
     """
     if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     sol = _rank_solution(r)
-    window = _nu_window(regime)
-    lo, hi = window[0], window[-1]
-    kinks = [k * b for k in range(1, int(min(hi / b, sol.x_max + 1.0)) + 1)]
-    # a sorted set rather than np.unique, whose first call imports numpy.ma
-    # (about 12 ms of a cold `randmap cdf`)
-    edges = np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
-    # panels [kb, (k+1)b] from 0 to the window's next edge; at most x_max + 1
-    tabled = bisect.bisect_left(kinks, window[1]) if lo == 0.0 else 0
+    nu, half, rho = _quad.kink_panels(
+        _nu_window(regime), b, 0, sol.unit_table(32), lambda x: _rank_values(sol, x)
+    )
+    if not nu[0, 0] > 0.0:  # only [0, b], a kink panel, can round to 0
+        nu, half, rho = nu[1:], half[1:], rho[1:]
     _, w = _quad.gl_rule(32)
-    nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
-    skip = 0 if nu[0, 0] > 0.0 else 1  # only [0, b], a table panel, can round to 0
-    nu, half = nu[skip:], half[skip:]
-    tabled -= skip
-    rho = np.empty_like(nu)
-    rho[:tabled] = sol.unit_table(32)[skip : skip + tabled]
-    with np.errstate(over="ignore"):
-        rho[tabled:] = _rank_values(sol, nu[tabled:] / b)
     weighted = w * cyclic_points_density(nu, regime)
-    sums = np.sum(weighted * rho, axis=1)
-    total = 0.0
-    for h, s in zip(half.tolist(), sums.tolist()):
-        total += h * s
+    total = _quad.edge_order_sum(half, np.sum(weighted * rho, axis=1))
     return min(max(total, 0.0), 1.0)
 
 

@@ -495,7 +495,10 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
     ``dps``.  Against the DDE solution on xi = 2.25, 2.5, ..., 6 its worst
     error at degree 80 is 4.6e-10 (theta = 1) and 1.5e-9 (theta = 1/2), at
     the kink xi = 3; off the integers it is below 1e-14.  Lower degrees lose
-    accuracy at the kinks first.
+    accuracy at the kinks first.  The inverse is positive, but de Hoog's
+    error is absolute, a few 1e-17: a value below 0 (theta = 2e-5 at
+    xi = 3.5 gives -2.6e-17, where the DDE gives 1.2e-17) has lost every
+    digit and raises a LaplaceAccuracyError.
     """
     if xi <= 0.0:
         raise SpecfunDomainError(f"inverse evaluation requires xi > 0, got {xi}")
@@ -507,7 +510,13 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
 
     with mp.workdps(dps):  # Gamma(theta) is rounded at dps digits
         F = _mp_theta_peeled(theta)
-    return closed + float(_dehoog(F, xi, degree, dps))
+    value = closed + float(_dehoog(F, xi, degree, dps))
+    if value < 0.0:
+        raise LaplaceAccuracyError(
+            f"de Hoog gave {value:.2e} at xi = {xi!r}, theta = {theta!r}: the inverse is "
+            "positive, so the value is below the engine's absolute error"
+        )
+    return value
 
 
 def _invert_mp_line(F_mp, xi: float, dps: int = 60, degree: int = 40) -> float:

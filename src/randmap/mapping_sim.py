@@ -27,6 +27,7 @@ __all__ = [
     "SimStats",
     "BudgetExhaustedError",
     "MIN_ACCEPTANCE",
+    "MAX_DRAWN_NODES",
     "MAX_N",
     "sample_mapping",
     "analyze",
@@ -45,6 +46,10 @@ MIN_ACCEPTANCE = 1e-6
 # 36 bytes a node at peak (140 MB) whatever the trials; past it one row is
 # drawn whole and memory grows with n up to the kernel's int32 bound 2^31.
 MAX_N = 4_000_000
+# Largest expected count of drawn nodes, trials * n / expected acceptance:
+# the time bound, as MAX_N is the memory bound.  At about 2.5e7 nodes a
+# second on one core (n = 10^4) it is some 7 minutes.
+MAX_DRAWN_NODES = 10**10
 _MAX_CYCLES = 512  # |s(l, j)|/l! <= H_l^(j-1)/(j-1)! < 1e-300 above it, l <= 10^20
 
 
@@ -245,8 +250,9 @@ def simulate(
 
     ``max_attempts`` caps each worker's rejection attempts; the default is
     10^4 times the expected attempt count for the constraint.  An n outside
-    [2, MAX_N], more than n components or an expected acceptance rate below
-    ``MIN_ACCEPTANCE`` raise ValueError before any draw.  ``workers``
+    [2, MAX_N], more than n components, an expected acceptance rate below
+    ``MIN_ACCEPTANCE`` or more than ``MAX_DRAWN_NODES`` expected drawn nodes
+    (trials * n / acceptance) raise ValueError before any draw.  ``workers``
     (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if not 2 <= n <= MAX_N:
@@ -261,6 +267,11 @@ def simulate(
         raise ValueError(
             f"components={m_required} at n = {n} has expected acceptance {acc:.1e}, "
             f"below MIN_ACCEPTANCE = {MIN_ACCEPTANCE:.0e}"
+        )
+    if trials * n > MAX_DRAWN_NODES * acc:
+        raise ValueError(
+            f"{trials} trials at n = {n} draw about {trials * n / acc:.1e} nodes "
+            f"(trials * n / expected acceptance), above MAX_DRAWN_NODES = {MAX_DRAWN_NODES:.0e}"
         )
     workers = _kernels.worker_count(workers)
     if max_attempts is not None:

@@ -264,39 +264,34 @@ def _mode_balance(lam: float) -> float:
     exp(-lam^2/2) = (1/lam^2) int_lam^inf [ -rho((nu-lam)/lam)
         + nu/(nu-lam) rho((nu-2 lam)/lam) ] nu exp(-nu^2/2) dnu.
     The second term vanishes for nu < 2 lam, cancelling the nu/(nu-lam) pole.
-    Both terms use 48-point panels split at the kinks k lam up to _NU_CUT.  On
-    a panel [k lam, (k+1) lam] the argument of rho is k - 1 + (1 + x_i)/2 in
-    the first term and k - 2 + (1 + x_i)/2 in the second, up to rounding, so
-    rho there is row k - 1 or k - 2 of rho's 48-node ``unit_table`` (0 past
-    its last row, as past x_max).  Only the last partial panel before
-    _NU_CUT evaluates rho node by node.
+    Both terms run on ``_quad.kink_panels`` over [lam, _NU_CUT] and
+    [2 lam, _NU_CUT], 48-point panels split at the kinks k lam.  On a panel
+    [k lam, (k+1) lam] the argument of rho is k - 1 + (1 + x_i)/2 in the
+    first term and k - 2 + (1 + x_i)/2 in the second, up to rounding, so rho
+    there is row k - 1 or k - 2 of rho's 48-node ``unit_table`` (0 past its
+    last row, as past x_max).  Both windows start on a kink, so for
+    lam <= _NU_CUT / 2 they end on the first kink at or past _NU_CUT, where
+    the Gaussian weight is below 3e-17, and rho is read from the table
+    alone; for larger lam the first term's one panel evaluates rho node by
+    node.
     """
     sol = dde.dickman_solution(1)
-    table = sol.unit_table(48).ravel()
+    table = sol.unit_table(48)
     cut = distributions._NU_CUT
+    _, w = _quad.gl_rule(48)
 
-    def rho_at(nu, shift, edges):
-        # rho(nu/lam - shift) on the flat nodes of the panels between edges:
-        # all but the last are [k lam, (k+1) lam], rows 0, 1, ... of the table
-        tabled = 48 * (len(edges) - 2)
-        out = np.zeros_like(nu)
-        head = table[:tabled]
-        out[: head.size] = head
-        out[tabled:] = distributions._rank_values(sol, nu[tabled:] / lam - shift)
-        return out
+    def panels(shift):
+        return _quad.kink_panels(
+            [shift * lam, cut], lam, shift, table, lambda x: distributions._rank_values(sol, x)
+        )
 
-    def term1(nu):
-        return -rho_at(nu, 1.0, edges1) * nu * np.exp(-nu * nu / 2.0)
-
-    def term2(nu):
-        return nu / (nu - lam) * rho_at(nu, 2.0, edges2) * nu * np.exp(-nu * nu / 2.0)
-
-    kinks = [k * lam for k in range(1, int(cut / lam) + 2)]
-    edges1 = sorted({lam, cut} | {k for k in kinks if lam < k < cut})
-    integral = _quad.gl_panels(term1, edges1, 48)
+    nu, half, rho = panels(1)
+    vals = -rho * nu * np.exp(-nu * nu / 2.0)
+    integral = _quad.edge_order_sum(half, np.sum(w * vals, axis=1))
     if 2.0 * lam < cut:
-        edges2 = sorted({2.0 * lam, cut} | {k for k in kinks if 2.0 * lam < k < cut})
-        integral += _quad.gl_panels(term2, edges2, 48)
+        nu, half, rho = panels(2)
+        vals = nu / (nu - lam) * rho * nu * np.exp(-nu * nu / 2.0)
+        integral += _quad.edge_order_sum(half, np.sum(w * vals, axis=1))
     return math.exp(-lam * lam / 2.0) - integral / (lam * lam)
 
 

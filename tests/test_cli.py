@@ -109,6 +109,20 @@ class TestEval:
         )
 
 
+    def test_negative_de_hoog_inverse_is_error(self, capsys):
+        # de Hoog's error is absolute, a few 1e-17: this printed -2.57e-17
+        # with exit 0, where the DDE gives 1.22e-17
+        code, rec = run_json(
+            capsys, "invlaplace", "--transform", "theta", "--theta=2e-5", "--xi", "3.5"
+        )
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "LaplaceAccuracyError: de Hoog gave -2.57e-17 at xi = 3.5, theta = 2e-05: the "
+            "inverse is positive, so the value is below the engine's absolute error"
+        )
+        assert rec["values"] == {}
+
+
 class TestCdf:
     def test_perm_cycle(self, capsys):
         code, rec = run_json(capsys, "cdf", "--kind", "perm-cycle", "--a", "0.5")
@@ -525,6 +539,18 @@ class TestSimulateAndEnumerate:
         assert code == 1
         assert rec["errors"]["reason"] == (
             f"ValueError: n must lie in [2, {mapping_sim.MAX_N}], got {n}"
+        )
+
+    def test_simulate_trials_above_bound_is_error(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
+        code, rec = run_json(capsys, "simulate", "--n=10000", "--trials=1000001", "--seed=1")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "ValueError: 1000001 trials at n = 10000 draw about 1.0e+10 nodes "
+            "(trials * n / expected acceptance), above MAX_DRAWN_NODES = 1e+10"
         )
 
     def test_memory_error_is_computation_error(self, capsys, monkeypatch):

@@ -133,13 +133,28 @@ class TestPermAndComponentCdfs:
                 largest_component_cdf(bad)
 
 
-def _per_node_cdf(b, r, regime):
-    """The mixture CDF with rho_r evaluated at nu / b on every node."""
-    sol = dde.dickman_solution(r)
-    window = distributions._nu_window(regime)
+def _kink_edges(b, window, x_max):
+    """The function's panel edges: the window split at the kinks kb, up to
+    (x_max + 1) b; a window from 0 with b <= half its end ends on the first
+    kink at or past it, or at (x_max + 1) b"""
     lo, hi = window[0], window[-1]
-    kinks = [k * b for k in range(1, int(min(hi / b, sol.x_max + 1.0)) + 1)]
-    edges = np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
+    cap = int(x_max) + 1
+    count = int(min(hi / b, cap))
+    if lo == 0.0 and b <= hi / 2.0:
+        while count < cap and count * b < hi:
+            count += 1
+        hi = count * b
+        window = [e for e in window[:-1] if e < hi] + [hi]
+    kinks = [k * b for k in range(1, count + 1)]
+    return np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
+
+
+def _per_node_cdf(b, r, regime, edges=None):
+    """The mixture CDF with rho_r evaluated at nu / b on every node, on the
+    function's edges or on the given ones."""
+    sol = dde.dickman_solution(r)
+    if edges is None:
+        edges = _kink_edges(b, distributions._nu_window(regime), sol.x_max)
     _, w = _quad.gl_rule(32)
     nu, half = _quad.gl_nodes(edges[:-1], edges[1:], 32)
     keep = nu[:, 0] > 0.0
@@ -151,6 +166,14 @@ def _per_node_cdf(b, r, regime):
     for h, s in zip(half.tolist(), sums.tolist()):
         total += h * s
     return min(max(total, 0.0), 1.0)
+
+
+def _cut_edges(b, window, x_max):
+    """The edges of a window that ends at its last edge, 8.75 on [0, 8.75]:
+    the window split at the kinks kb up to (x_max + 1) b"""
+    lo, hi = window[0], window[-1]
+    kinks = [k * b for k in range(1, int(min(hi / b, x_max + 1.0)) + 1)]
+    return np.array(sorted({*window, *(k for k in kinks if lo < k < hi)}))
 
 
 class TestMappingCycleCdf:
@@ -205,31 +228,50 @@ class TestMappingCycleCdf:
     @pytest.mark.parametrize("b", [0.01, 0.1, 0.6842, 1.0, 4.0])
     def test_kink_cap_drops_only_zero_panels(self, b):
         # the same Gauss-Legendre panel sum with a kink at every multiple of
-        # b up to the Gaussian cutoff, as before the kinks were capped.  The
-        # panel [kb, (k+1)b] reads row k of the unit table, as the function
-        # does, and rows past the table's last (zero) row read 0; the last
-        # partial panel evaluates rho at nu / b
+        # b up to the first one at or past the Gaussian cutoff, as if the
+        # kinks were not capped.  Every panel [kb, (k+1)b] reads row k of the
+        # unit table, as the function does, and rows past the table's last
+        # (zero) row read 0
         x, w = np.polynomial.legendre.leggauss(32)
+        cut = distributions._NU_CUT
+        count = int(cut / b)
+        while count * b < cut:
+            count += 1
+        edges = [k * b for k in range(count + 1)]
         for r in (1, 2):
-            sol = dde.dickman_solution(r)
-            table = sol.unit_table(32)
-            cut = distributions._NU_CUT
-            kinks = [k * b for k in range(1, int(cut / b) + 1)]
-            edges = np.unique(np.concatenate([[0.0], kinks, [cut]]))
-            edges = edges[edges <= cut]
+            table = dde.dickman_solution(r).unit_table(32)
             for reg in (Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)):
                 total = 0.0
                 for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
                     nu = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                    if hi < cut:
-                        rho = table[k] if k < len(table) else 0.0
-                    else:
-                        ratio = nu / b
-                        rho = np.where(ratio <= sol.x_max, sol(np.minimum(ratio, sol.x_max)), 0.0)
+                    rho = table[k] if k < len(table) else 0.0
                     total += 0.5 * (hi - lo) * float(
                         np.sum(w * cyclic_points_density(nu, reg) * rho)
                     )
                 assert mapping_longest_cycle_cdf(b, r, reg) == min(max(total, 0.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "reg",
+        [Regime.rayleigh(), Regime.halfnormal()]
+        + [Regime.pavlov(c) for c in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)],
+    )
+    def test_kink_aligned_end_adds_only_the_tail(self, reg):
+        # against the same quadrature on the window that ends at 8.75, rho_r
+        # evaluated per node: the panel past 8.75 adds the N-density's tail,
+        # below rounding for rayleigh, halfnormal and pavlov c <= 1 and
+        # within the tail bound of _nu_window up to c = 3
+        window = distributions._nu_window(reg)
+        assert window == [0.0, distributions._NU_CUT]
+        bound = 4.4e-16
+        if reg.tag == "pavlov" and reg.c > 1.0:
+            cut = window[-1]
+            bound += cyclic_points_density(cut, reg) / (cut - 2.0 * reg.c / cut)
+            assert bound < distributions._TAIL_TOL
+        for r in (1, 2, 3, 4):
+            sol = dde.dickman_solution(r)
+            for b in np.linspace(0.005, 4.375, 200).tolist():
+                ref = _per_node_cdf(b, r, reg, _cut_edges(b, window, sol.x_max))
+                assert abs(mapping_longest_cycle_cdf(b, r, reg) - ref) <= bound, (r, b)
 
     @pytest.mark.parametrize(
         "b",
@@ -246,9 +288,11 @@ class TestMappingCycleCdf:
         for r in (1, 2, 3, 4):
             assert abs(mapping_longest_cycle_cdf(b, r, reg) - _per_node_cdf(b, r, reg)) <= 4.4e-16
 
-    def test_warm_call_evaluates_one_panel_of_nodes(self, monkeypatch):
-        # with the table warm, only the last partial panel's nodes reach the
-        # solution
+    def test_warm_call_evaluates_no_node_on_a_kink_window(self, monkeypatch):
+        # with the table warm, a window from 0 ends on a kink and every panel
+        # reads the table; a pavlov window split at its mode evaluates only
+        # the pieces at the split and at its ends
+        regimes = [Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(1.0)]
         for r in (1, 2):
             mapping_longest_cycle_cdf(0.5, r, Regime.rayleigh())
         evaluated = []
@@ -260,10 +304,14 @@ class TestMappingCycleCdf:
 
         monkeypatch.setattr(dde.PiecewiseSolution, "__call__", counting)
         for r in (1, 2):
-            for b in np.geomspace(0.01, 4.0, 40).tolist():
+            for b in np.geomspace(0.01, 4.375, 40).tolist():
+                for reg in regimes:
+                    evaluated.clear()
+                    mapping_longest_cycle_cdf(b, r, reg)
+                    assert sum(evaluated) == 0, (r, b, reg)
                 evaluated.clear()
-                mapping_longest_cycle_cdf(b, r, Regime.rayleigh())
-                assert sum(evaluated) <= 96, (r, b)
+                mapping_longest_cycle_cdf(b, r, Regime.pavlov(10.0))
+                assert sum(evaluated) <= 128, (r, b)
 
     @pytest.mark.parametrize("b", [5e-324, 1e-310])
     @pytest.mark.parametrize("reg", [Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)])

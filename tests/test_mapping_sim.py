@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.stats import chisquare
 
 from randmap import _kernels, gfseries, mapping_sim
 from randmap.mapping_sim import (
+    MAX_DRAWN_NODES,
     MAX_N,
     BudgetExhaustedError,
     GraphSummary,
@@ -334,6 +336,34 @@ class TestSimulate:
         monkeypatch.setattr(mapping_sim, "_worker_run", drawn)
         with pytest.raises(Drawn):
             simulate(MAX_N, 1, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, trials, constraint",
+        [(10**4, 10**6 + 1, "none"), (2, 10**12, "none"), (1024, 400_000, "connected")],
+    )
+    def test_trials_above_bound_fail_before_any_draw(self, monkeypatch, n, trials, constraint):
+        # trials * n / expected acceptance above MAX_DRAWN_NODES: the time
+        # had no bound
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
+        monkeypatch.setattr(_kernels, "batch_stats", no_draw)
+        bound = re.escape(f"above MAX_DRAWN_NODES = {MAX_DRAWN_NODES:.0e}")
+        with pytest.raises(ValueError, match=bound):
+            simulate(n, trials, constraint=constraint, seed=1)
+
+    def test_trials_at_bound_are_drawn(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(n, quota, *args):
+            assert n * quota == MAX_DRAWN_NODES
+            raise Drawn
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", drawn)
+        with pytest.raises(Drawn):
+            simulate(10**4, MAX_DRAWN_NODES // 10**4, seed=1, workers=1)
 
     def test_seeds_past_two_to_the_63_keep_their_own_stream(self):
         # the Philox key was a list of Python ints, which NumPy read as

@@ -273,6 +273,22 @@ class TestErfcx:
         erfcx(complex(-z.real, z.imag))  # the left half-plane warns no more
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_left_diagonals(self, sign):
+        # Re z^2 is 0 and |erfcx| about 2; the rounding of z*z in Re z^2
+        # underflowed e^(z^2): -1e20 + 1e20j gave -2.8e-21(1 + i)
+        ts = np.geomspace(1e10, 1e150, 141)
+        zs = -ts + 1j * sign * ts
+        with mp.workdps(60):
+            refs = [mp.exp(mp.mpc(z) ** 2) * mp.erfc(mp.mpc(z)) for z in zs.tolist()]
+        assert _max_rel_err(erfcx(zs), refs) < 1e-15
+        for z in (-3e16 + 3e16j, -1e20 + 1e20j, -1e153 + 1e153j):
+            z = complex(z.real, sign * z.imag)
+            with mp.workdps(60):
+                ref = mp.exp(mp.mpc(z) ** 2) * mp.erfc(mp.mpc(z))
+            assert abs(erfcx(z) - complex(ref)) < 1e-15 * abs(ref)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "z", [-1e300 + 1e300j, -1e300 - 1e299j, -1e155 + 1e155j, -1e160 + 1e150j, -1e200 + 1.0j]
     )
