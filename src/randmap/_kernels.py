@@ -175,22 +175,20 @@ def analyze_arrays(image: np.ndarray):
     return np.sort(length)[::-1], np.sort(size)[::-1], flag
 
 
-def enumerate_tally(n: int, first: int | None = None):
-    """Exact tallies over all n^n mappings (or the slice image[0] = first).
+def enumerate_tally(n: int, first: int):
+    """Exact joint tally over the n^(n-1) mappings with image[0] = first.
 
-    Returns (counts[m, l], joint[M, N, lam1, lam2], connected_count) as exact
-    integer arrays.  Mappings are unranked from mixed-radix indices in chunks
-    and pushed through the batch analyzer.
+    Returns joint[M, N, lam1, lam2] as an exact integer array.  Mappings are
+    unranked from mixed-radix indices in chunks and pushed through the batch
+    analyzer.
     """
     joint = np.zeros((n + 1,) * 4, dtype=np.int64)
     # mixed-radix index i has image[j] = (i // n^j) % n; the slice
     # image[0] = first is every n-th index from first
-    start, stride = (0, 1) if first is None else (int(first), n)
     powers = n ** np.arange(n, dtype=np.int64)
-    chunk = (1 << 15) * stride
-    for lo in range(start, n**n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n**n), stride, dtype=np.int64)
+    chunk = (1 << 15) * n
+    for lo in range(int(first), n**n, chunk):
+        idx = np.arange(lo, min(lo + chunk, n**n), n, dtype=np.int64)
         stats = _batch_stats(idx[:, None] // powers % n)
         np.add.at(joint, (stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), 1)
-    counts = joint.sum(axis=(2, 3))
-    return counts, joint, int(counts[1].sum())
+    return joint

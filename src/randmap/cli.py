@@ -140,7 +140,7 @@ def _cmd_cdf(args):
         if args.b is None:
             raise ValueError("mapping-cycle requires --b")
         if args.regime == "connected":
-            value = distributions.connected_cycle_cdf(args.b)
+            value = distributions.connected_cycle_cdf(args.b, _rank(args))
         else:
             value = distributions.mapping_longest_cycle_cdf(
                 args.b, _rank(args), _regime_from(args)
@@ -150,11 +150,7 @@ def _cmd_cdf(args):
 
 def _cmd_constants(args):
     regime = _regime_from(args)
-    table = moments.moment_table(
-        regime,
-        tol=1e-12 if args.tol is None else args.tol,
-        include_cross_rank=args.cross_rank,
-    )
+    table = moments.moment_table(regime, include_cross_rank=args.cross_rank)
     values = {}
     for r in (1, 2, 3, 4):
         values[f"g_{r}_1"] = table.g1[r]
@@ -271,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", parents=[common], help="moment-constant tables")
     p.add_argument("--regime", required=True, choices=("rayleigh", "halfnormal"))
-    p.add_argument("--tol", type=float)
     p.add_argument("--cross-rank", action="store_true")
     p.set_defaults(handler=_cmd_constants)
 

@@ -143,13 +143,20 @@ def largest_component_cdf(a: float) -> float:
     return float(dde.sigma_tilde(sol, 1.0 / a))
 
 
-def connected_cycle_cdf(b: float) -> float:
-    """CDF of the cycle length of a connected mapping: half-normal law.
+def connected_cycle_cdf(b: float, r: int = 1) -> float:
+    """Limiting P{r-th longest cycle of a connected mapping <= b sqrt(n)}.
 
-    0 for b <= 0; NaN raises SpecfunDomainError.
+    A connected mapping has one cycle, whose length follows the half-normal
+    law, so rank 1 is erf(b / sqrt 2) (0 for b <= 0) and every rank r >= 2,
+    where the r-th longest cycle is 0, is 1 for b >= 0.  NaN raises
+    SpecfunDomainError.
     """
     if math.isnan(b):
         raise SpecfunDomainError(f"requires b to be a number, got {b}")
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    if r > 1 and b >= 0.0:
+        return 1.0
     if b <= 0.0:
         return 0.0
     return math.erf(b / math.sqrt(2.0))

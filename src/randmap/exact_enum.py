@@ -49,20 +49,14 @@ def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
     """Tally all n^n mappings, n <= 7.
 
     The image array is iterated as a mixed-radix odometer (no mapping is
-    stored).  With workers > 1 the range splits by the first image entry,
-    which partitions the space into n equal slices.  ``workers`` (default
-    RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
+    stored), split by the first image entry into n equal slices that
+    min(workers, n) threads tally.  ``workers`` (default RANDMAP_WORKERS,
+    else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if not 1 <= n <= MAX_N:
         raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")
     workers = _kernels.worker_count(workers)
-    if workers == 1 or n == 1:
-        counts, joint, connected = _kernels.enumerate_tally(n)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-            futs = [pool.submit(_kernels.enumerate_tally, n, first) for first in range(n)]
-            results = [f.result() for f in futs]
-        counts = sum(r[0] for r in results)
-        joint = sum(r[1] for r in results)
-        connected = sum(r[2] for r in results)
-    return ExactTables(n=n, counts=counts, joint=joint, connected_count=int(connected))
+    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
+        joint = sum(pool.map(_kernels.enumerate_tally, [n] * n, range(n)))
+    counts = joint.sum(axis=(2, 3))
+    return ExactTables(n=n, counts=counts, joint=joint, connected_count=int(counts[1].sum()))

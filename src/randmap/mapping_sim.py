@@ -281,19 +281,13 @@ def simulate(
     quotas = [len(range(w, trials, workers)) for w in range(workers)]
     grid = tuple(float(b) for b in cdf_grid) if cdf_grid is not None else None
 
-    parts = []
-    if workers == 1:
-        parts.append(_worker_run(n, quotas[0], seed, 0, workers, m_required, cap_per_worker, grid))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(
-                    _worker_run, n, quotas[w], seed, w, workers, m_required, cap_per_worker, grid
-                )
-                for w in range(workers)
-                if quotas[w] > 0
-            ]
-            parts = [f.result() for f in futs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = [
+            pool.submit(_worker_run, n, quotas[w], seed, w, workers, m_required, cap_per_worker, grid)
+            for w in range(workers)
+            if quotas[w] > 0
+        ]
+        parts = [f.result() for f in futs]
     total = _Partial()
     for p in parts:
         total.merge(p)

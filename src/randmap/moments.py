@@ -305,13 +305,14 @@ def mode_lambda1(regime: Regime = Regime.rayleigh()) -> float:
 def median_lambda(r: int = 1, regime: Regime | str = Regime.rayleigh()) -> float:
     """Median of the rank-r cycle law: root of CDF = 1/2.
 
-    Accepts the string "connected" for the one-component law, whose CDF is
-    the half-normal error function.
+    Accepts the string "connected" for the one-component law, whose rank-1
+    CDF is the half-normal error function; its rank r >= 2 is 0, whose CDF
+    is 1 on the whole bracket, so the bracket fails.
     """
     if isinstance(regime, str):
         if regime != "connected":
             raise ValueError(f"unknown regime string {regime!r}")
-        cdf = distributions.connected_cycle_cdf
+        cdf = lambda b: distributions.connected_cycle_cdf(b, r)
     else:
         cdf = lambda b: distributions.mapping_longest_cycle_cdf(b, r, regime)
     lo, hi = 1e-3, 8.0

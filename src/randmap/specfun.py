@@ -231,12 +231,10 @@ def erfcx(z):
         zl = flat[left]
         with np.errstate(over="ignore", invalid="ignore"):
             zz = zl * zl
-            value = 2.0 * np.exp(zz) - out[left]
-            if np.iscomplexobj(zl):
-                # zz leaves the rounding of x^2 - y^2 and of 2xy in e^(zz),
-                # about |z|^2 ulp of modulus and phase
-                ez2 = _exp_square(zl)
-                value = np.where(np.isfinite(ez2), 2.0 * ez2 - out[left], value)
+            # e^(zz) would keep the rounding of x^2 - y^2 and of 2xy, about
+            # |z|^2 ulp of modulus and phase; ez2 + ez2 is no complex product
+            ez2 = _exp_square(zl) if np.iscomplexobj(zl) else np.exp(zz)
+            value = ez2 + ez2 - out[left]
         # past |z| ~ 1.3e154 z*z overflows, and e^(z^2) then tells nothing of
         # the value's size, save on the real axis (z*z = +inf): NaN there
         out[left] = np.where(np.isfinite(zz) | (zz == math.inf), value, math.nan)
@@ -257,17 +255,19 @@ def _two_product_error(a, b, p):
 
 def _exp_square(z):
     """e^(z^2) for complex z from e^((x - y)(x + y)) and the phase 2xy = 2p + 2q,
-    xy = p + q exactly; not finite where it overflows, or 2xy does."""
+    xy = p + q exactly; not finite where it overflows, or 2xy does, save on
+    the real axis, where the phase is 0 and so is the imaginary part."""
     x, y = z.real, z.imag
     re = (x - y) * (x + y)
     p = x * y
-    q = _two_product_error(x, y, p)
+    q = np.where(y == 0.0, 0.0, _two_product_error(x, y, p))  # its split overflows past 1.3e300
     cp, sp = np.cos(2.0 * p), np.sin(2.0 * p)
     cq, sq = np.cos(2.0 * q), np.sin(2.0 * q)
     mag = np.exp(re)
     out = np.empty_like(z)
     out.real = mag * (cp * cq - sp * sq)
-    out.imag = mag * (sp * cq + cp * sq)
+    sin = sp * cq + cp * sq
+    out.imag = np.where(sin == 0.0, sin, mag * sin)  # a zero phase, not inf * 0
     return out
 
 

@@ -3,9 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from randmap import _kernels
 from randmap.exact_enum import EnumerationSizeError, enumerate_all
 from randmap.gfseries import a_count
 from randmap.mapping_sim import simulate
+
+
+def _stirling1(l, m):
+    """Unsigned Stirling number of the first kind: permutations of l with m cycles."""
+    if l == m:
+        return 1
+    if m == 0 or m > l:
+        return 0
+    return _stirling1(l - 1, m - 1) + (l - 1) * _stirling1(l - 1, m)
+
+
+def _closed_form_count(n, m, l):
+    """Mappings of n with m components and l cyclic points: a permutation of
+    the l cyclic points and a forest of rooted trees on the rest."""
+    if l == n:
+        return _stirling1(n, m)
+    if l == 0:
+        return 0
+    return math.comb(n, l) * l * n ** (n - l - 1) * _stirling1(l, m)
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +83,32 @@ class TestInvariants:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1.0
 
-    def test_workers_do_not_change_tallies(self, tables):
-        t = enumerate_all(5, workers=5)
-        assert np.array_equal(t.counts, tables[5].counts)
-        assert np.array_equal(t.joint, tables[5].joint)
-        assert t.connected_count == tables[5].connected_count
+    def test_workers_do_not_change_tallies(self):
+        for n in range(1, 7):
+            one = enumerate_all(n, workers=1)
+            for m in range(n + 1):
+                for l in range(n + 1):
+                    assert one.a(m, l) == _closed_form_count(n, m, l), (n, m, l)
+            for workers in (2, 3, n):
+                t = enumerate_all(n, workers=workers)
+                assert np.array_equal(t.counts, one.counts), (n, workers)
+                assert np.array_equal(t.joint, one.joint), (n, workers)
+                assert t.connected_count == one.connected_count
+
+    def test_one_tally_per_first_entry(self, monkeypatch):
+        tally = _kernels.enumerate_tally
+        calls = []
+
+        def counting(n, first):
+            calls.append((n, first))
+            return tally(n, first)
+
+        monkeypatch.setattr(_kernels, "enumerate_tally", counting)
+        for n in range(1, 7):
+            for workers in (1, 2, 3, n):
+                calls.clear()
+                enumerate_all(n, workers=workers)
+                assert sorted(calls) == [(n, first) for first in range(n)], (n, workers)
 
 
 class TestAgainstSimulation:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -225,7 +226,8 @@ class TestReferenceParity:
             return stirling1(l - 1, m - 1) + (l - 1) * stirling1(l - 1, m)
 
         n = 4
-        counts, joint, connected = _kernels.enumerate_tally(n)
+        joint = sum(_kernels.enumerate_tally(n, first) for first in range(n))
+        counts = joint.sum(axis=(2, 3))
         # a mapping is a permutation of its l cyclic points plus a forest of
         # rooted trees on the rest: C(n,l) l n^(n-l-1) c(l,m) of them
         for m in range(n + 1):
@@ -242,7 +244,7 @@ class TestReferenceParity:
             lam1, lam2, _, _, n_cyc, m_comp, _ = _reference_row(image)
             ref_joint[m_comp, n_cyc, lam1, lam2] += 1
         assert np.array_equal(joint, ref_joint)
-        assert connected == 142  # OEIS A001865
+        assert counts[1].sum() == 142  # OEIS A001865
 
 
 class TestSimulate:
@@ -250,6 +252,24 @@ class TestSimulate:
         a = simulate(64, 300, seed=11, workers=2)
         b = simulate(64, 300, seed=11, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("workers, lambda1_sum, flags", [(1, 1927, 241), (2, 1948, 246)])
+    def test_every_worker_count_runs_in_the_pool(self, monkeypatch, workers, lambda1_sum, flags):
+        batch_stats = _kernels.batch_stats
+        threads = []
+
+        def recording(images):
+            threads.append(threading.current_thread())
+            return batch_stats(images)
+
+        monkeypatch.setattr(_kernels, "batch_stats", recording)
+        stats = simulate(64, 300, seed=11, workers=workers)
+        assert threads and threading.main_thread() not in threads
+        # the draws of trial t come from Philox stream (seed, t mod workers):
+        # over 300 trials the longest cycles (scaled by sqrt(64) = 8) sum to
+        # lambda1_sum and `flags` have the longest cycle in the largest component
+        assert stats.mean["lambda1"] == lambda1_sum / (8 * 300)
+        assert stats.p_largest_contains_longest == flags / 300
 
     def test_worker_partition_changes_stream_assignment_only(self):
         a = simulate(64, 300, seed=11, workers=1)

@@ -141,6 +141,13 @@ class TestModeAndMedian:
     def test_connected_median(self):
         assert median_lambda(1, "connected") == pytest.approx(0.6744897501960817, abs=1e-7)
 
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_connected_median_of_a_missing_cycle_is_error(self, r):
+        # a connected mapping has one cycle: lambda_r = 0 for r >= 2, so the
+        # CDF is 1 on the whole bracket (it returned the rank-1 median)
+        with pytest.raises(ValueError, match="median bracket"):
+            median_lambda(r, "connected")
+
     def test_roots_are_brentq_roots(self):
         # the in-house Brent takes scipy brentq's steps, so it returns its roots
         from scipy.optimize import brentq

@@ -1,13 +1,17 @@
-"""The benchmark tracer finds every attribute it patches and puts each back.
+"""The benchmark tracer finds every attribute it patches and puts each back,
+and the in-process workloads still call the package as it is.
 
 ``perfbench/tracing.py`` looks names up on the package modules, so a refactor
-that drops one of them breaks only ``perfbench/run.py --trace 1``.
+that drops one of them breaks only ``perfbench/run.py --trace 1``; and a
+changed call shape in ``perfbench/workloads.py`` shows up only as a failed
+operation in a benchmark run.
 """
 
 import importlib
 from pathlib import Path
 
 import mpmath
+import pytest
 
 from randmap import (
     _kernels,
@@ -62,3 +66,18 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
 def test_named_caches_exist(monkeypatch):
     tracing = _tracing(monkeypatch)
     assert set(tracing.NAMED_CACHES) <= set(tracing.find_caches())
+
+
+@pytest.mark.parametrize("name", ["montecarlo", "exact", "analytic"])
+def test_workload_round_has_no_failures(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    # the montecarlo workload wraps batch_stats until finish(); put it back
+    # even if the round raises
+    monkeypatch.setattr(_kernels, "batch_stats", _kernels.batch_stats)
+    work = workloads.WORKLOADS[name](20240817, str(PERFBENCH.parent))
+    work.warm_up()
+    work.round(0)
+    work.finish()
+    assert work.attempted > 0
+    assert work.failures == []

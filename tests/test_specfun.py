@@ -252,6 +252,11 @@ class TestErfcx:
             big = erfcx(np.array([-30.0, -27.0, 1.0]))
             assert erfcx(-30.0) == math.inf
             assert erfcx(-1e200) == math.inf  # z*z is +inf: e^(z^2) is truly infinite
+            # a complex argument on the real axis too: (2+0j)(inf+0j) and the
+            # phase's inf * 0 gave inf+nanj
+            for x in (-30.0, -1e200, -1.7e308):
+                value = erfcx(complex(x, 0.0))
+                assert value.real == math.inf and value.imag == 0.0, (x, value)
         assert _max_rel_err(out, [_erfcx_ref(z) for z in zs]) < 2e-15
         assert big[0] == big[1] == math.inf and big[2] == pytest.approx(0.4275835761558070)
 
