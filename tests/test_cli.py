@@ -414,6 +414,14 @@ class TestSmallInputsProperty:
 
 
 class TestConstants:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_not_positive_is_error(self, tol):
+        # --tol is no longer an option, so every value, these included, is
+        # refused by the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--regime", "halfnormal", f"--tol={tol}"])
+        assert exc.value.code == 2
+
     def test_tol_is_not_an_option(self):
         # the G(r, h) quadrature has fixed panels and a fixed rule; --tol was
         # only checked for sign
