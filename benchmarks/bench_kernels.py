@@ -5,7 +5,8 @@ Usage:
 
 Times the batch analyzer and its count-only pass (the rejection filter of
 constrained simulation) across problem sizes (from enumeration-sized rows
-of 6 up to 10^4), the exact enumerator, and an end-to-end simulate() call.
+of 6 up to 10^4), the exact enumerator (`enumerate_all` on one worker), and
+an end-to-end simulate() call.
 A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
 scalar rho on the head, the closed-form segment and the Chebyshev
@@ -30,7 +31,7 @@ import time
 import numpy as np
 
 import randmap
-from randmap import _kernels
+from randmap import _kernels, exact_enum
 
 
 def _time(fn, repeats=3, number=1):
@@ -59,7 +60,7 @@ def bench_batch(quick: bool):
 def bench_enumerate(quick: bool):
     print(f"{'exact enumeration':<28}{'n':>16}{'time':>10}")
     for n in (5, 6) if quick else (5, 6, 7):
-        t = _time(lambda: [_kernels.enumerate_tally(n, first) for first in range(n)], repeats=1)
+        t = _time(lambda: exact_enum.enumerate_all(n, workers=1), repeats=1)
         print(f"{'':<28}{n:>16}{t:>9.3f}s")
 
 

@@ -179,10 +179,11 @@ def enumerate_tally(n: int, first: int):
     """Exact joint tally over the n^(n-1) mappings with image[0] = first.
 
     Returns joint[M, N, lam1, lam2] as an exact integer array.  Mappings are
-    unranked from mixed-radix indices in chunks and pushed through the batch
-    analyzer.
+    unranked from mixed-radix indices in chunks, pushed through the batch
+    analyzer and binned by their flat (M, N, lam1, lam2) cell.
     """
-    joint = np.zeros((n + 1,) * 4, dtype=np.int64)
+    shape = (n + 1,) * 4
+    joint = np.zeros((n + 1) ** 4, dtype=np.int64)
     # mixed-radix index i has image[j] = (i // n^j) % n; the slice
     # image[0] = first is every n-th index from first
     powers = n ** np.arange(n, dtype=np.int64)
@@ -190,5 +191,6 @@ def enumerate_tally(n: int, first: int):
     for lo in range(int(first), n**n, chunk):
         idx = np.arange(lo, min(lo + chunk, n**n), n, dtype=np.int64)
         stats = _batch_stats(idx[:, None] // powers % n)
-        np.add.at(joint, (stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), 1)
-    return joint
+        cell = np.ravel_multi_index((stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), shape)
+        joint += np.bincount(cell, minlength=joint.size)
+    return joint.reshape(shape)

@@ -1,9 +1,11 @@
 """Brute-force enumeration of all n^n mappings for small n.
 
-Streams every image array through the structural analyzer and keeps exact
-integer tallies: the count table a[m][l] of mappings with m components and l
-cyclic points, a joint histogram over (components, cyclic points, two longest
-cycles), and the number of connected mappings.
+Streams the image arrays with f(0) in {0, 1} through the structural analyzer
+(relabeling gives every other first entry the tally of f(0) = 1) and keeps
+exact integer tallies over all n^n mappings: the count table a[m][l] of
+mappings with m components and l cyclic points, a joint histogram over
+(components, cyclic points, two longest cycles), and the number of connected
+mappings.
 """
 
 from __future__ import annotations
@@ -49,14 +51,19 @@ def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
     """Tally all n^n mappings, n <= 7.
 
     The image array is iterated as a mixed-radix odometer (no mapping is
-    stored), split by the first image entry into n equal slices that
-    min(workers, n) threads tally.  ``workers`` (default RANDMAP_WORKERS,
-    else 1) must lie in [1, _kernels.MAX_WORKERS].
+    stored), split by the first image entry f(0) into n equal slices.  A
+    relabeling sigma that fixes 0 and sends 1 to k maps the slice f(0) = 1
+    onto f(0) = k by f -> sigma f sigma^-1 and keeps M, N and every cycle
+    length, so only the slices f(0) = 0 and f(0) = 1 are tallied, on
+    min(workers, 2) threads, and slice 1 counts n - 1 times.  ``workers``
+    (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
     """
     if not 1 <= n <= MAX_N:
         raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")
     workers = _kernels.worker_count(workers)
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        joint = sum(pool.map(_kernels.enumerate_tally, [n] * n, range(n)))
+    slices = range(min(n, 2))
+    with ThreadPoolExecutor(max_workers=min(workers, 2)) as pool:
+        tallies = pool.map(_kernels.enumerate_tally, [n] * len(slices), slices)
+        joint = sum(w * t for w, t in zip((1, n - 1), tallies))
     counts = joint.sum(axis=(2, 3))
     return ExactTables(n=n, counts=counts, joint=joint, connected_count=int(counts[1].sum()))

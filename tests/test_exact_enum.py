@@ -96,6 +96,8 @@ class TestInvariants:
                 assert t.connected_count == one.connected_count
 
     def test_one_tally_per_first_entry(self, monkeypatch):
+        # only the slices f(0) = 0 and f(0) = 1 are tallied; relabeling
+        # gives every other slice the tally of f(0) = 1
         tally = _kernels.enumerate_tally
         calls = []
 
@@ -108,7 +110,22 @@ class TestInvariants:
             for workers in (1, 2, 3, n):
                 calls.clear()
                 enumerate_all(n, workers=workers)
-                assert sorted(calls) == [(n, first) for first in range(n)], (n, workers)
+                assert sorted(calls) == [(n, first) for first in range(min(n, 2))], (n, workers)
+
+    def test_relabeling_symmetry_of_first_entry_slices(self):
+        # brute force over every slice: f(0) = k for k >= 2 tallies like
+        # f(0) = 1, and the weighted two-slice sum is the plain n-slice sum
+        for n in range(1, 8):
+            slices = [_kernels.enumerate_tally(n, first) for first in range(n)]
+            for first in range(2, n):
+                assert np.array_equal(slices[first], slices[1]), (n, first)
+            plain = sum(slices)
+            for workers in sorted({1, 2, n}):
+                t = enumerate_all(n, workers=workers)
+                assert t.joint.dtype == plain.dtype
+                assert np.array_equal(t.joint, plain), (n, workers)
+                assert np.array_equal(t.counts, plain.sum(axis=(2, 3))), (n, workers)
+                assert t.connected_count == int(plain[1].sum()), (n, workers)
 
 
 class TestAgainstSimulation:
