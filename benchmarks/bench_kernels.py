@@ -13,8 +13,9 @@ scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle
 (rayleigh at four b, and pavlov c = 10 on its window split at the mode),
 the largest-component CDF on the sigma segment, the rank-1 mode, one
-uncached cross-rank moment, one de Hoog inversion, and the truncated CDF
-series at a = 1/16 of each kind from a cleared E^k tower.
+uncached cross-rank moment, one de Hoog inversion, the truncated CDF
+series at a = 1/16 of each kind from a cleared E^k tower, and the
+divisibility report on the README's grid with its 16 forward transforms.
 The cold-start section runs ``import randmap`` and each cheap README command
 in a fresh interpreter (best of 5 wall times) and lists which of scipy,
 scipy.special, scipy.optimize and mpmath each one loaded.
@@ -122,6 +123,16 @@ def bench_analytic(quick: bool):
 
         t = _time(cold_series, repeats=3)
         print(f"{'truncated_cdf_series cold':<28}{kind + ' a=1/16':>16}{t * 1e3:>11.3f} ms")
+    # the README's divisibility grid, whole and its forward transforms alone:
+    # the two bound inverses on the report's 8-point log-spaced subset
+    grid = np.linspace(0.02, 20.0, 1000)
+    t = _time(lambda: laplace.divisibility_report(grid), repeats=3)
+    print(f"{'divisibility_report':<28}{'1000 points':>16}{t * 1e3:>11.3f} ms")
+    sub = np.geomspace(0.02, 20.0, 8)
+    bounds = [laplace._lower_bound_inverse(c) for c in (np.sqrt(np.pi / 2.0), np.sqrt(2.0 / np.pi))]
+    t = _time(lambda: [laplace.forward_laplace(f, e, tol=1e-11) for f in bounds for e in sub],
+              repeats=3)
+    print(f"{'forward_laplace (bounds)':<28}{'16 transforms':>16}{t * 1e3:>11.3f} ms")
 
 
 HEAVY = ("scipy", "scipy.special", "scipy.optimize", "mpmath")

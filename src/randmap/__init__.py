@@ -50,6 +50,6 @@ from .mapping_sim import (
     simulate,
 )
 from .moments import g_constant, median_lambda, mode_lambda1, moment_table
-from .specfun import arctanh, dilog, e1_complex, e1_real, erfc, erfcx
+from .specfun import arctanh, dilog, e1_complex, e1_real, erfcx
 
 __version__ = "0.1.0"

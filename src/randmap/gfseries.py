@@ -78,14 +78,6 @@ class RationalSeries:
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return RationalSeries.from_dict(self.order, out)
 
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        if self.order != other.order:
-            raise SeriesOrderError("operands must share the truncation order")
-        out = self.to_dict()
-        for k, v in other.coeffs:
-            out[k] = out.get(k, Fraction(0)) + v
-        return RationalSeries.from_dict(self.order, out)
-
     def scaled(self, factor: Fraction) -> "RationalSeries":
         return RationalSeries.from_dict(
             self.order, {k: v * Fraction(factor) for k, v in self.coeffs}

@@ -34,14 +34,18 @@ keyed by t, built by the DDE's collocation step on the base levels
 x^(t-1)/Gamma(t) and that times ``dde.theta_delay_integral``'s T.  Like the
 DDE solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
 
-The erfc family is evaluated by ``specfun.erfcx``, once on the whole array
-of line nodes, and ``cycle-cdf`` by ``specfun.e1_complex``, once on the
+A function handed to an engine (the integrand of ``forward_laplace``, the
+transform of the Talbot and line engines) is called on an array of nodes
+and returns an array of the same shape, or a constant that broadcasts.  The
+erfc family is evaluated by ``specfun.erfcx``, once on the whole array of
+line nodes, and ``cycle-cdf`` by ``specfun.e1_complex``, once on the
 Talbot nodes.  ``mpmath`` (the de Hoog engine) is imported inside the
 functions that use it, so every other path runs without loading it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,33 +107,6 @@ class NonConvergenceError(RuntimeError):
     """Forward transform tail did not fall below tolerance."""
 
 
-def _node_values(f, scalar):
-    """A function of a node array giving f's complex value at each node.
-
-    f is called on the whole array if it takes one: the first call probes
-    it, and a TypeError, a ValueError or a result of another shape selects
-    one call per node, on ``scalar(node)``, from then on.  Any other
-    exception from f propagates.
-    """
-    vectorized = None
-
-    def values(x):
-        nonlocal vectorized
-        if vectorized is None:
-            try:
-                vals = np.asarray(f(x), dtype=complex)
-            except (TypeError, ValueError):
-                vals = None
-            vectorized = vals is not None and vals.shape == x.shape
-            if vectorized:
-                return vals
-        if vectorized:
-            return np.asarray(f(x), dtype=complex)
-        return np.asarray([f(scalar(t)) for t in x], dtype=complex)
-
-    return values
-
-
 # ---------------------------------------------------------------------------
 # forward transform
 # ---------------------------------------------------------------------------
@@ -171,20 +148,23 @@ def forward_laplace(
     endpoint singularities up to xi^(-1/2) at the origin are absorbed by the
     dyadic refinement toward zero; interior kinks or branch points of f should
     be passed as ``breakpoints`` so panels split and refine there.  Raises
-    NonConvergenceError if the tail is still significant at xi = 2^30.
+    NonConvergenceError if the tail is still significant at xi = 2^30, and
+    SpecfunDomainError for an eta that is not finite or has Re eta <= 0, or
+    an xi_max that is not finite and > 0.
 
-    f is called on the array of a panel set's nodes if it takes one: the first
-    panel set probes it once, and a TypeError, a ValueError or a result of
-    another shape selects one call per node for the whole transform.  Any
-    other exception from f propagates.
+    f is called on the array of a panel's nodes and returns an array of the
+    same shape or a constant; whatever f raises propagates.
     """
     eta_c = complex(eta)
-    if eta_c.real <= 0.0:
-        raise SpecfunDomainError(f"forward transform requires Re eta > 0, got {eta}")
-    f_values = _node_values(f, float)
+    if not (cmath.isfinite(eta_c) and eta_c.real > 0.0):
+        raise SpecfunDomainError(
+            f"forward transform requires finite eta with Re eta > 0, got {eta}"
+        )
+    if xi_max is not None and not _positive_finite(xi_max):
+        raise SpecfunDomainError(f"forward transform requires finite xi_max > 0, got {xi_max}")
 
     def integrand(x):
-        return np.exp(-eta_c * x) * f_values(x)
+        return np.exp(-eta_c * x) * f(x)
 
     bps = sorted({float(b) for b in breakpoints if b > 0.0})
     bp_set = set(bps)
@@ -241,28 +221,14 @@ def _positive_finite(v) -> bool:
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """A transform to invert: a named family member or a custom callable."""
+    """A named transform to invert, with its theta or b where it has one."""
 
     id: str
     theta: float | None = None
     b: float | None = None
-    func: object | None = None  # custom transforms: callable of complex eta
-    analyticity: str | None = None
-    # custom transforms may declare their large-eta expansion as
-    # ((power, coefficient), ...) pairs c/eta^p for Bromwich subtraction
-    subtraction: tuple = ()
 
     def __post_init__(self):
-        if self.id == "custom":
-            if self.func is None or self.analyticity not in (
-                _BRANCH_CUT_DECAYING,
-                _ENTIRE_GAUSSIAN,
-            ):
-                raise ValueError(
-                    "custom transforms need func and analyticity in "
-                    f"{{{_BRANCH_CUT_DECAYING!r}, {_ENTIRE_GAUSSIAN!r}}}"
-                )
-        elif self.id not in _NAMED_CLASSES:
+        if self.id not in _NAMED_CLASSES:
             raise ValueError(f"unknown transform id {self.id!r}")
         if self.id == "theta" and not MIN_THETA <= (self.theta or 0.0) <= MAX_THETA:
             raise ValueError(
@@ -274,8 +240,6 @@ class TransformSpec:
 
     @property
     def growth_class(self) -> str:
-        if self.id == "custom":
-            return self.analyticity
         return _NAMED_CLASSES[self.id]
 
     @property
@@ -286,11 +250,8 @@ class TransformSpec:
 def transform_value(spec: TransformSpec, eta):
     """Evaluate the transform at a (possibly complex) point eta or array of them.
 
-    A named transform gives an array element the bits of the same point alone;
-    a custom transform gets eta as it is.
+    An array element gets the bits of the same point alone.
     """
-    if spec.id == "custom":
-        return spec.func(eta)
     if spec.id in ("dickman", "watterson", "theta"):
         th = spec.effective_theta
         eta = np.asarray(eta)
@@ -315,8 +276,6 @@ def transform_value(spec: TransformSpec, eta):
 # expansion so the remainder decays fast on the Bromwich line.
 def _subtraction_terms(spec: TransformSpec):
     terms = []
-    if spec.id == "custom":
-        return list(spec.subtraction)
     if spec.id == "halfnormal":
         for m in range(5):
             c = math.sqrt(2.0 / math.pi) * (-0.5) ** m / math.factorial(m)
@@ -346,9 +305,8 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
     Node count is capped by IEEE double precision: roundoff grows like
     eps * exp(2M/5), so M near 32 is the practical optimum.  Non-finite nodes
     or weights raise a ValueError before F is called, once on the array
-    [r, p_1, ..., p_(M-1)] if F takes one (``_node_values``); a rounding
-    estimate eps sum |w_k F(p_k)| / (2.5 xi) above ``TALBOT_MAX_ROUNDING`` of
-    the value raises a LaplaceAccuracyError.
+    [r, p_1, ..., p_(M-1)]; a rounding estimate eps sum |w_k F(p_k)| / (2.5 xi)
+    above ``TALBOT_MAX_ROUNDING`` of the value raises a LaplaceAccuracyError.
     """
     with np.errstate(all="ignore"):  # refused below unless finite
         r = 2.0 * nodes / (5.0 * xi)
@@ -358,7 +316,7 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
         weights = np.exp(xi * pk) * (1 + 1j * theta * (1 + cot**2) - 1j * cot)
     if not (0.0 < r < math.inf and np.isfinite(pk).all() and np.isfinite(weights).all()):
         raise ValueError(f"the Talbot contour at xi = {xi!r} has non-finite nodes or weights")
-    values = _node_values(F, complex)(np.concatenate(([r], pk)))
+    values = F(np.concatenate(([r], pk)))
     total = 0.5 * math.exp(r * xi) * float(values[0].real)
     terms = weights * values[1:]
     rounding = np.finfo(float).eps * (abs(total) + float(np.sum(np.abs(terms))))
@@ -380,18 +338,16 @@ def _invert_line_subtracted(
     f(xi) = sum_j c_j xi^(p_j-1)/Gamma(p_j)
             + (e^(gamma xi)/pi) Re int_0^T e^(i xi t) Ftilde(gamma+it) dt
 
-    F is called once on the whole node array if it takes one (see
-    ``_node_values``), else once per node.  More than ``LINE_MAX_PANELS``
+    F is called once, on the whole array of line nodes.  More than ``LINE_MAX_PANELS``
     panels raise a ValueError before any node is built.  The rounding the
     factor e^(gamma xi) lifts, (e^(gamma xi)/pi) eps sum |w Ftilde| over the
     same nodes, raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
     """
-    F_values = _node_values(F, complex)
     moduli = []  # |Ftilde| at the nodes, for the rounding estimate
 
     def remainder(t):
         eta = gamma + 1j * t
-        s = F_values(eta)
+        s = F(eta)
         for p_, c_ in terms:
             s = s - c_ * eta ** (-p_)
         moduli.append(np.abs(s))
@@ -495,10 +451,16 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
     ``dps``.  Against the DDE solution on xi = 2.25, 2.5, ..., 6 its worst
     error at degree 80 is 4.6e-10 (theta = 1) and 1.5e-9 (theta = 1/2), at
     the kink xi = 3; off the integers it is below 1e-14.  Lower degrees lose
-    accuracy at the kinks first.  The inverse is positive, but de Hoog's
-    error is absolute, a few 1e-17: a value below 0 (theta = 2e-5 at
-    xi = 3.5 gives -2.6e-17, where the DDE gives 1.2e-17) has lost every
-    digit and raises a LaplaceAccuracyError.
+    accuracy at the kinks first.
+
+    The value is the float sum of the closed part and the remainder's
+    inverse, which cancel as the inverse decays, so its error floor is
+    eps |closed part|: 2.2e-16 at theta = 1, where xi = 20 gave 2.2e-16
+    against a true 2.5e-29.  The inverse is positive, so a value below 0
+    (theta = 2e-5 at xi = 3.5 gives -2.6e-17, where the DDE gives 1.2e-17)
+    has lost every digit and raises a LaplaceAccuracyError, and so does a
+    value whose rounding estimate eps (|closed| + |remainder|) exceeds
+    ``TALBOT_MAX_ROUNDING`` of it, Talbot's relative rule.
     """
     if xi <= 0.0:
         raise SpecfunDomainError(f"inverse evaluation requires xi > 0, got {xi}")
@@ -510,11 +472,19 @@ def _invert_theta_family(theta: float, xi: float, dps: int = 80, degree: int = 8
 
     with mp.workdps(dps):  # Gamma(theta) is rounded at dps digits
         F = _mp_theta_peeled(theta)
-    value = closed + float(_dehoog(F, xi, degree, dps))
+    remainder = float(_dehoog(F, xi, degree, dps))
+    value = closed + remainder
     if value < 0.0:
         raise LaplaceAccuracyError(
             f"de Hoog gave {value:.2e} at xi = {xi!r}, theta = {theta!r}: the inverse is "
             "positive, so the value is below the engine's absolute error"
+        )
+    rounding = np.finfo(float).eps * (abs(closed) + abs(remainder))
+    if not rounding <= TALBOT_MAX_ROUNDING * abs(value):
+        raise LaplaceAccuracyError(
+            f"de Hoog at xi = {xi!r}, theta = {theta!r} has rounding error estimate "
+            f"{rounding:.2e}, above TALBOT_MAX_ROUNDING = {TALBOT_MAX_ROUNDING:.0e} "
+            f"of the value {value:.2e}"
         )
     return value
 
@@ -539,11 +509,17 @@ def invert(
     32 -> 40 nodes; de Hoog degree 80 -> 100 and dps 80 -> 100 for the
     theta family, degree 40 -> 50 and dps 60 -> 80 on the Bromwich
     override; line panels 24 -> 32 nodes), a LaplaceAccuracyError is raised
-    if the two disagree beyond tol, and the refined value is returned.
+    if the two disagree beyond tol, and the refined value is returned.  The
+    theta family, like the DDE, covers xi <= 64 (``dde.X_MAX``); a larger or
+    non-finite xi raises SpecfunDomainError, and a tol not > 0 ValueError.
     """
     if not _positive_finite(xi):
         raise SpecfunDomainError(f"invert requires finite xi > 0, got {xi}")
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be positive, got {tol}")
     cls = spec.growth_class
+    if cls == _ENTIRE_GROWING and xi > X_MAX:
+        raise SpecfunDomainError(f"the {spec.id!r} inverse covers xi <= {X_MAX}, got {xi}")
     if method == "talbot" and cls != _BRANCH_CUT_DECAYING:
         raise MethodMismatchError(
             f"Talbot contour diverges for {spec.id!r}: the transform grows in the left half-plane"
@@ -591,8 +567,8 @@ def hk_closed_form(k: int, xi: float) -> float:
     """Closed forms of L^-1[E(eta)^k / eta], available for k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError(f"closed form available for k in {{0,1,2}}, got {k}")
-    if xi < 0.0:
-        raise SpecfunDomainError(f"xi must be >= 0, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise SpecfunDomainError(f"xi must be finite and >= 0, got {xi}")
     if k == 0:
         return 1.0
     if k == 1:
@@ -710,7 +686,7 @@ def mapping_cycle_cdf_contour(b: float, check: bool = False) -> float:
 def _lower_bound_inverse(c: float):
     # L^-1[1/sqrt(1 + c eta)] with c = sqrt(pi/2): 2^(1/4) pi^(-3/4) xi^(-1/2) e^(-xi sqrt(2/pi))
     def f(xi):
-        return math.exp(-xi / c) / math.sqrt(math.pi * c * xi)
+        return np.exp(-xi / c) / np.sqrt(np.pi * c * xi)
 
     return f
 

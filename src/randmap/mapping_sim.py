@@ -118,18 +118,18 @@ def analyze(mapping: Mapping) -> GraphSummary:
     )
 
 
-def _normalize_constraint(constraint):
+def _required_components(constraint):
+    """The component count a constraint requires: None, "none", "connected"
+    (1) or "components=m" with m >= 1; None means unconstrained."""
     if constraint in (None, "none"):
-        return ("none", None)
+        return None
     if constraint == "connected":
-        return ("components", 1)
-    if isinstance(constraint, tuple) and len(constraint) == 2 and constraint[0] == "components":
-        m = int(constraint[1])
+        return 1
+    if isinstance(constraint, str) and constraint.startswith("components="):
+        m = int(constraint.split("=", 1)[1])
         if m < 1:
             raise ValueError("component constraint must be >= 1")
-        return ("components", m)
-    if isinstance(constraint, str) and constraint.startswith("components="):
-        return _normalize_constraint(("components", int(constraint.split("=", 1)[1])))
+        return m
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
@@ -259,7 +259,7 @@ def simulate(
         raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    kind, m_required = _normalize_constraint(constraint)
+    m_required = _required_components(constraint)
     if m_required is not None and m_required > n:
         raise ValueError(f"a mapping of size {n} has at most {n} components, not {m_required}")
     acc = _expected_acceptance(n, m_required)
@@ -316,7 +316,7 @@ def simulate(
     return SimStats(
         n=n,
         trials=trials,
-        constraint=kind if m_required is None else f"components={m_required}",
+        constraint="none" if m_required is None else f"components={m_required}",
         seed=seed,
         workers=workers,
         attempts=total.attempts,

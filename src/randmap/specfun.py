@@ -1,6 +1,6 @@
 """Special functions: exponential integral E1 (real and complex), the scaled
-complementary error function erfcx, dilogarithm, complementary error
-function and inverse hyperbolic tangent.
+complementary error function erfcx, dilogarithm and inverse hyperbolic
+tangent.
 
 All functions are pure and deterministic, and all are implemented here with
 NumPy and the standard library:
@@ -269,11 +269,6 @@ def _exp_square(z):
     sin = sp * cq + cp * sq
     out.imag = np.where(sin == 0.0, sin, mag * sin)  # a zero phase, not inf * 0
     return out
-
-
-def erfc(x: float) -> float:
-    """Complementary error function; underflows to 0 past ~|x| = 27."""
-    return math.erfc(x)
 
 
 def arctanh(x: float) -> float:

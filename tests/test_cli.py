@@ -110,8 +110,8 @@ class TestEval:
 
 
     def test_negative_de_hoog_inverse_is_error(self, capsys):
-        # de Hoog's error is absolute, a few 1e-17: this printed -2.57e-17
-        # with exit 0, where the DDE gives 1.22e-17
+        # the inverse is positive: this printed -2.57e-17 with exit 0, where
+        # the DDE gives 1.22e-17
         code, rec = run_json(
             capsys, "invlaplace", "--transform", "theta", "--theta=2e-5", "--xi", "3.5"
         )
@@ -121,6 +121,23 @@ class TestEval:
             "inverse is positive, so the value is below the engine's absolute error"
         )
         assert rec["values"] == {}
+
+    def test_de_hoog_value_lost_to_rounding_is_error(self, capsys):
+        # printed 2.2e-16 with exit 0, where rho(20) is 2.5e-29
+        code, rec = run_json(capsys, "invlaplace", "--transform", "dickman", "--xi", "20")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            "LaplaceAccuracyError: de Hoog at xi = 20.0, theta = 1.0 has rounding error estimate"
+        )
+
+    @pytest.mark.parametrize("xi", ["64.5", "1e300"])
+    def test_theta_family_beyond_the_dde_domain_is_error(self, capsys, xi):
+        # 1e300 exited with a bare "ZeroDivisionError: "
+        code, rec = run_json(capsys, "invlaplace", "--transform", "dickman", "--xi", xi)
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            f"SpecfunDomainError: the 'dickman' inverse covers xi <= 64, got {float(xi)}"
+        )
 
 
 class TestCdf:

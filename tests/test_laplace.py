@@ -26,7 +26,7 @@ from randmap.specfun import SpecfunDomainError, e1_real
 
 class TestForwardLaplace:
     def test_halfnormal_density(self):
-        f = lambda x: math.sqrt(2.0 / math.pi) * math.exp(-x * x / 2.0)
+        f = lambda x: math.sqrt(2.0 / math.pi) * np.exp(-x * x / 2.0)
         val = forward_laplace(f, 1.0)
         assert val == pytest.approx(erfcx(1.0 / math.sqrt(2.0)), abs=1e-10)
         assert val == pytest.approx(0.5231565837302469, rel=1e-9)
@@ -36,14 +36,13 @@ class TestForwardLaplace:
 
     def test_solved_rho_pair(self):
         rho = dde.dickman_solution(1)
-        f = lambda x: rho(x) if x <= rho.x_max else 0.0
-        val = forward_laplace(f, 1.0, xi_max=rho.x_max, breakpoints=range(1, 7))
+        val = forward_laplace(rho, 1.0, xi_max=rho.x_max, breakpoints=range(1, 7))
         assert val == pytest.approx(math.exp(-e1_real(1.0)), abs=1e-10)
         assert val == pytest.approx(0.8030133545148502, abs=1e-10)
 
     def test_rayleigh_identity(self):
         # transform of xi exp(-xi^2/2) at several abscissae
-        f = lambda x: x * math.exp(-x * x / 2.0)
+        f = lambda x: x * np.exp(-x * x / 2.0)
         for eta in [0.5, 1.0, 2.0]:
             expected = 1.0 - math.sqrt(math.pi / 2.0) * eta * erfcx(eta / math.sqrt(2.0))
             assert forward_laplace(f, eta) == pytest.approx(expected, abs=1e-9)
@@ -57,26 +56,24 @@ class TestForwardLaplace:
         val = forward_laplace(lambda x: 1.0, 1.0 + 1.0j)
         assert val == pytest.approx(1.0 / (1.0 + 1.0j), abs=1e-10)
 
-    def test_scalar_only_integrand_probed_once(self):
-        array_calls = []
+    @pytest.mark.parametrize(
+        "eta", [math.nan, complex(1.0, math.nan), math.inf, complex(math.inf, 1.0)]
+    )
+    @pytest.mark.parametrize("xi_max", [None, 10.0])
+    def test_nonfinite_eta_is_error(self, eta, xi_max):
+        # nan evaluated every panel and then raised NonConvergenceError, or
+        # returned nan with xi_max; inf returned 0.0 after a RuntimeWarning
+        def no_value(x):
+            raise AssertionError("the integrand was evaluated")
 
-        def f(x):
-            if isinstance(x, np.ndarray):
-                array_calls.append(x.shape)
-            return math.exp(-x)  # TypeError for an array of nodes
+        with pytest.raises(SpecfunDomainError, match="finite eta"):
+            forward_laplace(no_value, eta, xi_max=xi_max)
 
-        assert forward_laplace(f, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert len(array_calls) == 1
-
-    def test_wrong_shape_selects_pointwise(self):
-        calls = []
-
-        def f(x):
-            calls.append(np.ndim(x))
-            return np.sum(np.exp(-np.asarray(x)))  # one number for any input
-
-        assert forward_laplace(f, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert calls.count(1) == 1 and calls.count(0) == len(calls) - 1
+    @pytest.mark.parametrize("xi_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_xi_max_must_be_finite_and_positive(self, xi_max):
+        # nan, 0 and -1 returned 0.0 without a panel evaluated
+        with pytest.raises(SpecfunDomainError, match="finite xi_max"):
+            forward_laplace(lambda x: 1.0, 1.0, xi_max=xi_max)
 
     def test_other_errors_propagate(self):
         def f(x):
@@ -93,10 +90,14 @@ class TestThetaFamilyPairs:
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
     def test_forward_of_solved_dde_matches_transform(self, theta, eta):
         sol = dde.theta_solution(theta)
-        f = lambda x: sol(x) if x <= sol.x_max else 0.0
-        val = forward_laplace(f, eta, xi_max=sol.x_max, breakpoints=range(1, 7))
+        val = forward_laplace(sol, eta, xi_max=sol.x_max, breakpoints=range(1, 7))
         expected = math.gamma(theta) * math.exp(-theta * e1_real(eta)) / eta**theta
         assert val == pytest.approx(expected, abs=1e-8)
+
+
+def _per_node(spec):
+    """The transform of spec on a node array, one scalar call per node."""
+    return lambda p: np.array([complex(transform_value(spec, complex(z))) for z in p])
 
 
 class TestInvert:
@@ -184,14 +185,11 @@ class TestInvert:
         )
 
     def test_custom_transform(self):
-        # 1/(eta+1)^2 <-> xi e^(-xi), entire with decay: bromwich route
-        spec = TransformSpec(
-            id="custom",
-            func=lambda p: 1.0 / (p + 1.0) ** 2,
-            analyticity="entire-gaussian-decay",
-            subtraction=((2, 1.0), (3, -2.0), (4, 3.0), (5, -4.0), (6, 5.0)),
-        )
-        assert invert(spec, 1.5) == pytest.approx(1.5 * math.exp(-1.5), abs=1e-8)
+        # 1/(eta+1)^2 <-> xi e^(-xi), entire with decay: the line engine with
+        # the transform's large-eta expansion subtracted
+        terms = ((2, 1.0), (3, -2.0), (4, 3.0), (5, -4.0), (6, 5.0))
+        value = laplace._invert_line_subtracted(lambda p: 1.0 / (p + 1.0) ** 2, terms, 1.5)
+        assert value == pytest.approx(1.5 * math.exp(-1.5), abs=1e-8)
 
     @pytest.mark.parametrize("tid", ["erfc-gauss", "halfnormal", "rayleigh"])
     def test_line_evaluates_named_transform_once(self, monkeypatch, tid):
@@ -206,15 +204,13 @@ class TestInvert:
             return real_erfcx(z)
 
         monkeypatch.setattr(laplace, "erfcx", counting)
-        value = invert(TransformSpec(id=tid), 1.5)
+        spec = TransformSpec(id=tid)
+        value = invert(spec, 1.5)
         assert len(shapes) == 1 and shapes[0][0] > 1000
-        scalar_only = TransformSpec(
-            id="custom",
-            func=lambda p: complex(transform_value(TransformSpec(id=tid), complex(p))),
-            analyticity="entire-gaussian-decay",
-            subtraction=tuple(laplace._subtraction_terms(TransformSpec(id=tid))),
+        value_per_node = laplace._invert_line_subtracted(
+            _per_node(spec), laplace._subtraction_terms(spec), 1.5
         )
-        assert invert(scalar_only, 1.5) == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert value_per_node == pytest.approx(value, rel=1e-14, abs=0.0)
         assert len(shapes) > 1000
 
     @pytest.mark.parametrize("b, xi", [(0.05, 20.0), (0.5, 2.0), (5.0, 0.2), (0.3, 7.0)])
@@ -232,30 +228,25 @@ class TestInvert:
         spec = TransformSpec(id="cycle-cdf", b=b)
         value = invert(spec, xi)
         assert shapes == [(32,)]
-        scalar_only = TransformSpec(
-            id="custom",
-            func=lambda p: complex(transform_value(spec, complex(p))),
-            analyticity="branch-cut-on-negative-axis",
-        )
-        assert invert(scalar_only, xi) == value
+        assert laplace._invert_talbot(_per_node(spec), xi) == value
         assert shapes == [(32,)] + [()] * 32
 
     def test_talbot_inverts_scalar_only_custom_transform(self):
         # e^(-sqrt(p))/sqrt(p) <-> e^(-1/(4 xi))/sqrt(pi xi), written with
-        # cmath, so it takes one point at a time: an array probe, then one
-        # call per node
+        # cmath, so it takes one point at a time: a per-node array wrapper
+        # calls it once on each of the 32 nodes [r, p_1, ..., p_31]
         calls = []
 
         def F(p):
             calls.append(p)
             return cmath.exp(-cmath.sqrt(p)) / cmath.sqrt(p)
 
-        spec = TransformSpec(id="custom", func=F, analyticity="branch-cut-on-negative-axis")
         for xi in (0.3, 0.8, 2.5):
             calls.clear()
             expected = math.exp(-1.0 / (4.0 * xi)) / math.sqrt(math.pi * xi)
-            assert invert(spec, xi) == pytest.approx(expected, rel=1e-10)
-            assert len(calls) == 33 and isinstance(calls[0], np.ndarray)
+            value = laplace._invert_talbot(lambda p: np.array([F(complex(z)) for z in p]), xi)
+            assert value == pytest.approx(expected, rel=1e-10)
+            assert len(calls) == 32 and all(isinstance(p, complex) for p in calls)
 
 
 class TestDeHoogEngine:
@@ -341,9 +332,8 @@ class TestHkAndConvolutions:
     def test_levels_transform_back(self, k):
         # forward transforms of the tabled levels against E(2)^k / 2^(1-a)
         for level, base in ((convolve_h, 2.0), (sqrt_weighted_hk, math.sqrt(2.0))):
-            value = forward_laplace(
-                lambda x: level(k, x), 2.0, xi_max=64, breakpoints=range(1, 65)
-            )
+            per_node = lambda x: np.array([level(k, t) for t in x])
+            value = forward_laplace(per_node, 2.0, xi_max=64, breakpoints=range(1, 65))
             assert value == pytest.approx(e1_real(2.0) ** k / base, rel=1e-12)
 
     def test_tower_domain(self):
@@ -473,6 +463,50 @@ def test_theta_transform_shares_the_dde_bound(theta):
 def test_theta_family_overflowing_closed_part_is_error():
     with pytest.raises(FloatingPointError):
         laplace._invert_theta_family(4.0, 1e300)
+
+
+@pytest.mark.parametrize(
+    "spec", [TransformSpec(id="dickman"), TransformSpec(id="theta", theta=3.0)]
+)
+@pytest.mark.parametrize("xi", [np.nextafter(64.0, 65.0), 1e300])
+def test_theta_family_covers_the_dde_domain(spec, xi):
+    # xi = 1e300 ended in a bare ZeroDivisionError for dickman
+    with pytest.raises(SpecfunDomainError, match="covers xi <= 64"):
+        invert(spec, xi)
+
+
+@pytest.mark.parametrize(
+    "theta, xi, true", [(1.0, 20.0, 2.5e-29), (3.0, 64.0, 2.0e-92), (50.0, 64.0, 4.25e72)]
+)
+def test_theta_family_refuses_values_lost_to_rounding(theta, xi, true):
+    # the closed part and de Hoog's remainder cancel: these gave 2.2e-16,
+    # 7.3e-12 and 5.09e74 with no error, against the DDE's true values
+    with pytest.raises(LaplaceAccuracyError, match="TALBOT_MAX_ROUNDING"):
+        laplace._invert_theta_family(theta, xi)
+    assert dde.theta_solution(theta)(xi) == pytest.approx(true, rel=1e-2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+def test_invert_tol_must_be_positive(tol):
+    # a NaN tol accepted any difference between the two resolutions
+    with pytest.raises(ValueError, match="tol must be positive"):
+        invert(TransformSpec(id="halfnormal"), 1.0, check=True, tol=tol)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("xi", [math.nan, math.inf])
+def test_hk_closed_form_refuses_nonfinite_xi(k, xi):
+    # k = 0 and 1 returned 1.0 and 0.0 at NaN
+    with pytest.raises(SpecfunDomainError, match="finite"):
+        hk_closed_form(k, xi)
+
+
+def test_spec_is_a_named_transform():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(TransformSpec)] == ["id", "theta", "b"]
+    with pytest.raises(ValueError, match="unknown transform id"):
+        TransformSpec(id="custom")
 
 
 def test_transform_value_real_consistency():

@@ -4,7 +4,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from randmap.specfun import (
@@ -14,7 +13,6 @@ from randmap.specfun import (
     dilog,
     e1_complex,
     e1_real,
-    erfc,
     erfcx,
 )
 
@@ -313,18 +311,6 @@ class TestErfcx:
 
 
 class TestErfcArctanh:
-    def test_erfc_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_erfc_one_quadrature_oracle(self):
-        val, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 1.0, 30.0)
-        assert erfc(1.0) == pytest.approx(val, rel=1e-13)
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
-
-    @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-    def test_erfc_symmetry(self, x):
-        assert erfc(x) + erfc(-x) == pytest.approx(2.0, abs=1e-15)
-
     def test_arctanh_value(self):
         x = math.sqrt(0.5)
         oracle = 0.5 * math.log((1.0 + x) / (1.0 - x))
