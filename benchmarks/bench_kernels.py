@@ -84,14 +84,13 @@ def bench_analytic(quick: bool):
     print(f"{'analytic (warm solutions)':<28}{'case':>16}{'best of 5':>14}")
     # uncached solves; rank 2 reads the warm rank-1 solution
     solves = [
-        (dde.solve_generalized_dickman, "generalized-dickman", "rank", 1),
-        (dde.solve_generalized_dickman, "generalized-dickman", "rank", 2),
-        (dde.solve_theta_dde, "theta-family", "theta", 0.5),
-        (dde.solve_theta_dde, "theta-family", "theta", 1.5),
+        (dde.solve_generalized_dickman, "rank", 1),
+        (dde.solve_generalized_dickman, "rank", 2),
+        (dde.solve_theta_dde, "theta", 0.5),
+        (dde.solve_theta_dde, "theta", 1.5),
     ]
-    for solve, kind, name, value in solves:
-        spec = dde.DdeSpec(kind=kind, **{name: value})
-        t = _time(lambda: solve(spec), repeats=5)
+    for solve, name, value in solves:
+        t = _time(lambda: solve(value), repeats=5)
         print(f"{solve.__name__:<28}{f'{name}={value}':>16}{t * 1e3:>11.3f} ms")
     for x in (0.5, 1.5, 10.3):
         t = _time(lambda: rho(x), repeats=5, number=number)
@@ -118,7 +117,7 @@ def bench_analytic(quick: bool):
     print(f"{'de Hoog invert(dickman)':<28}{'xi=4.3':>16}{t * 1e3:>11.3f} ms")
     for kind in ("permutation", "component"):
         def cold_series():
-            laplace._level.cache_clear()  # every level is built again
+            dde._tower_level.cache_clear()  # every level is built again
             laplace.truncated_cdf_series(1.0 / 16.0, kind)
 
         t = _time(cold_series, repeats=3)

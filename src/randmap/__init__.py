@@ -7,7 +7,6 @@ exact small-n enumeration.
 
 from ._kernels import BACKEND as kernel_backend
 from .dde import (
-    DdeSpec,
     PiecewiseSolution,
     dickman_solution,
     rho_closed_form,

@@ -1,6 +1,7 @@
 """Delay differential equations solved by the method of steps.
 
-Two families are covered, both with unit delay:
+Two families are covered, both with unit delay, each solution named by its
+theta (``solve_theta_dde``) or its rank (``solve_generalized_dickman``):
 
 * the theta family  x g'(x) + (1-theta) g(x) + theta g(x-1) = 0  for x > 1,
   with g(x) = x^(theta-1) on (0,1].  theta = 1 is Dickman's rho, theta = 1/2
@@ -20,7 +21,8 @@ exponent theta+k-1 at the integer abscissa k, which the stretch turns into
 terms a polynomial basis resolves to full tolerance.  Each piece is one
 collocation solve of the identity.  Nothing is subtracted from a larger
 value, so the solution keeps its relative accuracy as it decays (rho(64) is
-about 3e-132).
+about 3e-132).  The levels f_k = L^-1[E^k/eta^theta] of the E^k tower
+(``tower``, which ``laplace`` reads) are fitted by the same piece loop.
 """
 
 from __future__ import annotations
@@ -60,38 +62,6 @@ class ToleranceNotAchievedError(RuntimeError):
 
 class EvaluationRangeError(ValueError):
     """Evaluation point beyond the solved domain."""
-
-
-@dataclass(frozen=True)
-class DdeSpec:
-    """What to solve: the family and its theta or rank."""
-
-    kind: str  # "theta-family" | "generalized-dickman"
-    theta: float | None = None
-    rank: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("theta-family", "generalized-dickman"):
-            raise DdeError(f"unknown kind {self.kind!r}")
-        if self.kind == "theta-family":
-            if self.theta is None or not MIN_THETA <= self.theta <= MAX_THETA:
-                raise DdeError(
-                    f"theta-family requires {MIN_THETA} <= theta <= {MAX_THETA}, "
-                    f"got {self.theta}: the relative error grows toward both ends "
-                    "(3.4e-7 at 2e-5, 7e-7 at 50)"
-                )
-        else:
-            if self.rank is None or not 1 <= self.rank <= MAX_RANK:
-                raise DdeError(
-                    f"generalized-dickman requires 1 <= rank <= {MAX_RANK}, got {self.rank}"
-                )
-
-    @property
-    def exact_theta(self) -> float | None:
-        """``exact_part``'s theta: the family's, 1 for rank 1, None for rank >= 2."""
-        if self.kind == "theta-family":
-            return self.theta
-        return 1.0 if self.rank == 1 else None
 
 
 @lru_cache(maxsize=8)
@@ -199,10 +169,24 @@ def _clenshaw(rows, z):
     return c0 + c1 * z
 
 
+def _piece_value(rows, first: int, x: float, root=np.power) -> float:
+    """A row table at a Python float x > first: row j is the piece on
+    [first + j, first + j + 1], the last one running on to X_MAX.
+
+    ``root`` takes s = (x - k)^(1/4): NumPy's power, as a solution's array
+    path does, or ``math.pow``, which the E^k tower reads; the two differ in
+    the last bit at about 6% of offsets."""
+    j = min(int(x - first), len(rows) - 1)
+    s = float(root(x - (j + first), 1.0 / _STRETCH))
+    return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
+
+
 @dataclass
 class PiecewiseSolution:
-    """A solved DDE on (0, X_MAX]: ``exact_part`` on [0, 2], which the solver
-    reads too, and one Chebyshev piece per unit interval [k, k+1], k = 2, 3, ...
+    """A solved DDE on (0, X_MAX]: ``exact_part(theta, x)`` on [0, 2], which
+    the solver reads too, and one Chebyshev piece per unit interval [k, k+1],
+    k = 2, 3, ...  ``theta`` is the family's, 1 for rank 1 and None for a
+    rank r >= 2, whose equation also reads ``lower``, the rank r - 1 solution.
 
     ``pieces`` (constructor only) lists each piece's Chebyshev coefficients in
     zeta = 2*s - 1, s = (x - k)^(1/4), stored as one table: row j of ``coef``
@@ -210,16 +194,16 @@ class PiecewiseSolution:
     (49 coefficients, or 97 after a retried fit).  A call evaluates every
     point x > 2 in one Clenshaw pass over the rows its points select, with
     chebval's values bitwise.  A Python float takes a scalar path through the
-    same expressions, so it gets the array path's bits.
+    same expressions (``_piece_value``), so it gets the array path's bits.
 
     ``unit_table(n)`` holds the solution at the n Gauss-Legendre nodes of
     every unit interval, computed once per rule: a panel [k b, (k+1) b] of
     the mixture quadratures maps onto [k, k+1] at those nodes whatever b is.
     """
 
-    spec: DdeSpec
+    theta: float | None
     pieces: InitVar[list]
-    _prev: "PiecewiseSolution | None" = None  # lower rank, generalized family only
+    lower: "PiecewiseSolution | None" = None
     coef: np.ndarray = field(init=False, repr=False)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -235,11 +219,9 @@ class PiecewiseSolution:
     def __call__(self, x):
         if isinstance(x, float) and _UNDERFLOW < x <= X_MAX:  # not near the pole
             if x <= 2.0:
-                v = float(exact_part(self.spec.exact_theta, x))
+                v = float(exact_part(self.theta, x))
             else:
-                j = min(int(x - 2.0), len(self.coef) - 1)
-                s = float(np.power(x - (j + 2.0), 1.0 / _STRETCH))
-                v = _clenshaw(self.coef[j].tolist(), 2.0 * s - 1.0)
+                v = _piece_value(self.coef, 2, x)
             return 0.0 if abs(v) < _UNDERFLOW else v
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -252,7 +234,7 @@ class PiecewiseSolution:
         exact = (xs >= 0.0) & (xs <= 2.0)
         if np.any(exact):
             with np.errstate(divide="ignore", over="ignore"):  # the pole at 0, theta < 1
-                out[exact] = exact_part(self.spec.exact_theta, xs[exact])
+                out[exact] = exact_part(self.theta, xs[exact])
         body = xs > 2.0
         if np.any(body):
             xb = xs[body]
@@ -291,11 +273,9 @@ class PiecewiseSolution:
         g = self(x)
         gd = self(x - 1.0)
         gp = self.derivative(x)
-        if self.spec.kind == "theta-family":
-            th = self.spec.theta
-            return x * gp + (1.0 - th) * g + th * gd
-        prev = self._prev(x - 1.0) if self._prev is not None else 0.0
-        return x * gp + gd - prev
+        if self.theta is not None:
+            return x * gp + (1.0 - self.theta) * g + self.theta * gd
+        return x * gp + gd - self.lower(x - 1.0)
 
     def residual_grid(self) -> np.ndarray:
         """Interior sample points away from breakpoints, one set per piece."""
@@ -308,24 +288,31 @@ def sigma_tilde(sol: PiecewiseSolution, x):
     return np.sqrt(x) * sol(x)
 
 
-def _fit_piece(k, step):
-    """Collocate one unit piece on [k, k+1].
+def _fit_pieces(first: int, carry: float, step) -> list:
+    """Collocate the unit pieces [k, k+1], k = first, ..., X_MAX - 1, in turn.
 
-    ``step(s, vand, q)`` returns the piece's values at the nodes s and what it
-    carries to the next piece; this returns the Chebyshev coefficients and
-    that carry, from the first degree whose tail meets ``TAIL_TOL``.
+    ``step(k, pieces, carry, s, vand, q)`` returns piece k's values at the
+    nodes s and what it carries to the next piece, from the pieces fitted
+    before it and the carry of the last one; each piece keeps the Chebyshev
+    coefficients of the first degree whose tail meets ``TAIL_TOL``.
     """
-    for degree in (_DEGREE, _DEGREE_RETRY):
-        _, s, vand, interp, q = _collocation(degree)
-        values, carry = step(s, vand, q)
-        coef = interp @ values
-        scale = max(np.max(np.abs(coef)), _UNDERFLOW)
-        tail = np.max(np.abs(coef[-2:]))
-        if tail <= TAIL_TOL * scale:
-            return coef, carry
-    raise ToleranceNotAchievedError(
-        f"piece [{k}, {k + 1}] Chebyshev tail {tail:.2e} exceeds tol {TAIL_TOL:.2e}"
-    )
+    pieces = []
+    for k in range(first, X_MAX):
+        for degree in (_DEGREE, _DEGREE_RETRY):
+            _, s, vand, interp, q = _collocation(degree)
+            values, after = step(k, pieces, carry, s, vand, q)
+            coef = interp @ values
+            scale = max(np.max(np.abs(coef)), _UNDERFLOW)
+            tail = np.max(np.abs(coef[-2:]))
+            if tail <= TAIL_TOL * scale:
+                break
+        else:
+            raise ToleranceNotAchievedError(
+                f"piece [{k}, {k + 1}] Chebyshev tail {tail:.2e} exceeds tol {TAIL_TOL:.2e}"
+            )
+        pieces.append(coef)
+        carry = after
+    return pieces
 
 
 def _row_at_nodes(row, s, vand):
@@ -337,10 +324,11 @@ def _row_at_nodes(row, s, vand):
     return _cheb.chebval(2.0 * s - 1.0, row)
 
 
-def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
+def _solve_pieces(theta: float | None, lower: PiecewiseSolution | None = None) -> list:
     """Chebyshev pieces on [2, X_MAX] of  x g(x) = c int_{x-1}^x g + M(x-1).
 
-    M(z) = int_0^z ``lower`` (rho_{r-1}) for rank r >= 2, and M = 0 otherwise.
+    c = theta and M = 0 for the theta family (rank 1 is theta = 1); c = 1 and
+    M(z) = int_0^z ``lower`` (rho_{r-1}) for a rank r >= 2, whose theta is None.
     On [k, k+1] put x = k + s^4 and w = 4 s^3, so that Q(w f) = int_k^x f.
     The delayed nodes x - 1 are the previous piece's nodes, and the piece's
     values y solve, in one linear system,
@@ -348,43 +336,51 @@ def _solve_pieces(spec: DdeSpec, c: float, lower=None) -> list:
     where P = int_{k-1}^k g is the last entry of Q(w g(x-1)).  The last entry
     of Q(w rho_{r-1}(x-1)) carries M(k-1) on to the next piece.
     """
-    pieces = []
-    mass = 0.0 if lower is None else 1.0  # M(k-1), starting from M(1)
+    c = 1.0 if theta is None else theta
 
-    def delayed(sol_spec, rows, s, vand):  # a solution at x - 1 = k - 1 + s^4
+    def delayed(th, rows, k, s, vand):  # a solution at x - 1 = k - 1 + s^4
         if k == 2:
-            return exact_part(sol_spec.exact_theta, 1.0 + s**_STRETCH)
+            return exact_part(th, 1.0 + s**_STRETCH)
         return _row_at_nodes(rows[k - 3], s, vand)  # the piece on [k-1, k]
 
-    def step(s, vand, q):  # the piece on [k, k+1] with the current k and mass
+    def step(k, pieces, mass, s, vand, q):  # mass is M(k-1)
         u = s**_STRETCH
         w = _STRETCH * s ** (_STRETCH - 1)
-        span = q @ (w * delayed(spec, pieces, s, vand))
+        span = q @ (w * delayed(theta, pieces, k, s, vand))
         gain = np.zeros_like(s)
         if lower is not None:
-            gain = q @ (w * delayed(lower.spec, lower.coef, s, vand))
+            gain = q @ (w * delayed(lower.theta, lower.coef, k, s, vand))
         rhs = c * (span[-1] - span) + (mass + gain)
         return np.linalg.solve(np.diag(k + u) - c * q * w, rhs), mass + gain[-1]
 
-    for k in range(2, X_MAX):
-        coef, mass = _fit_piece(k, step)
-        pieces.append(coef)
-    return pieces
+    return _fit_pieces(2, 0.0 if lower is None else 1.0, step)  # M(1) = 1 for rank >= 2
 
 
-def solve_theta_dde(spec: DdeSpec) -> PiecewiseSolution:
+def _checked_rank(rank) -> int:
+    """``rank`` as an int, or DdeError unless it is an integer in [1, MAX_RANK]."""
+    if not 1 <= rank <= MAX_RANK:
+        raise DdeError(f"generalized-dickman requires 1 <= rank <= {MAX_RANK}, got {rank}")
+    if rank != int(rank):
+        raise DdeError(f"generalized-dickman requires an integer rank, got {rank}")
+    return int(rank)
+
+
+def solve_theta_dde(theta: float) -> PiecewiseSolution:
     """Solve the theta-family equation on (0, X_MAX]."""
-    if spec.kind != "theta-family":
-        raise DdeError("solve_theta_dde requires a theta-family spec")
-    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, spec.theta))
+    if not MIN_THETA <= theta <= MAX_THETA:
+        raise DdeError(
+            f"theta-family requires {MIN_THETA} <= theta <= {MAX_THETA}, got {theta}: "
+            "the relative error grows toward both ends (3.4e-7 at 2e-5, 7e-7 at 50)"
+        )
+    return PiecewiseSolution(theta, _solve_pieces(theta))
 
 
-def solve_generalized_dickman(spec: DdeSpec) -> PiecewiseSolution:
+def solve_generalized_dickman(rank: int) -> PiecewiseSolution:
     """Solve the rank-r recursion; lower ranks come from ``dickman_solution``."""
-    if spec.kind != "generalized-dickman":
-        raise DdeError("solve_generalized_dickman requires a generalized-dickman spec")
-    prev = None if spec.rank == 1 else dickman_solution(spec.rank - 1)
-    return PiecewiseSolution(spec=spec, pieces=_solve_pieces(spec, 1.0, prev), _prev=prev)
+    rank = _checked_rank(rank)
+    lower = None if rank == 1 else dickman_solution(rank - 1)
+    theta = 1.0 if lower is None else None
+    return PiecewiseSolution(theta, _solve_pieces(theta, lower), lower)
 
 
 def rho_closed_form(x: float) -> float:
@@ -415,13 +411,13 @@ def sigma_closed_form(x: float) -> float:
 
 @lru_cache(maxsize=64)
 def _theta_cached(theta: float) -> PiecewiseSolution:
-    return solve_theta_dde(DdeSpec(kind="theta-family", theta=theta))
+    return solve_theta_dde(theta)
 
 
-@lru_cache(maxsize=None)  # each solve fetches ranks 1..r-1 again; _prev keeps them anyway
+@lru_cache(maxsize=None)  # each solve fetches ranks 1..r-1 again; ``lower`` keeps them anyway
 def _dickman_cached(rank: int) -> PiecewiseSolution:
     # only dickman_solution calls this, after it has fetched rank - 1
-    return solve_generalized_dickman(DdeSpec(kind="generalized-dickman", rank=rank))
+    return solve_generalized_dickman(rank)
 
 
 def theta_solution(theta: float) -> PiecewiseSolution:
@@ -434,13 +430,57 @@ def dickman_solution(rank: int = 1) -> PiecewiseSolution:
 
     The ranks below r are fetched first, bottom-up in a loop, so each rank is
     solved from the one below it, just fetched, and the call depth does not
-    grow with r.  Ranks above ``MAX_RANK`` raise DdeError.
+    grow with r.  A rank that is not an integer in [1, ``MAX_RANK``] raises
+    DdeError before any solve.
     """
-    spec = DdeSpec(kind="generalized-dickman", rank=int(rank))
-    for lower in range(1, spec.rank):
+    rank = _checked_rank(rank)
+    for lower in range(1, rank):
         _dickman_cached(lower)
-    return _dickman_cached(spec.rank)
+    return _dickman_cached(rank)
 
 
 def watterson_solution() -> PiecewiseSolution:
     return theta_solution(0.5)
+
+
+def _base_level(k: int, theta: float, x):
+    """Levels 0 and 1 of the tower at x >= k: f_0 = x^(theta-1)/Gamma(theta), f_1 = f_0 T."""
+    f0 = np.power(x, theta - 1.0) / math.gamma(theta)
+    return f0 * (theta_delay_integral(theta, x) / theta) if k else f0
+
+
+@lru_cache(maxsize=None)
+def _tower_level(k: int, theta: float) -> list:
+    """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, X_MAX].
+
+    Entry i is the piece on [j, j+1], j = k + i, x = j + s^4, fitted by the
+    solutions' piece loop: f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta
+    f_{k-1}(t-1) dt) reads level k-1's piece on [j-1, j] at the same nodes,
+    and I(j) = int_k^j carries on.
+    """
+    lower = _tower_level(k - 1, theta) if k > 2 else None
+
+    def step(j, pieces, carry, s, vand, q):
+        u = s**_STRETCH
+        if lower is None:
+            lag = _base_level(1, theta, (j - 1) + u)
+        else:
+            lag = _row_at_nodes(lower[j - k], s, vand)
+        t = j + u
+        span = q @ (_STRETCH * s ** (_STRETCH - 1) * t**-theta * lag)
+        return k * t ** (theta - 1.0) * (carry + span), carry + span[-1]
+
+    return _fit_pieces(k, 0.0, step)
+
+
+def tower(k: int, theta: float, x: float) -> float:
+    """Level f_k(x) = L^-1[E^k/eta^theta](x) of the E^k tower at a float
+    x <= X_MAX (SpecfunDomainError beyond); 0 on [0, k] for k >= 1.  Levels
+    0 and 1 are closed forms, and level k >= 2 is fitted once per theta."""
+    if not x <= X_MAX:
+        raise SpecfunDomainError(f"the E^k tower covers xi <= {X_MAX}, got {x}")
+    if x <= 0.0 or (k and x <= k):
+        return 0.0
+    if k <= 1:
+        return float(_base_level(k, theta, x))
+    return _piece_value(_tower_level(k, theta), k, x, math.pow)

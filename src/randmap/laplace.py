@@ -29,10 +29,9 @@ Inversion is routed by the transform's behaviour in the left half-plane:
   two terms of the exp(-t E) expansion, whose inverse is ``dde.exact_part``
   (t in [dde.MIN_THETA, dde.MAX_THETA], as for the DDE).
 
-The levels f_k = L^-1[E^k/eta^t] behind the truncated CDF series are a tower
-keyed by t, built by the DDE's collocation step on the base levels
-x^(t-1)/Gamma(t) and that times ``dde.theta_delay_integral``'s T.  Like the
-DDE solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
+The levels f_k = L^-1[E^k/eta^t] behind the truncated CDF series are
+``dde.tower``, fitted in the DDE solutions' piece format and loop.  Like the
+solutions it covers xi <= 64; beyond, it raises SpecfunDomainError.
 
 A function handed to an engine (the integrand of ``forward_laplace``, the
 transform of the Talbot and line engines) is called on an array of nodes
@@ -48,13 +47,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _quad
-from .dde import MAX_THETA, MIN_THETA, X_MAX, _STRETCH, _clenshaw, _fit_piece, _row_at_nodes
-from .dde import exact_part, theta_delay_integral
+from .dde import MAX_THETA, MIN_THETA, X_MAX, exact_part, tower
 from .specfun import SpecfunDomainError, dilog, e1_complex, e1_real, erfcx
 
 __all__ = [
@@ -112,8 +109,8 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _refined_edges(a: float, b: float, left: bool, right: bool, levels: int = 16):
-    """Panel edges on [a, b], geometrically refined toward flagged ends.
+def _refined_edges(a: float, b: float, left: bool, right: bool):
+    """Panel edges on [a, b], refined toward flagged ends by 16 geometric levels.
 
     Refinement absorbs algebraic branch points (up to inverse-square-root
     strength) sitting exactly at a flagged end: each geometric subpanel sees
@@ -127,9 +124,9 @@ def _refined_edges(a: float, b: float, left: bool, right: bool, levels: int = 16
         width *= 0.5
         edges.add(a + width)
     if left:
-        edges.update(a + width * 4.0 ** (-j) for j in range(1, levels + 1))
+        edges.update(a + width * 4.0 ** (-j) for j in range(1, 17))
     if right:
-        edges.update(b - width * 4.0 ** (-j) for j in range(1, levels + 1))
+        edges.update(b - width * 4.0 ** (-j) for j in range(1, 17))
     return np.array(sorted(edges))
 
 
@@ -147,10 +144,11 @@ def forward_laplace(
     xi_max when given, for integrands of known compact support).  Algebraic
     endpoint singularities up to xi^(-1/2) at the origin are absorbed by the
     dyadic refinement toward zero; interior kinks or branch points of f should
-    be passed as ``breakpoints`` so panels split and refine there.  Raises
-    NonConvergenceError if the tail is still significant at xi = 2^30, and
-    SpecfunDomainError for an eta that is not finite or has Re eta <= 0, or
-    an xi_max that is not finite and > 0.
+    be passed as ``breakpoints`` so panels split and refine there; those
+    <= 0 are dropped.  Raises NonConvergenceError if the tail is still
+    significant at xi = 2^30, and SpecfunDomainError for an eta that is not
+    finite or has Re eta <= 0, an xi_max that is not finite and > 0, or a
+    breakpoint that is not finite.
 
     f is called on the array of a panel's nodes and returns an array of the
     same shape or a constant; whatever f raises propagates.
@@ -162,11 +160,15 @@ def forward_laplace(
         )
     if xi_max is not None and not _positive_finite(xi_max):
         raise SpecfunDomainError(f"forward transform requires finite xi_max > 0, got {xi_max}")
+    bps = [float(b) for b in breakpoints]
+    for b in bps:
+        if not math.isfinite(b):
+            raise SpecfunDomainError(f"forward transform requires finite breakpoints, got {b}")
 
     def integrand(x):
         return np.exp(-eta_c * x) * f(x)
 
-    bps = sorted({float(b) for b in breakpoints if b > 0.0})
+    bps = sorted({b for b in bps if b > 0.0})
     bp_set = set(bps)
     last_bp = bps[-1] if bps else 0.0
 
@@ -331,22 +333,22 @@ def _invert_talbot(F, xi: float, nodes: int = 32) -> float:
 
 
 def _invert_line_subtracted(
-    F, terms, xi: float, gamma: float = 1.0, t_max: float = 60.0, panel_nodes: int = 24
+    F, terms, xi: float, t_max: float = 60.0, panel_nodes: int = 24
 ) -> float:
-    """Bromwich line at Re eta = gamma with power-term subtraction.
+    """Bromwich line at Re eta = 1 with power-term subtraction.
 
     f(xi) = sum_j c_j xi^(p_j-1)/Gamma(p_j)
-            + (e^(gamma xi)/pi) Re int_0^T e^(i xi t) Ftilde(gamma+it) dt
+            + (e^xi/pi) Re int_0^T e^(i xi t) Ftilde(1+it) dt
 
     F is called once, on the whole array of line nodes.  More than ``LINE_MAX_PANELS``
     panels raise a ValueError before any node is built.  The rounding the
-    factor e^(gamma xi) lifts, (e^(gamma xi)/pi) eps sum |w Ftilde| over the
-    same nodes, raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
+    factor e^xi lifts, (e^xi/pi) eps sum |w Ftilde| over the same nodes,
+    raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
     """
     moduli = []  # |Ftilde| at the nodes, for the rounding estimate
 
     def remainder(t):
-        eta = gamma + 1j * t
+        eta = 1.0 + 1j * t
         s = F(eta)
         for p_, c_ in terms:
             s = s - c_ * eta ** (-p_)
@@ -363,13 +365,13 @@ def _invert_line_subtracted(
     total = _quad.gl_panels(remainder, edges, panel_nodes)
     _, w = _quad.gl_rule(panel_nodes)
     l1 = np.diff(edges) / 2.0 @ (moduli[0].reshape(n_panels, panel_nodes) @ w)
-    rounding = math.exp(gamma * xi) / math.pi * np.finfo(float).eps * l1
+    rounding = math.exp(xi) / math.pi * np.finfo(float).eps * l1
     if rounding > LINE_MAX_ROUNDING:
         raise LaplaceAccuracyError(
             f"the Bromwich line at xi = {xi!r} has rounding error estimate "
             f"{rounding:.2e}, above LINE_MAX_ROUNDING = {LINE_MAX_ROUNDING:.0e}"
         )
-    value = math.exp(gamma * xi) / math.pi * total.real
+    value = math.exp(xi) / math.pi * total.real
     for p_, c_ in terms:
         value += c_ * xi ** (p_ - 1.0) / math.gamma(p_)
     return value
@@ -511,8 +513,11 @@ def invert(
     override; line panels 24 -> 32 nodes), a LaplaceAccuracyError is raised
     if the two disagree beyond tol, and the refined value is returned.  The
     theta family, like the DDE, covers xi <= 64 (``dde.X_MAX``); a larger or
-    non-finite xi raises SpecfunDomainError, and a tol not > 0 ValueError.
+    non-finite xi raises SpecfunDomainError, and a ``method`` other than
+    None, "talbot" or "bromwich", or a tol not > 0, ValueError.
     """
+    if method not in (None, "talbot", "bromwich"):
+        raise ValueError(f"method must be None, 'talbot' or 'bromwich', got {method!r}")
     if not _positive_finite(xi):
         raise SpecfunDomainError(f"invert requires finite xi > 0, got {xi}")
     if not tol > 0.0:  # NaN too
@@ -578,66 +583,18 @@ def hk_closed_form(k: int, xi: float) -> float:
     return -math.pi**2 / 6.0 + math.log(xi) ** 2 + 2.0 * dilog(1.0 / xi)
 
 
-def _base_level(k: int, theta: float, x):
-    """Levels 0 and 1 of the tower at x >= k: f_0 = x^(theta-1)/Gamma(theta), f_1 = f_0 T."""
-    f0 = np.power(x, theta - 1.0) / math.gamma(theta)
-    return f0 * (theta_delay_integral(theta, x) / theta) if k else f0
-
-
-@lru_cache(maxsize=None)
-def _level(k: int, theta: float) -> list:
-    """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, X_MAX].
-
-    Entry i is ``dde._fit_piece``'s piece on [j, j+1], j = k + i, x = j + s^4:
-    f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta f_{k-1}(t-1) dt) reads level
-    k-1's piece on [j-1, j] at the same nodes, and I(j) = int_k^j carries on.
-    """
-    lower = _level(k - 1, theta) if k > 2 else None
-    carry = 0.0
-
-    def step(s, vand, q):  # the piece on [j, j+1] with the current j and carry
-        u = s**_STRETCH
-        if lower is None:
-            lag = _base_level(1, theta, (j - 1) + u)
-        else:
-            lag = _row_at_nodes(lower[j - k], s, vand)
-        t = j + u
-        span = q @ (_STRETCH * s ** (_STRETCH - 1) * t**-theta * lag)
-        return k * t ** (theta - 1.0) * (carry + span), carry + span[-1]
-
-    rows = []
-    for j in range(k, X_MAX):
-        coef, carry = _fit_piece(j, step)
-        rows.append(coef)
-    return rows
-
-
-def _tower(k: int, theta: float, xi: float) -> float:
-    """f_k(xi) = L^-1[E^k/eta^theta](xi); 0 on [0, k] for k >= 1."""
-    if not xi <= X_MAX:
-        raise SpecfunDomainError(f"the E^k tower covers xi <= {X_MAX}, got {xi}")
-    if xi <= 0.0 or (k and xi <= k):
-        return 0.0
-    if k <= 1:
-        return float(_base_level(k, theta, xi))
-    rows = _level(k, theta)
-    j = min(int(xi - k), len(rows) - 1)
-    s = (xi - (k + j)) ** (1.0 / _STRETCH)
-    return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
-
-
 def convolve_h(k: int, xi: float) -> float:
     """L^-1[E(eta)^k / eta] at xi <= 64 (SpecfunDomainError beyond); 0 for xi < k."""
     if k < 1:
         raise ValueError(f"convolve_h requires k >= 1, got {k}")
-    return _tower(k, 1.0, xi)
+    return tower(k, 1.0, xi)
 
 
 def sqrt_weighted_hk(k: int, xi: float) -> float:
     """L^-1[E(eta)^k / sqrt(eta)] at xi <= 64 (SpecfunDomainError beyond)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _tower(k, 0.5, xi)
+    return tower(k, 0.5, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +618,7 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     if kind not in ("permutation", "component"):
         raise ValueError(f"kind must be 'permutation' or 'component', got {kind!r}")
     theta = 1.0 if kind == "permutation" else 0.5
-    terms = ((-theta) ** k / math.factorial(k) * _tower(k, theta, xi) for k in range(int(xi) + 1))
+    terms = ((-theta) ** k / math.factorial(k) * tower(k, theta, xi) for k in range(int(xi) + 1))
     total = math.gamma(theta) * sum(terms)
     return total if theta == 1.0 else math.sqrt(xi) * total
 

@@ -204,7 +204,7 @@ class SimStats:
     lambda1_cdf: dict  # b -> empirical P{Lambda_1 <= b sqrt(n)}
 
 
-def _worker_run(n, quota, seed, widx, workers, m_required, cap, cdf_grid):
+def _worker_run(n, quota, seed, widx, m_required, cap, cdf_grid):
     rng = _philox(seed, widx)
     part = _Partial()
     if cdf_grid is not None:
@@ -283,7 +283,7 @@ def simulate(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [
-            pool.submit(_worker_run, n, quotas[w], seed, w, workers, m_required, cap_per_worker, grid)
+            pool.submit(_worker_run, n, quotas[w], seed, w, m_required, cap_per_worker, grid)
             for w in range(workers)
             if quotas[w] > 0
         ]

@@ -11,7 +11,6 @@ from scipy.special import gammaln
 from randmap import dde
 from randmap.dde import (
     DdeError,
-    DdeSpec,
     EvaluationRangeError,
     dickman_solution,
     rho_closed_form,
@@ -32,21 +31,25 @@ def sigma():
     return watterson_solution()
 
 
-class TestSpecValidation:
-    def test_bad_kind(self):
-        with pytest.raises(DdeError):
-            DdeSpec(kind="nope")
+def _no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
 
-    def test_bad_theta(self):
-        with pytest.raises(DdeError):
-            DdeSpec(kind="theta-family", theta=-1.0)
+    monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+
+
+class TestSpecValidation:
+    """Each solver refuses its theta or rank before any piece is fitted."""
+
+    def test_bad_theta(self, monkeypatch):
+        _no_solve(monkeypatch)
+        for theta in (-1.0, math.nan):
+            with pytest.raises(DdeError, match="2e-05 <= theta <= 50"):
+                dde.solve_theta_dde(theta)
 
     @pytest.mark.parametrize("theta", [np.nextafter(dde.MAX_THETA, 99.0), 100.0, 1e5, 1e300])
     def test_theta_above_bound_fails_before_solving(self, theta, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve was started")
-
-        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        _no_solve(monkeypatch)
         with pytest.raises(DdeError, match="theta <= 50"):
             theta_solution(theta)
 
@@ -56,10 +59,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("theta", [np.nextafter(dde.MIN_THETA, 0.0), 1e-8, 5e-324, 0.0])
     def test_theta_below_bound_fails_before_solving(self, theta, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve was started")
-
-        monkeypatch.setattr(dde, "_solve_pieces", no_solve)
+        _no_solve(monkeypatch)
         with pytest.raises(DdeError, match="2e-05 <= theta"):
             theta_solution(theta)
 
@@ -79,9 +79,14 @@ class TestSpecValidation:
                 exact = x ** (th - 1) * ((1 - u**th) - th * tail)
                 assert sol(x) == pytest.approx(float(exact), rel=4e-7)
 
-    def test_bad_rank(self):
-        with pytest.raises(DdeError):
-            DdeSpec(kind="generalized-dickman", rank=0)
+    def test_bad_rank(self, monkeypatch):
+        _no_solve(monkeypatch)
+        for rank in (0, dde.MAX_RANK + 1, -1, math.nan, math.inf):
+            with pytest.raises(DdeError, match=f"1 <= rank <= {dde.MAX_RANK}, got {rank}"):
+                dde.solve_generalized_dickman(rank)
+        for rank in (2.5, 1.5, np.float64(3.25)):
+            with pytest.raises(DdeError, match=f"integer rank, got {rank}"):
+                dde.solve_generalized_dickman(rank)
 
 
 class TestInitialSegments:
@@ -312,9 +317,9 @@ class TestGeneralizedDickman:
         solved = []
         real_solve = dde.solve_generalized_dickman
 
-        def counting(spec):
-            solved.append(spec.rank)
-            return real_solve(spec)
+        def counting(rank):
+            solved.append(rank)
+            return real_solve(rank)
 
         monkeypatch.setattr(dde, "solve_generalized_dickman", counting)
         dde._dickman_cached.cache_clear()
@@ -324,12 +329,18 @@ class TestGeneralizedDickman:
             assert np.array_equal(dickman_solution(r).coef, coef)
         assert solved == [1, 2, 3]
 
-    @pytest.mark.parametrize("rank", [0, dde.MAX_RANK + 1])
-    def test_rank_out_of_range_fails_before_solving(self, rank):
+    @pytest.mark.parametrize("rank", [0, dde.MAX_RANK + 1, 2.5])
+    def test_rank_out_of_range_fails_before_solving(self, rank, monkeypatch):
+        # 2.5 was truncated to rank 2 and answered
+        _no_solve(monkeypatch)
         dde._dickman_cached.cache_clear()
         with pytest.raises(DdeError, match="rank"):
             dickman_solution(rank)
         assert dde._dickman_cached.cache_info().misses == 0
+
+    def test_integral_float_rank_is_that_rank(self):
+        assert dickman_solution(2.0) is dickman_solution(2)
+        assert dickman_solution(np.int64(3)) is dickman_solution(3)
 
     def test_nonincreasing(self):
         r2 = dickman_solution(2)
@@ -400,8 +411,7 @@ class TestFlatTable:
         rng = np.random.default_rng(7)
         widths = [49, 97, 49, 97, 49]
         pieces = [rng.standard_normal(n) * 0.5 ** np.arange(n) for n in widths]
-        spec = DdeSpec(kind="theta-family", theta=1.0)
-        sol = dde.PiecewiseSolution(spec=spec, pieces=pieces)
+        sol = dde.PiecewiseSolution(1.0, pieces)
         assert sol.coef.shape == (5, 97)
         xs = np.concatenate([rng.uniform(2.0, 7.0, 2000), np.arange(3.0, 8.0)])
         expected = np.empty_like(xs)

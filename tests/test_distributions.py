@@ -386,6 +386,21 @@ class TestJointDensity:
             joint_density(JointPoint(-1.0, 1.0), 1, Regime.rayleigh())
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: perm_longest_cycle_cdf(0.3, r),
+        lambda r: mapping_longest_cycle_cdf(0.5, r),
+        lambda r: joint_density(JointPoint(0.5, 1.5), r),
+    ],
+)
+def test_non_integer_rank_is_error(call):
+    # rank 2.5 was truncated, so each returned its rank-2 value
+    with pytest.raises(dde.DdeError, match="integer rank, got 2.5"):
+        call(2.5)
+    assert call(2.0) == call(2)
+
+
 def test_connected_cycle_cdf():
     assert connected_cycle_cdf(1.0) == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), rel=1e-15)
     assert connected_cycle_cdf(-1.0) == 0.0

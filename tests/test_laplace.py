@@ -75,6 +75,20 @@ class TestForwardLaplace:
         with pytest.raises(SpecfunDomainError, match="finite xi_max"):
             forward_laplace(lambda x: 1.0, 1.0, xi_max=xi_max)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakpoints_must_be_finite(self, bad):
+        # nan was dropped without a word, and inf ran every panel out to 2^31
+        # before NonConvergenceError
+        def no_value(x):
+            raise AssertionError("the integrand was evaluated")
+
+        with pytest.raises(SpecfunDomainError, match=f"finite breakpoints, got {bad}"):
+            forward_laplace(no_value, 1.0, breakpoints=[1.0, bad])
+
+    def test_breakpoints_at_or_below_zero_are_dropped(self):
+        f = lambda x: np.exp(-x)
+        assert forward_laplace(f, 1.0, breakpoints=[-1.0, 0.0]) == forward_laplace(f, 1.0)
+
     def test_other_errors_propagate(self):
         def f(x):
             if isinstance(x, np.ndarray):
@@ -170,6 +184,20 @@ class TestInvert:
             invert(TransformSpec(id="erfc-gauss"), 1.0, method="talbot")
         with pytest.raises(MethodMismatchError):
             invert(TransformSpec(id="dickman"), 1.0, method="talbot")
+
+    @pytest.mark.parametrize("method", ["Bromwich", "TALBOT", "nonsense", "", "dehoog"])
+    @pytest.mark.parametrize("tid", ["cycle-cdf", "erfc-gauss", "dickman"])
+    def test_unknown_method_is_error_before_any_engine(self, monkeypatch, method, tid):
+        # "Bromwich" ran Talbot and "nonsense" the default engine
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for engine in ("_invert_talbot", "_invert_line_subtracted", "_invert_theta_family",
+                       "_invert_mp_line"):
+            monkeypatch.setattr(laplace, engine, no_engine)
+        with pytest.raises(ValueError, match=f"method must be None, 'talbot' or 'bromwich', "
+                                             f"got {method!r}"):
+            invert(TransformSpec(id=tid, b=0.5), 2.0, method=method)
 
     def test_cycle_cdf_bromwich_override_agrees_with_talbot(self):
         spec = TransformSpec(id="cycle-cdf", b=0.8)
