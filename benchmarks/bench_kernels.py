@@ -13,7 +13,8 @@ scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle
 (rayleigh at four b, and pavlov c = 10 on its window split at the mode),
 the largest-component CDF on the sigma segment, the rank-1 mode, one
-uncached cross-rank moment, one de Hoog inversion, the truncated CDF
+uncached cross-rank moment, one de Hoog inversion, one Bromwich line
+inversion of each erfc-family transform at xi = 1.5, the truncated CDF
 series at a = 1/16 of each kind from a cleared E^k tower, and the
 divisibility report on the README's grid with its 16 forward transforms.
 The cold-start section runs ``import randmap`` and each cheap README command
@@ -115,6 +116,10 @@ def bench_analytic(quick: bool):
     dickman = laplace.TransformSpec(id="dickman")
     t = _time(lambda: laplace.invert(dickman, 4.3), repeats=3)
     print(f"{'de Hoog invert(dickman)':<28}{'xi=4.3':>16}{t * 1e3:>11.3f} ms")
+    for tid in ("halfnormal", "rayleigh", "erfc-gauss"):
+        spec = laplace.TransformSpec(id=tid)
+        t = _time(lambda: laplace.invert(spec, 1.5), repeats=5, number=number)
+        print(f"{'line invert(' + tid + ')':<28}{'xi=1.5':>16}{t * 1e3:>11.3f} ms")
     for kind in ("permutation", "component"):
         def cold_series():
             dde._tower_level.cache_clear()  # every level is built again

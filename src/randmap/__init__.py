@@ -31,7 +31,6 @@ from .exact_enum import ExactTables, enumerate_all
 from .gfseries import RationalSeries, a_count, component_cycle_egf, tree_function_series
 from .laplace import (
     TransformSpec,
-    convolve_h,
     divisibility_report,
     forward_laplace,
     hk_closed_form,

@@ -169,15 +169,13 @@ def _clenshaw(rows, z):
     return c0 + c1 * z
 
 
-def _piece_value(rows, first: int, x: float, root=np.power) -> float:
+def _piece_value(rows, first: int, x: float) -> float:
     """A row table at a Python float x > first: row j is the piece on
-    [first + j, first + j + 1], the last one running on to X_MAX.
-
-    ``root`` takes s = (x - k)^(1/4): NumPy's power, as a solution's array
-    path does, or ``math.pow``, which the E^k tower reads; the two differ in
-    the last bit at about 6% of offsets."""
+    [first + j, first + j + 1], the last one running on to X_MAX.  The
+    stretch root s = (x - k)^(1/4) is NumPy's power, as in a solution's
+    array path."""
     j = min(int(x - first), len(rows) - 1)
-    s = float(root(x - (j + first), 1.0 / _STRETCH))
+    s = float(np.power(x - (j + first), 1.0 / _STRETCH))
     return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
 
 
@@ -476,11 +474,18 @@ def _tower_level(k: int, theta: float) -> list:
 def tower(k: int, theta: float, x: float) -> float:
     """Level f_k(x) = L^-1[E^k/eta^theta](x) of the E^k tower at a float
     x <= X_MAX (SpecfunDomainError beyond); 0 on [0, k] for k >= 1.  Levels
-    0 and 1 are closed forms, and level k >= 2 is fitted once per theta."""
+    0 and 1 are closed forms, and level k >= 2 is fitted once per theta.
+    A level that is not an integer k >= 0, or a theta outside [MIN_THETA,
+    MAX_THETA], raises DdeError before any fit."""
+    if not (0 <= k < math.inf and k == int(k)):
+        raise DdeError(f"the E^k tower requires an integer level k >= 0, got {k}")
+    if not MIN_THETA <= theta <= MAX_THETA:
+        raise DdeError(f"the E^k tower requires {MIN_THETA} <= theta <= {MAX_THETA}, got {theta}")
     if not x <= X_MAX:
         raise SpecfunDomainError(f"the E^k tower covers xi <= {X_MAX}, got {x}")
+    k = int(k)
     if x <= 0.0 or (k and x <= k):
         return 0.0
     if k <= 1:
         return float(_base_level(k, theta, x))
-    return _piece_value(_tower_level(k, theta), k, x, math.pow)
+    return _piece_value(_tower_level(k, theta), k, x)

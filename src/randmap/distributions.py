@@ -117,6 +117,15 @@ def _nu_window(regime: Regime):
     return [max(mode - _NU_CUT, 0.0), mode, mode + _NU_CUT]
 
 
+def _check_rank(r) -> None:
+    """ValueError for a rank below 1, and the solver layer's DdeError for
+    one that is not an integer, before any solve."""
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    if not (r < math.inf and r == int(r)):
+        raise dde.DdeError(f"the limit laws require an integer rank, got {r}")
+
+
 @lru_cache(maxsize=16)
 def _rank_solution(r: int):
     return dde.dickman_solution(r)
@@ -130,8 +139,7 @@ def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:
     """
     if not 0.0 < a <= 1.0:
         raise SpecfunDomainError(f"requires a in (0, 1], got {a}")
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    _check_rank(r)
     return min(float(_rank_solution(r)(1.0 / a)), 1.0)
 
 
@@ -149,12 +157,12 @@ def connected_cycle_cdf(b: float, r: int = 1) -> float:
     A connected mapping has one cycle, whose length follows the half-normal
     law, so rank 1 is erf(b / sqrt 2) (0 for b <= 0) and every rank r >= 2,
     where the r-th longest cycle is 0, is 1 for b >= 0.  NaN raises
-    SpecfunDomainError.
+    SpecfunDomainError, and a rank that is not an integer DdeError, as for
+    the other laws.
     """
     if math.isnan(b):
         raise SpecfunDomainError(f"requires b to be a number, got {b}")
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    _check_rank(r)
     if r > 1 and b >= 0.0:
         return 1.0
     if b <= 0.0:
@@ -200,8 +208,7 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     """
     if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    _check_rank(r)
     sol = _rank_solution(r)
     nu, half, rho = _quad.kink_panels(
         _nu_window(regime), b, 0, sol.unit_table(32), lambda x: _rank_values(sol, x)
@@ -230,8 +237,7 @@ def joint_density(p: JointPoint, r: int = 1, regime: Regime = Regime.rayleigh())
     """
     if p.lam <= 0.0 or p.nu <= 0.0:
         raise SpecfunDomainError(f"joint density requires positive coordinates, got {p}")
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    _check_rank(r)
     if p.nu <= p.lam:
         return 0.0
     arg = p.nu / p.lam - 1.0

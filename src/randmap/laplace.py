@@ -1,6 +1,7 @@
 """One-sided Laplace transforms: forward quadrature, numerical inversion,
-iterated convolutions of the reciprocal tail, truncated CDF series, and the
-divisibility bound/approximation checks for the half-normal and Rayleigh laws.
+closed forms of the reciprocal tail's convolutions, truncated CDF series, and
+the divisibility bound/approximation checks for the half-normal and Rayleigh
+laws.
 
 Throughout, h denotes the reciprocal tail h(xi) = 1/xi for xi >= 1 (0 below),
 whose transform is the exponential integral E(eta).  Named transforms:
@@ -12,8 +13,12 @@ whose transform is the exponential integral E(eta).  Named transforms:
     halfnormal  exp(eta^2/2) erfc(eta/sqrt(2))
     rayleigh    1 - sqrt(pi/2) eta exp(eta^2/2) erfc(eta/sqrt(2))
     erfc-gauss  exp(eta^2/pi) erfc(eta/sqrt(pi))
+    halfnormal-m2-root  the square root of halfnormal (the divisibility probe)
 
-Inversion is routed by the transform's behaviour in the left half-plane:
+Inversion is routed by the transform's id, to the engine its behaviour in
+the left half-plane allows.  Each id's data is written once: the theta of
+the theta family in ``_THETAS``, and the erfc family's transform, expansion
+and line length in ``_LINES``.
 
 * ``cycle-cdf`` decays off the negative-axis branch cut, so a fixed Talbot
   contour applies.
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +69,6 @@ __all__ = [
     "transform_value",
     "invert",
     "hk_closed_form",
-    "convolve_h",
-    "sqrt_weighted_hk",
     "truncated_cdf_series",
     "mapping_cycle_cdf_contour",
     "divisibility_report",
@@ -97,7 +101,7 @@ class LaplaceAccuracyError(RuntimeError):
 
 
 class MethodMismatchError(ValueError):
-    """Requested contour is invalid for the transform's growth class."""
+    """Requested contour diverges for the transform."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -201,24 +205,50 @@ def forward_laplace(
 # named transforms
 # ---------------------------------------------------------------------------
 
-_BRANCH_CUT_DECAYING = "branch-cut-on-negative-axis"
-_ENTIRE_GAUSSIAN = "entire-gaussian-decay"
-_ENTIRE_GROWING = "entire-growing-left"
-
-_NAMED_CLASSES = {
-    "dickman": _ENTIRE_GROWING,
-    "watterson": _ENTIRE_GROWING,
-    "theta": _ENTIRE_GROWING,
-    "cycle-cdf": _BRANCH_CUT_DECAYING,
-    "halfnormal": _ENTIRE_GAUSSIAN,
-    "rayleigh": _ENTIRE_GAUSSIAN,
-    "erfc-gauss": _ENTIRE_GAUSSIAN,
-    "halfnormal-m2-root": _ENTIRE_GAUSSIAN,
-}
-
-
 def _positive_finite(v) -> bool:
     return v is not None and 0.0 < v < math.inf
+
+
+@dataclass(frozen=True)
+class _Line:
+    """A transform the Bromwich line engine inverts: its value on an array of
+    eta, the (power p, coefficient c) pairs of its large-eta expansion, whose
+    inverses c xi^(p-1)/Gamma(p) are subtracted on the line and restored in
+    closed form, and the line length T."""
+
+    value: Callable
+    terms: tuple
+    t_max: float = 60.0
+
+
+# The theta of each member of the theta family; "theta" takes its spec's.
+_THETAS = {"dickman": 1.0, "watterson": 0.5, "theta": None}
+
+# The erfc family on the Bromwich line.  The transforms look erfcx up when
+# called, so a patched module attribute is the one they call.
+_LINES = {
+    "halfnormal": _Line(
+        lambda eta: erfcx(eta / math.sqrt(2.0)),
+        tuple((2 * m + 1, math.sqrt(2.0 / math.pi) * (-0.5) ** m / math.factorial(m)
+               * math.factorial(2 * m)) for m in range(5)),
+    ),
+    "rayleigh": _Line(
+        lambda eta: 1.0 - math.sqrt(math.pi / 2.0) * eta * erfcx(eta / math.sqrt(2.0)),
+        tuple((2 * m + 2, (-1.0) ** m * math.factorial(2 * m + 1) / (2**m * math.factorial(m)))
+              for m in range(5)),
+    ),
+    "erfc-gauss": _Line(
+        lambda eta: erfcx(eta / math.sqrt(math.pi)),
+        tuple((2 * m + 1, (-math.pi / 4.0) ** m / math.factorial(m) * math.factorial(2 * m))
+              for m in range(5)),
+    ),
+    "halfnormal-m2-root": _Line(
+        lambda eta: np.sqrt(erfcx(eta / math.sqrt(2.0))),
+        tuple((p, c * (2.0 / math.pi) ** 0.25)
+              for p, c in ((0.5, 1.0), (2.5, -0.5), (4.5, 11.0 / 8.0), (6.5, -109.0 / 16.0))),
+        t_max=120.0,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -230,7 +260,7 @@ class TransformSpec:
     b: float | None = None
 
     def __post_init__(self):
-        if self.id not in _NAMED_CLASSES:
+        if self.id not in (*_THETAS, "cycle-cdf", *_LINES):
             raise ValueError(f"unknown transform id {self.id!r}")
         if self.id == "theta" and not MIN_THETA <= (self.theta or 0.0) <= MAX_THETA:
             raise ValueError(
@@ -241,12 +271,9 @@ class TransformSpec:
             raise ValueError(f"cycle-cdf transform requires finite b > 0, got {self.b}")
 
     @property
-    def growth_class(self) -> str:
-        return _NAMED_CLASSES[self.id]
-
-    @property
     def effective_theta(self) -> float:
-        return {"dickman": 1.0, "watterson": 0.5}.get(self.id, self.theta)
+        theta = _THETAS.get(self.id)
+        return self.theta if theta is None else theta
 
 
 def transform_value(spec: TransformSpec, eta):
@@ -254,7 +281,7 @@ def transform_value(spec: TransformSpec, eta):
 
     An array element gets the bits of the same point alone.
     """
-    if spec.id in ("dickman", "watterson", "theta"):
+    if spec.id in _THETAS:
         th = spec.effective_theta
         eta = np.asarray(eta)
         e1 = e1_real(eta) if np.isrealobj(eta) else e1_complex(eta)
@@ -262,38 +289,7 @@ def transform_value(spec: TransformSpec, eta):
     if spec.id == "cycle-cdf":
         eta = np.asarray(eta, dtype=complex)
         return (np.exp(-e1_complex(np.sqrt(2.0 * spec.b * eta))) / np.sqrt(eta))[()]
-    if spec.id == "halfnormal":
-        return erfcx(eta / math.sqrt(2.0))
-    if spec.id == "rayleigh":
-        return 1.0 - math.sqrt(math.pi / 2.0) * eta * erfcx(eta / math.sqrt(2.0))
-    if spec.id == "erfc-gauss":
-        return erfcx(eta / math.sqrt(math.pi))
-    if spec.id == "halfnormal-m2-root":
-        return np.sqrt(erfcx(eta / math.sqrt(2.0)))
-    raise AssertionError(spec.id)
-
-
-# subtraction data for the erfc family: (power p, coefficient c) pairs with
-# L^-1[c/eta^p] = c xi^(p-1)/Gamma(p), matching the transform's large-eta
-# expansion so the remainder decays fast on the Bromwich line.
-def _subtraction_terms(spec: TransformSpec):
-    terms = []
-    if spec.id == "halfnormal":
-        for m in range(5):
-            c = math.sqrt(2.0 / math.pi) * (-0.5) ** m / math.factorial(m)
-            terms.append((2 * m + 1, c * math.factorial(2 * m)))
-    elif spec.id == "rayleigh":
-        for m in range(5):
-            c = (-1.0) ** m * math.factorial(2 * m + 1) / (2**m * math.factorial(m))
-            terms.append((2 * m + 2, c))
-    elif spec.id == "erfc-gauss":
-        for m in range(5):
-            c = (-math.pi / 4.0) ** m / math.factorial(m)
-            terms.append((2 * m + 1, c * math.factorial(2 * m)))
-    elif spec.id == "halfnormal-m2-root":
-        c0 = (2.0 / math.pi) ** 0.25
-        terms = [(0.5, c0), (2.5, -0.5 * c0), (4.5, (11.0 / 8.0) * c0), (6.5, -(109.0 / 16.0) * c0)]
-    return terms
+    return _LINES[spec.id].value(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +336,12 @@ def _invert_line_subtracted(
     f(xi) = sum_j c_j xi^(p_j-1)/Gamma(p_j)
             + (e^xi/pi) Re int_0^T e^(i xi t) Ftilde(1+it) dt
 
-    F is called once, on the whole array of line nodes.  More than ``LINE_MAX_PANELS``
-    panels raise a ValueError before any node is built.  The rounding the
-    factor e^xi lifts, (e^xi/pi) eps sum |w Ftilde| over the same nodes,
-    raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
+    F is called once, on the flat array of every panel's nodes, and the
+    remainder Ftilde = F - sum_j c_j/eta^p_j is formed once there.  More than
+    ``LINE_MAX_PANELS`` panels raise a ValueError before any node is built.
+    The rounding the factor e^xi lifts, (e^xi/pi) eps sum |w Ftilde| over the
+    same nodes, raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
     """
-    moduli = []  # |Ftilde| at the nodes, for the rounding estimate
-
-    def remainder(t):
-        eta = 1.0 + 1j * t
-        s = F(eta)
-        for p_, c_ in terms:
-            s = s - c_ * eta ** (-p_)
-        moduli.append(np.abs(s))
-        return np.exp(1j * xi * t) * s
-
     n_panels = max(40, int(t_max * max(xi, 1.0) / math.pi) * 4 + 40)
     if n_panels > LINE_MAX_PANELS:
         raise ValueError(
@@ -362,9 +349,16 @@ def _invert_line_subtracted(
             f"more than LINE_MAX_PANELS = {LINE_MAX_PANELS}"
         )
     edges = np.linspace(0.0, t_max, n_panels + 1)
-    total = _quad.gl_panels(remainder, edges, panel_nodes)
+    t, half = _quad.gl_nodes(edges[:-1], edges[1:], panel_nodes)
+    t = t.ravel()
+    eta = 1.0 + 1j * t
+    rem = F(eta)
+    for p_, c_ in terms:
+        rem = rem - c_ * eta ** (-p_)
     _, w = _quad.gl_rule(panel_nodes)
-    l1 = np.diff(edges) / 2.0 @ (moduli[0].reshape(n_panels, panel_nodes) @ w)
+    by_panel = (np.exp(1j * xi * t) * rem).reshape(n_panels, panel_nodes)
+    total = _quad.edge_order_sum(half, np.sum(w * by_panel, axis=1))
+    l1 = half @ (np.abs(rem).reshape(n_panels, panel_nodes) @ w)
     rounding = math.exp(xi) / math.pi * np.finfo(float).eps * l1
     if rounding > LINE_MAX_ROUNDING:
         raise LaplaceAccuracyError(
@@ -505,11 +499,13 @@ def invert(
 ) -> float:
     """Invert a transform at xi > 0.
 
-    The contour is chosen from the transform's growth class; passing
-    ``method`` overrides it where mathematically legitimate.  With
-    ``check=True`` the computation is repeated at higher resolution (Talbot
-    32 -> 40 nodes; de Hoog degree 80 -> 100 and dps 80 -> 100 for the
-    theta family, degree 40 -> 50 and dps 60 -> 80 on the Bromwich
+    The engine follows the transform's id: Talbot for ``cycle-cdf``, de Hoog
+    for the theta family, the subtracted Bromwich line for the erfc family.
+    ``method="bromwich"`` moves ``cycle-cdf`` to a de Hoog line, and
+    ``method="talbot"`` on any other transform raises MethodMismatchError.
+    With ``check=True`` the computation is repeated at higher resolution
+    (Talbot 32 -> 40 nodes; de Hoog degree 80 -> 100 and dps 80 -> 100 for
+    the theta family, degree 40 -> 50 and dps 60 -> 80 on the Bromwich
     override; line panels 24 -> 32 nodes), a LaplaceAccuracyError is raised
     if the two disagree beyond tol, and the refined value is returned.  The
     theta family, like the DDE, covers xi <= 64 (``dde.X_MAX``); a larger or
@@ -522,34 +518,30 @@ def invert(
         raise SpecfunDomainError(f"invert requires finite xi > 0, got {xi}")
     if not tol > 0.0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
-    cls = spec.growth_class
-    if cls == _ENTIRE_GROWING and xi > X_MAX:
+    if spec.id in _THETAS and xi > X_MAX:
         raise SpecfunDomainError(f"the {spec.id!r} inverse covers xi <= {X_MAX}, got {xi}")
-    if method == "talbot" and cls != _BRANCH_CUT_DECAYING:
+    if method == "talbot" and spec.id != "cycle-cdf":
         raise MethodMismatchError(
             f"Talbot contour diverges for {spec.id!r}: the transform grows in the left half-plane"
         )
 
     def compute(scale=1):
-        if cls == _BRANCH_CUT_DECAYING and method != "bromwich":
+        if spec.id == "cycle-cdf" and method != "bromwich":
             return _invert_talbot(lambda p: transform_value(spec, p), xi, nodes=32 + 8 * (scale - 1))
-        if cls == _ENTIRE_GROWING:
-            return _invert_theta_family(
-                spec.effective_theta, xi, dps=80 + 20 * (scale - 1), degree=80 + 20 * (scale - 1)
-            )
-        if cls == _BRANCH_CUT_DECAYING:  # bromwich override for the cycle transform
+        if spec.id == "cycle-cdf":
             def F_mp(p):
                 import mpmath as mp
 
                 return mp.exp(-mp.e1(mp.sqrt(2 * spec.b * p))) / mp.sqrt(p)
 
             return _invert_mp_line(F_mp, xi, dps=60 + 20 * (scale - 1), degree=40 + 10 * (scale - 1))
+        if spec.id in _THETAS:
+            return _invert_theta_family(
+                spec.effective_theta, xi, dps=80 + 20 * (scale - 1), degree=80 + 20 * (scale - 1)
+            )
+        line = _LINES[spec.id]
         return _invert_line_subtracted(
-            lambda p: transform_value(spec, p),
-            _subtraction_terms(spec),
-            xi,
-            t_max=60.0 if spec.id != "halfnormal-m2-root" else 120.0,
-            panel_nodes=24 + 8 * (scale - 1),
+            line.value, line.terms, xi, t_max=line.t_max, panel_nodes=24 + 8 * (scale - 1)
         )
 
     value = compute()
@@ -581,20 +573,6 @@ def hk_closed_form(k: int, xi: float) -> float:
     if xi < 2.0:
         return 0.0
     return -math.pi**2 / 6.0 + math.log(xi) ** 2 + 2.0 * dilog(1.0 / xi)
-
-
-def convolve_h(k: int, xi: float) -> float:
-    """L^-1[E(eta)^k / eta] at xi <= 64 (SpecfunDomainError beyond); 0 for xi < k."""
-    if k < 1:
-        raise ValueError(f"convolve_h requires k >= 1, got {k}")
-    return tower(k, 1.0, xi)
-
-
-def sqrt_weighted_hk(k: int, xi: float) -> float:
-    """L^-1[E(eta)^k / sqrt(eta)] at xi <= 64 (SpecfunDomainError beyond)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return tower(k, 0.5, xi)
 
 
 # ---------------------------------------------------------------------------

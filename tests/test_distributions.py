@@ -392,10 +392,12 @@ class TestJointDensity:
         lambda r: perm_longest_cycle_cdf(0.3, r),
         lambda r: mapping_longest_cycle_cdf(0.5, r),
         lambda r: joint_density(JointPoint(0.5, 1.5), r),
+        lambda r: connected_cycle_cdf(1.0, r),
     ],
 )
 def test_non_integer_rank_is_error(call):
-    # rank 2.5 was truncated, so each returned its rank-2 value
+    # rank 2.5 was truncated, or for connected_cycle_cdf read as rank 2, so
+    # each returned its rank-2 value
     with pytest.raises(dde.DdeError, match="integer rank, got 2.5"):
         call(2.5)
     assert call(2.0) == call(2)

@@ -11,13 +11,11 @@ from randmap.laplace import (
     MethodMismatchError,
     NonConvergenceError,
     TransformSpec,
-    convolve_h,
     divisibility_report,
     forward_laplace,
     hk_closed_form,
     invert,
     mapping_cycle_cdf_contour,
-    sqrt_weighted_hk,
     transform_value,
     truncated_cdf_series,
 )
@@ -199,6 +197,42 @@ class TestInvert:
                                              f"got {method!r}"):
             invert(TransformSpec(id=tid, b=0.5), 2.0, method=method)
 
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize(
+        "spec, method, engine",
+        [
+            (TransformSpec(id="cycle-cdf", b=0.5), None, "_invert_talbot"),
+            (TransformSpec(id="cycle-cdf", b=0.5), "talbot", "_invert_talbot"),
+            (TransformSpec(id="cycle-cdf", b=0.5), "bromwich", "_invert_mp_line"),
+            (TransformSpec(id="dickman"), None, "_invert_theta_family"),
+            (TransformSpec(id="watterson"), None, "_invert_theta_family"),
+            (TransformSpec(id="theta", theta=1.5), None, "_invert_theta_family"),
+            (TransformSpec(id="halfnormal"), None, "_invert_line_subtracted"),
+            (TransformSpec(id="rayleigh"), None, "_invert_line_subtracted"),
+            (TransformSpec(id="erfc-gauss"), None, "_invert_line_subtracted"),
+            (TransformSpec(id="halfnormal-m2-root"), "bromwich", "_invert_line_subtracted"),
+        ],
+        ids=lambda v: v.id if isinstance(v, TransformSpec) else str(v),
+    )
+    def test_invert_reaches_its_engine_by_name(self, monkeypatch, spec, method, engine, check):
+        # the tracer spans each engine by replacing the module attribute, so
+        # invert must call the engines through the module, once per resolution
+        calls = []
+        for name in ("_invert_talbot", "_invert_line_subtracted", "_invert_theta_family",
+                     "_invert_mp_line"):
+            def spy(*args, name=name, **kwargs):
+                calls.append((name, args))
+                return 0.25
+
+            monkeypatch.setattr(laplace, name, spy)
+        assert invert(spec, 2.0, method=method, check=check) == 0.25
+        assert [name for name, _ in calls] == [engine] * (1 + check)
+        args = calls[0][1]
+        if engine == "_invert_theta_family":
+            assert args == ({"dickman": 1.0, "watterson": 0.5}.get(spec.id, spec.theta), 2.0)
+        if engine == "_invert_line_subtracted":
+            assert args[1:] == (laplace._LINES[spec.id].terms, 2.0)
+
     def test_cycle_cdf_bromwich_override_agrees_with_talbot(self):
         spec = TransformSpec(id="cycle-cdf", b=0.8)
         xi = 1.0 / 0.8
@@ -236,7 +270,7 @@ class TestInvert:
         value = invert(spec, 1.5)
         assert len(shapes) == 1 and shapes[0][0] > 1000
         value_per_node = laplace._invert_line_subtracted(
-            _per_node(spec), laplace._subtraction_terms(spec), 1.5
+            _per_node(spec), laplace._LINES[tid].terms, 1.5
         )
         assert value_per_node == pytest.approx(value, rel=1e-14, abs=0.0)
         assert len(shapes) > 1000
@@ -331,15 +365,15 @@ class TestHkAndConvolutions:
             hk_closed_form(3, 4.0)
 
     def test_support(self):
-        assert convolve_h(1, 0.5) == 0.0
-        assert convolve_h(2, 1.999) == 0.0
-        assert convolve_h(3, 2.5) == 0.0
+        assert dde.tower(1, 1.0, 0.5) == 0.0
+        assert dde.tower(2, 1.0, 1.999) == 0.0
+        assert dde.tower(3, 1.0, 2.5) == 0.0
 
     def test_convolution_matches_closed_form(self):
         for xi in [2.5, 3.0, 4.0, 5.5, *np.linspace(2.0, 64.0, 497)[1:]]:
-            assert convolve_h(2, xi) == pytest.approx(hk_closed_form(2, xi), abs=1e-13)
+            assert dde.tower(2, 1.0, xi) == pytest.approx(hk_closed_form(2, xi), abs=1e-13)
         for xi in [1.5, 2.0, 7.0]:
-            assert convolve_h(1, xi) == pytest.approx(hk_closed_form(1, xi), abs=1e-12)
+            assert dde.tower(1, 1.0, xi) == pytest.approx(hk_closed_form(1, xi), abs=1e-12)
 
     def test_k3_monte_carlo_oracle(self):
         # volume integral of h(t1) h(t2) h(t3) over t1+t2+t3 <= xi equals
@@ -353,31 +387,59 @@ class TestHkAndConvolutions:
         vals = np.where(inside, 1.0 / (t[:, 0] * t[:, 1] * t[:, 2]), 0.0)
         est = vals.mean() * box
         se = vals.std(ddof=1) / math.sqrt(n) * box
-        assert convolve_h(3, xi) == pytest.approx(est, abs=3 * se)
-        assert convolve_h(3, xi) > 0.0
+        assert dde.tower(3, 1.0, xi) == pytest.approx(est, abs=3 * se)
+        assert dde.tower(3, 1.0, xi) > 0.0
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_levels_transform_back(self, k):
         # forward transforms of the tabled levels against E(2)^k / 2^(1-a)
-        for level, base in ((convolve_h, 2.0), (sqrt_weighted_hk, math.sqrt(2.0))):
-            per_node = lambda x: np.array([level(k, t) for t in x])
+        for theta, base in ((1.0, 2.0), (0.5, math.sqrt(2.0))):
+            per_node = lambda x: np.array([dde.tower(k, theta, t) for t in x])
             value = forward_laplace(per_node, 2.0, xi_max=64, breakpoints=range(1, 65))
             assert value == pytest.approx(e1_real(2.0) ** k / base, rel=1e-12)
 
     def test_tower_domain(self):
-        assert convolve_h(3, 64.0) > 0.0
-        for level in (convolve_h, sqrt_weighted_hk):
+        assert dde.tower(3, 1.0, 64.0) > 0.0
+        for theta in (1.0, 0.5):
             with pytest.raises(SpecfunDomainError):
-                level(3, 64.5)
+                dde.tower(3, theta, 64.5)
             with pytest.raises(SpecfunDomainError):
-                level(1, math.nan)
+                dde.tower(1, theta, math.nan)
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a level was fitted")
+
+        monkeypatch.setattr(dde, "_tower_level", fail)
+
+    @pytest.mark.usefixtures("no_fit")
+    @pytest.mark.parametrize("k", [-1, -2, 2.5, 0.5, math.nan, math.inf, -math.inf])
+    def test_tower_refuses_a_level_that_is_not_an_integer(self, k):
+        # -1 returned f_1(3) = ln 3, and 2.5 raised a bare TypeError
+        with pytest.raises(dde.DdeError, match=f"integer level k >= 0, got {k}"):
+            dde.tower(k, 1.0, 3.0)
+
+    @pytest.mark.usefixtures("no_fit")
+    @pytest.mark.parametrize(
+        "theta", [math.nan, np.nextafter(dde.MIN_THETA, 0.0), np.nextafter(dde.MAX_THETA, 99.0),
+                  0.0, -1.0, math.inf]
+    )
+    def test_tower_refuses_theta_outside_the_dde_bounds(self, theta):
+        # theta = NaN ended in ToleranceNotAchievedError after fitting
+        with pytest.raises(dde.DdeError, match=f"theta <= {dde.MAX_THETA}, got {theta}"):
+            dde.tower(3, theta, 5.0)
+
+    def test_tower_integral_float_level_is_that_level(self):
+        assert dde.tower(3.0, 1.0, 5.5) == dde.tower(3, 1.0, 5.5)
+        assert dde.tower(0, dde.MIN_THETA, 3.0) > 0.0
 
     def test_sqrt_weighted_level_one(self):
         from randmap.specfun import arctanh
 
         xi = 1.8
         expected = 2.0 * arctanh(math.sqrt(1.0 - 1.0 / xi)) / math.sqrt(math.pi * xi)
-        assert sqrt_weighted_hk(1, xi) == pytest.approx(expected, rel=1e-12)
+        assert dde.tower(1, 0.5, xi) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTruncatedSeries:

@@ -224,6 +224,30 @@ class TestConnectedMomentsByQuadrature:
         assert second - mean * mean == pytest.approx(0.36338022763241865692, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "r",
+    [
+        1,
+        *(
+            pytest.param(r, marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 2: the mixture CDF reads rho_r as 0 past x = 64, so its mean "
+                f"is {gap} above the moment layer's at rank {r}")))
+            for r, gap in ((2, "2.75e-4"), (3, "1.55e-3"), (4, "4.32e-3"))
+        ),
+    ],
+)
+def test_mixture_cdf_mean_is_the_moment_layers(r):
+    # E[lambda_r] two ways: int_0^9 (1 - CDF_r(b)) db by quadrature of the
+    # mixture CDF, and sqrt(pi/2) G(r, 1), the rayleigh mean of the moment
+    # layer; the tolerance is the two quadratures' own
+    from scipy.integrate import quad
+
+    mean, err = quad(lambda b: 1.0 - distributions.mapping_longest_cycle_cdf(b, r), 0.0, 9.0,
+                     points=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0))
+    expected = math.sqrt(math.pi / 2.0) * g_constant(r, 1, 1e-12)
+    assert abs(mean - expected) <= err + 1e-12 * expected
+
+
 class TestCrossRankMoments:
     def test_validation(self):
         with pytest.raises(ValueError):
