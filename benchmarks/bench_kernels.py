@@ -11,8 +11,10 @@ A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
 scalar rho on the head, the closed-form segment and the Chebyshev
 body, one 1000-point vector evaluation, the mixture CDF of the longest cycle
-(rayleigh at four b, and pavlov c = 10 on its window split at the mode),
-the largest-component CDF on the sigma segment, the rank-1 mode, one
+(rayleigh at five b, and pavlov c = 10 on its window split at the mode),
+the scalar point calls (the joint density at ranks 1 and 3, the
+permutation CDF at rank 2 and the largest-component CDF on the sigma
+segment), the rank-1 mode, one
 uncached cross-rank moment, one de Hoog inversion, one Bromwich line
 inversion of each erfc-family transform at xi = 1.5, the truncated CDF
 series at a = 1/16 of each kind from a cleared E^k tower, and the
@@ -99,14 +101,21 @@ def bench_analytic(quick: bool):
     xs = np.linspace(0.5, 60.0, 1000)
     t = _time(lambda: rho(xs), repeats=5, number=number)
     print(f"{'rho(x) vector':<28}{'1000 points':>16}{t * 1e3:>11.3f} ms")
-    for b in (0.01, 0.1, 0.6842, 4.0):
+    for b in (0.01, 0.02, 0.1, 0.6842, 4.0):
         t = _time(lambda: distributions.mapping_longest_cycle_cdf(b), repeats=5, number=number)
         print(f"{'mapping_longest_cycle_cdf':<28}{'b=%g' % b:>16}{t * 1e3:>11.3f} ms")
     # a pavlov window split at the mode sqrt(20), past the rayleigh window
     pavlov = distributions.Regime.pavlov(10.0)
     t = _time(lambda: distributions.mapping_longest_cycle_cdf(1.0, 1, pavlov), repeats=5, number=number)
     print(f"{'mapping_longest_cycle_cdf':<28}{'c=10 b=1':>16}{t * 1e3:>11.3f} ms")
-    t = _time(lambda: distributions.largest_component_cdf(0.7), repeats=5, number=number)
+    # the scalar point calls: one density and one or two solution floats each
+    point = distributions.JointPoint(lam=0.4, nu=1.7)
+    for r in (1, 3):
+        t = _time(lambda: distributions.joint_density(point, r), repeats=5, number=50 * number)
+        print(f"{'joint_density':<28}{f'r={r} nu/lam=4.25':>16}{t * 1e6:>11.1f} us")
+    t = _time(lambda: distributions.perm_longest_cycle_cdf(0.2, 2), repeats=5, number=50 * number)
+    print(f"{'perm_longest_cycle_cdf':<28}{'a=0.2 r=2':>16}{t * 1e6:>11.1f} us")
+    t = _time(lambda: distributions.largest_component_cdf(0.7), repeats=5, number=50 * number)
     print(f"{'largest_component_cdf':<28}{'a=0.7':>16}{t * 1e6:>11.1f} us")
     t = _time(lambda: moments.mode_lambda1(), repeats=5)
     print(f"{'mode_lambda1':<28}{'rayleigh':>16}{t * 1e3:>11.3f} ms")

@@ -17,19 +17,22 @@ def gl_rule(n: int):
 def gl_nodes(lo, hi, nodes: int):
     """Nodes of the n-point rule on the panels [lo[i], hi[i]], one row per
     panel, and the panels' half widths."""
-    x, _ = gl_rule(nodes)
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * x, half
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * gl_rule(nodes)[0], half
 
 
 def edge_order_sum(half, sums) -> float:
-    """Sum of half[i] * sums[i], added in panel order into a Python float or
-    complex."""
-    total = 0.0
-    for h, s in zip(half.tolist(), sums.tolist()):
-        total += h * s
-    return total
+    """Sum of half[i] * sums[i], added in panel order, as a Python float or
+    complex.
+
+    ``np.add.accumulate`` adds left to right, unlike the pairwise ``np.sum``,
+    so its last entry has the bits of the loop ``total += h * s`` from
+    ``total = 0.0``; the final ``+ 0.0`` turns an all-(-0.0) sum into that
+    loop's +0.0.  Empty input gives 0.0.
+    """
+    if not len(sums):
+        return 0.0
+    return np.add.accumulate(half * sums)[-1].item() + 0.0
 
 
 def gl_panels(f, edges, nodes: int):
@@ -81,9 +84,8 @@ def kink_panels(window, b: float, shift: int, table, f):
         hi = count * b
         window = [e for e in window[:-1] if e < hi] + [hi]
         if len(window) == 2:  # every panel is whole
-            edges = np.arange(shift, count + 1) * b
-            nu, half = gl_nodes(edges[:-1], edges[1:], nodes)
-            return nu, half, table[: count - shift]
+            edges = np.arange(shift, count + 1, dtype=float) * b
+            return *gl_nodes(edges[:-1], edges[1:], nodes), table[: count - shift]
     kinks = [k * b for k in range(1, count + 1)]
     index = {e: k for k, e in enumerate(kinks, 1)}
     index[0.0] = 0

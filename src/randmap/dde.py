@@ -164,19 +164,20 @@ def _clenshaw(rows, z):
     z2 = 2.0 * z
     c0 = cols[-2]
     c1 = cols[-1]
-    for i in range(3, len(cols) + 1):
-        c0, c1 = cols[-i] - c1, c0 + c1 * z2
+    for c in cols[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * z2
     return c0 + c1 * z
 
 
-def _piece_value(rows, first: int, x: float) -> float:
-    """A row table at a Python float x > first: row j is the piece on
-    [first + j, first + j + 1], the last one running on to X_MAX.  The
-    stretch root s = (x - k)^(1/4) is NumPy's power, as in a solution's
-    array path."""
+def _piece_value(rows: list, first: int, x: float) -> float:
+    """A row table at a Python float x > first: row j, a list of Python
+    floats, is the piece on [first + j, first + j + 1], the last one running
+    on to X_MAX.  The stretch root s = (x - k)^(1/4) is NumPy's power on the
+    scalar, as in a solution's array path (Python's ``**`` is not bitwise
+    NumPy's), and the Clenshaw pass runs on Python floats."""
     j = min(int(x - first), len(rows) - 1)
     s = float(np.power(x - (j + first), 1.0 / _STRETCH))
-    return _clenshaw(rows[j].tolist(), 2.0 * s - 1.0)
+    return _clenshaw(rows[j], 2.0 * s - 1.0)
 
 
 @dataclass
@@ -192,7 +193,9 @@ class PiecewiseSolution:
     (49 coefficients, or 97 after a retried fit).  A call evaluates every
     point x > 2 in one Clenshaw pass over the rows its points select, with
     chebval's values bitwise.  A Python float takes a scalar path through the
-    same expressions (``_piece_value``), so it gets the array path's bits.
+    same expressions (``_piece_value`` on ``coef`` as lists of Python floats,
+    built once), so it gets the array path's bits; on the head of a rank
+    r >= 2 it is 1.0.
 
     ``unit_table(n)`` holds the solution at the n Gauss-Legendre nodes of
     every unit interval, computed once per rule: a panel [k b, (k+1) b] of
@@ -203,12 +206,14 @@ class PiecewiseSolution:
     pieces: InitVar[list]
     lower: "PiecewiseSolution | None" = None
     coef: np.ndarray = field(init=False, repr=False)
+    _rows: list = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, pieces):
         self.coef = np.zeros((len(pieces), max(len(c) for c in pieces)))
         for row, c in zip(self.coef, pieces):
             row[: len(c)] = c
+        self._rows = self.coef.tolist()
 
     @property
     def x_max(self) -> float:
@@ -216,10 +221,12 @@ class PiecewiseSolution:
 
     def __call__(self, x):
         if isinstance(x, float) and _UNDERFLOW < x <= X_MAX:  # not near the pole
-            if x <= 2.0:
-                v = float(exact_part(self.theta, x))
+            if x > 2.0:
+                v = _piece_value(self._rows, 2, x)
+            elif self.theta is None:
+                return 1.0
             else:
-                v = _piece_value(self.coef, 2, x)
+                v = float(exact_part(self.theta, x))
             return 0.0 if abs(v) < _UNDERFLOW else v
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -451,10 +458,11 @@ def _base_level(k: int, theta: float, x):
 def _tower_level(k: int, theta: float) -> list:
     """Chebyshev pieces of f_k = L^-1[E^k/eta^theta], k >= 2, on [k, X_MAX].
 
-    Entry i is the piece on [j, j+1], j = k + i, x = j + s^4, fitted by the
-    solutions' piece loop: f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta
-    f_{k-1}(t-1) dt) reads level k-1's piece on [j-1, j] at the same nodes,
-    and I(j) = int_k^j carries on.
+    Entry i, a list of Python floats for ``_piece_value``, is the piece on
+    [j, j+1], j = k + i, x = j + s^4, fitted by the solutions' piece loop:
+    f_k(x) = k x^(theta-1) (I(j) + int_j^x t^-theta f_{k-1}(t-1) dt) reads
+    level k-1's piece on [j-1, j] at the same nodes, and I(j) = int_k^j
+    carries on.
     """
     lower = _tower_level(k - 1, theta) if k > 2 else None
 
@@ -468,7 +476,7 @@ def _tower_level(k: int, theta: float) -> list:
         span = q @ (_STRETCH * s ** (_STRETCH - 1) * t**-theta * lag)
         return k * t ** (theta - 1.0) * (carry + span), carry + span[-1]
 
-    return _fit_pieces(k, 0.0, step)
+    return [piece.tolist() for piece in _fit_pieces(k, 0.0, step)]
 
 
 def tower(k: int, theta: float, x: float) -> float:

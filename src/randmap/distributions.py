@@ -77,23 +77,38 @@ class Regime:
 
 
 def cyclic_points_density(nu, regime: Regime):
-    """Limiting density of N/sqrt(n) under the regime; nu > 0."""
+    """Limiting density of N/sqrt(n) under the regime; nu > 0.
+
+    A Python float gives a float by the same NumPy ufuncs on the scalar,
+    which match their array loop bit for bit, so it equals the element of
+    an array holding it; ``math.exp`` would not.  Anything else goes
+    through an array.
+    """
+    if isinstance(nu, float):
+        if nu <= 0.0:
+            raise SpecfunDomainError("cyclic-point density defined for nu > 0")
+        return float(_density(nu, regime))
     arr = np.asarray(nu, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise SpecfunDomainError("cyclic-point density defined for nu > 0")
+    out = _density(arr, regime)
+    return float(out) if np.isscalar(nu) else out
+
+
+def _density(nu, regime: Regime):
+    """The regime's density at nu > 0 (a float or an array), unchecked."""
     if regime.tag == "pavlov":
         # in log space: for large c the coefficient underflows where nu^(2c)
         # overflows.  2^c Gamma(c)/(sqrt(2 pi) Gamma(2c)) = 2^(1/2-c)/Gamma(c+1/2)
         # by the duplication formula, which is finite at c = 0 (halfnormal)
         c = regime.c
         log_coef = (0.5 - c) * math.log(2.0) - math.lgamma(c + 0.5)
-        out = np.exp(log_coef + 2.0 * c * np.log(arr) - arr * arr / 2.0)
-    else:
-        gauss = np.exp(-arr * arr / 2.0)
-        out = arr * gauss if regime.tag == "rayleigh" else math.sqrt(2.0 / math.pi) * gauss
-    return float(out) if np.isscalar(nu) else out
+        return np.exp(log_coef + 2.0 * c * np.log(nu) - nu * nu / 2.0)
+    gauss = np.exp(nu * nu * -0.5)  # the bits of -nu*nu/2: halving is exact
+    return nu * gauss if regime.tag == "rayleigh" else math.sqrt(2.0 / math.pi) * gauss
 
 
+@lru_cache(maxsize=64)
 def _nu_window(regime: Regime):
     """Edges that bound the N-density's mass to within _TAIL_TOL.
 
@@ -105,6 +120,7 @@ def _nu_window(regime: Regime):
     CDF may end a window that starts at 0 on the next kink past its end;
     that piece lies in this bounded tail, so it moves a value by at most the
     tail bound (up to 7e-14 at c = 3, below rounding for c <= 1).
+    Cached per regime: callers must not mutate the list.
     """
     if regime.tag != "pavlov":
         return [0.0, _NU_CUT]
@@ -216,8 +232,8 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     if not nu[0, 0] > 0.0:  # only [0, b], a kink panel, can round to 0
         nu, half, rho = nu[1:], half[1:], rho[1:]
     _, w = _quad.gl_rule(32)
-    weighted = w * cyclic_points_density(nu, regime)
-    total = _quad.edge_order_sum(half, np.sum(weighted * rho, axis=1))
+    weighted = w * _density(nu, regime)  # every node is past 0
+    total = _quad.edge_order_sum(half, (weighted * rho).sum(axis=1))
     return min(max(total, 0.0), 1.0)
 
 

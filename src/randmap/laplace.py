@@ -339,8 +339,18 @@ def _invert_line_subtracted(
     F is called once, on the flat array of every panel's nodes, and the
     remainder Ftilde = F - sum_j c_j/eta^p_j is formed once there.  More than
     ``LINE_MAX_PANELS`` panels raise a ValueError before any node is built.
-    The rounding the factor e^xi lifts, (e^xi/pi) eps sum |w Ftilde| over the
-    same nodes, raises a LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.
+
+    The rounding estimate, 2 eps [(e^xi/pi) int (|F| + sum_j |c_j/eta^p_j|
+    + xi t |Ftilde|) dt + sum_j |restored term j|], raises a
+    LaplaceAccuracyError above ``LINE_MAX_ROUNDING``.  A node's remainder
+    carries eps of every magnitude it was formed from, not of the remainder
+    itself, and its phase xi t is rounded to eps xi t; the factor e^xi lifts
+    both, and the restored terms, up to 1.6e6 at xi = 10, cancel to the
+    value.  Against the closed forms of the erfc family on xi in [5, 11]
+    (step 1/8) the error is at most 1.04 times this estimate, and at most
+    0.61 times where it exceeds 1e-10; the estimate stays below 7.5e-10 up
+    to xi = 8 and refuses from xi = 8.375 (rayleigh), 8.625 (erfc-gauss)
+    and 10.5 (halfnormal), where the error reaches 1e-9 from xi = 9.
     """
     n_panels = max(40, int(t_max * max(xi, 1.0) / math.pi) * 4 + 40)
     if n_panels > LINE_MAX_PANELS:
@@ -353,21 +363,27 @@ def _invert_line_subtracted(
     t = t.ravel()
     eta = 1.0 + 1j * t
     rem = F(eta)
+    mag = np.abs(rem)
     for p_, c_ in terms:
-        rem = rem - c_ * eta ** (-p_)
+        term = c_ * eta ** (-p_)
+        rem = rem - term
+        mag = mag + np.abs(term)
     _, w = _quad.gl_rule(panel_nodes)
     by_panel = (np.exp(1j * xi * t) * rem).reshape(n_panels, panel_nodes)
     total = _quad.edge_order_sum(half, np.sum(w * by_panel, axis=1))
-    l1 = half @ (np.abs(rem).reshape(n_panels, panel_nodes) @ w)
-    rounding = math.exp(xi) / math.pi * np.finfo(float).eps * l1
+    l1 = half @ ((mag + xi * t * np.abs(rem)).reshape(n_panels, panel_nodes) @ w)
+    restored = [c_ * xi ** (p_ - 1.0) / math.gamma(p_) for p_, c_ in terms]
+    rounding = 2.0 * np.finfo(float).eps * (
+        math.exp(xi) / math.pi * l1 + sum(abs(v) for v in restored)
+    )
     if rounding > LINE_MAX_ROUNDING:
         raise LaplaceAccuracyError(
             f"the Bromwich line at xi = {xi!r} has rounding error estimate "
             f"{rounding:.2e}, above LINE_MAX_ROUNDING = {LINE_MAX_ROUNDING:.0e}"
         )
     value = math.exp(xi) / math.pi * total.real
-    for p_, c_ in terms:
-        value += c_ * xi ** (p_ - 1.0) / math.gamma(p_)
+    for v in restored:
+        value += v
     return value
 
 
@@ -685,8 +701,9 @@ def divisibility_report(eta_grid) -> DivisibilityReport:
     approx = erfcx(eta / math.sqrt(math.pi))
     rel = np.abs(root - approx) / root
 
-    n_sub = min(8, len(eta))
-    sub = np.unique(np.geomspace(eta.min(), eta.max(), n_sub)) if len(eta) > 1 else eta
+    sub = eta
+    if len(eta) > 1:  # a sorted set rather than np.unique, whose first call imports numpy.ma
+        sub = np.array(sorted(set(np.geomspace(eta.min(), eta.max(), min(8, len(eta))).tolist())))
     c_lo = math.sqrt(math.pi / 2.0)
     c_hi = math.sqrt(2.0 / math.pi)
     f_lo = _lower_bound_inverse(c_lo)

@@ -491,6 +491,15 @@ class TestInvlaplace:
         assert reason.startswith("ValueError: the Bromwich line at xi")
         assert f"more than LINE_MAX_PANELS = {laplace.LINE_MAX_PANELS}" in reason
 
+    def test_line_value_lost_to_the_restored_terms_is_error(self, capsys):
+        # the restored terms reach 1.6e6 and the value 7.8e-35: the error
+        # would be 2.1e-9, above LINE_MAX_ROUNDING
+        code, rec = run_json(capsys, "invlaplace", "--transform", "erfc-gauss", "--xi", "10")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            "LaplaceAccuracyError: the Bromwich line at xi = 10.0 has rounding error estimate"
+        )
+
     def test_line_rounding_is_error(self, capsys):
         code, rec = run_json(capsys, "invlaplace", "--transform", "rayleigh", "--xi", "20")
         assert code == 1

@@ -460,6 +460,24 @@ class TestFlatTable:
         assert np.array_equal(_bits([sol(float(x)) for x in exact]), _bits(sol(exact)))
 
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_scalar_rows_survive_table_and_tower_calls(self, rank):
+        # the float path reads rows built once from ``coef``: unit tables and
+        # tower levels built on the way leave them and their bits alone
+        sol = dickman_solution(rank)
+        sol.unit_table(32)
+        sol.unit_table(48)
+        for k in (2, 3, 4):
+            dde.tower(k, 1.0, 7.5)
+            dde.tower(k, 0.5, 11.25)
+        assert sol._rows == sol.coef.tolist()
+        xs = np.concatenate([np.linspace(0.01, 2.0, 50), np.linspace(2.0, 64.0, 400)])
+        scalars = [sol(float(x)) for x in xs]
+        assert np.array_equal(_bits(scalars), _bits(sol(xs)))
+        if rank >= 2:  # the head of a rank r >= 2 is 1.0, a float
+            assert all(type(v) is float and v == 1.0 for v in scalars[:50])
+
+
 class TestUnitTable:
     @pytest.mark.parametrize("nodes", [32, 48])
     @pytest.mark.parametrize(

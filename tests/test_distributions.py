@@ -84,6 +84,19 @@ class TestCyclicPointsDensity:
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
             cyclic_points_density(-1.0, Regime.rayleigh())
+        with pytest.raises(SpecfunDomainError):
+            cyclic_points_density(np.array([1.0, 0.0]), Regime.rayleigh())
+
+    @pytest.mark.parametrize(
+        "reg",
+        [Regime.rayleigh(), Regime.halfnormal()] + [Regime.pavlov(c) for c in (0.0, 1.0, 10.0, 40.0)],
+    )
+    def test_float_path_is_the_array_element(self, reg):
+        nus = np.concatenate([np.geomspace(1e-300, 1e-3, 40), np.linspace(1e-3, 30.0, 3001)])
+        arr = cyclic_points_density(nus, reg)
+        floats = [cyclic_points_density(nu, reg) for nu in nus.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(np.array(floats).view(np.uint64), arr.view(np.uint64))
 
 
 class TestPermAndComponentCdfs:

@@ -158,6 +158,27 @@ class TestInvert:
             invert(spec, 20.0)
         assert invert(spec, 8.0) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("tid", ["halfnormal", "rayleigh", "erfc-gauss"])
+    def test_line_answers_within_its_bound_or_refuses(self, tid):
+        # the restored terms cancel to the value as xi grows (up to 1.6e6 at
+        # xi = 10): every value given is within LINE_MAX_ROUNDING of the
+        # closed form, the rest is refused, and nothing up to xi = 8 is
+        closed = {
+            "halfnormal": lambda x: math.sqrt(2.0 / math.pi) * math.exp(-x * x / 2.0),
+            "rayleigh": lambda x: x * math.exp(-x * x / 2.0),
+            "erfc-gauss": lambda x: math.exp(-math.pi * x * x / 4.0),
+        }[tid]
+        refused = []
+        for xi in np.arange(40, 89) / 8.0:
+            try:
+                value = invert(TransformSpec(id=tid), float(xi))
+            except LaplaceAccuracyError as err:
+                assert "rounding error estimate" in str(err)
+                refused.append(xi)
+                continue
+            assert abs(value - closed(xi)) <= laplace.LINE_MAX_ROUNDING, xi
+        assert not refused or min(refused) > 8.0
+
     @pytest.mark.parametrize("xi", [5e-324, 1e-310, 1e-306, 1.7976931348623157e308])
     def test_talbot_refuses_nonfinite_nodes_before_evaluating(self, xi):
         def no_value(p):

@@ -89,3 +89,39 @@ def test_kink_panels_end_on_a_kink_from_a_kink_start():
     assert nu.shape == (11, 8) and np.all(g[-1] == 0.0)
     nu, half, g = _quad.kink_panels([1.0, 50.0], 0.5, 2, table, f)
     assert nu.shape == (11, 8) and np.array_equal(g, table)
+
+
+def _loop_sum(half, sums):
+    total = 0.0
+    for h, s in zip(half.tolist(), sums.tolist()):
+        total += h * s
+    return total
+
+
+def _hex(v):
+    return (float(v.real).hex(), float(v.imag).hex()) if isinstance(v, complex) else v.hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_order_sum_is_the_left_to_right_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2000))
+    half = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-150, 150, n)
+    real = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+    cplx = real + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+    for sums in (real, cplx, real[::-1].copy(), np.exp(1j * real)):
+        got = _quad.edge_order_sum(half, sums)
+        want = _loop_sum(half, sums)
+        assert type(got) is type(want)
+        assert _hex(got) == _hex(want)
+
+
+def test_edge_order_sum_edge_cases():
+    empty = np.zeros(0)
+    assert _hex(_quad.edge_order_sum(empty, empty)) == _hex(0.0)
+    assert _hex(_quad.edge_order_sum(empty, empty.astype(complex))) == _hex(0.0)
+    half = np.array([1.0, 2.0, 0.5])
+    for sums in (np.full(3, -0.0), np.full(3, complex(-0.0, -0.0)),
+                 np.array([-0.0, 0.0, -0.0]), np.array([1e300, 1e300, -1e300]),
+                 np.array([5e-324, -5e-324, 5e-324])):
+        assert _hex(_quad.edge_order_sum(half, sums)) == _hex(_loop_sum(half, sums))
