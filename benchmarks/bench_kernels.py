@@ -5,7 +5,8 @@ Usage:
 
 Times the batch analyzer and its count-only pass (the rejection filter of
 constrained simulation) across problem sizes (from enumeration-sized rows
-of 6 up to 10^4), the exact enumerator (`enumerate_all` on one worker), and
+of 6 up to 10^4), the exact enumerator (`enumerate_all` on one worker at
+n = 5, 6 and 7, with the n * n! rows each analyzes), and
 an end-to-end simulate() call.
 A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
@@ -27,6 +28,7 @@ scipy.special, scipy.optimize and mpmath each one loaded.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -62,10 +64,11 @@ def bench_batch(quick: bool):
 
 
 def bench_enumerate(quick: bool):
-    print(f"{'exact enumeration':<28}{'n':>16}{'time':>10}")
-    for n in (5, 6) if quick else (5, 6, 7):
-        t = _time(lambda: exact_enum.enumerate_all(n, workers=1), repeats=1)
-        print(f"{'':<28}{n:>16}{t:>9.3f}s")
+    # enumerate_all analyzes n * n! canonical rows for the n^n mappings
+    print(f"{'exact enumeration':<28}{'n':>16}{'best time':>14}{'rows':>10}")
+    for n in (5, 6, 7):
+        t = _time(lambda: exact_enum.enumerate_all(n, workers=1), repeats=3 if quick else 5)
+        print(f"{'':<28}{n:>16}{t * 1e3:>11.2f} ms{n * math.factorial(n):>10}")
 
 
 def bench_simulate(quick: bool):

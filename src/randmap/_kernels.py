@@ -21,6 +21,7 @@ nodes, which keeps the int32 temporary arrays small.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -178,19 +179,49 @@ def analyze_arrays(image: np.ndarray):
 def enumerate_tally(n: int, first: int):
     """Exact joint tally over the n^(n-1) mappings with image[0] = first.
 
-    Returns joint[M, N, lam1, lam2] as an exact integer array.  Mappings are
-    unranked from mixed-radix indices in chunks, pushed through the batch
-    analyzer and binned by their flat (M, N, lam1, lam2) cell.
+    Returns joint[M, N, lam1, lam2] as an int64 array of shape (n + 1,)^4.
+    An n that is not an integer >= 1, or a first that is not an integer in
+    [0, n), raises ValueError; an integral float is taken as that integer.
+
+    One mapping is analyzed per relabeling class of the points not yet
+    seen.  With image[0..j-1] fixed, let D_j = {0..j} with image[0..j-1].
+    A transposition tau of two points outside D_j fixes every point of D_j,
+    so f -> tau f tau^-1 keeps the prefix, carries image[j] = a to
+    image[j] = b and keeps M, N and every cycle length.  So image[j] runs
+    over D_j and the smallest point outside it only, and that last branch
+    stands for all n - |D_j| points outside and multiplies the row's weight
+    by n - |D_j|.  The rows grow one level at a time, each row's D_j held
+    as a bitmask that indexes tables of the choices and weight factors of
+    all 2^n sets.  For first in {0, 1}, D_j is {0..max D_j}, and the two
+    slices have n * n! rows together.  Each call builds its rows afresh,
+    analyzes them in one batch and bins them with their weights by one
+    float64 bincount, which is exact: every partial sum is an integer of at
+    most n^(n-1) < 2^53.  The rows take memory of order n * n!, so callers
+    bound n (enumerate_all: n <= 7).
     """
+    if not (1 <= n < math.inf and n == int(n)):
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    if not (0 <= first < n and first == int(first)):
+        raise ValueError(f"first must be an integer in [0, {n}), got {first}")
+    n, first = int(n), int(first)
+    masks = np.arange(1 << n)
+    inside = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)  # x in the set s
+    choice = inside.copy()
+    choice[masks, inside.argmin(axis=1)] = True  # the smallest point outside (0 when none is)
+    factor = np.where(inside, 1, n - inside.sum(axis=1, keepdims=True))
+    state = np.array([1 | 1 << first])
+    weight = np.ones(1, dtype=np.int64)
+    rows = np.full((1, n), first, dtype=np.int8)
+    for j in range(1, n):
+        state |= 1 << j
+        parent, image = np.nonzero(choice[state])
+        state = state[parent]
+        weight = weight[parent] * factor[state, image]
+        state |= 1 << image
+        rows = np.take(rows, parent, axis=0)
+        rows[:, j] = image
+    stats = _batch_stats(rows)
     shape = (n + 1,) * 4
-    joint = np.zeros((n + 1) ** 4, dtype=np.int64)
-    # mixed-radix index i has image[j] = (i // n^j) % n; the slice
-    # image[0] = first is every n-th index from first
-    powers = n ** np.arange(n, dtype=np.int64)
-    chunk = (1 << 15) * n
-    for lo in range(int(first), n**n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n**n), n, dtype=np.int64)
-        stats = _batch_stats(idx[:, None] // powers % n)
-        cell = np.ravel_multi_index((stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), shape)
-        joint += np.bincount(cell, minlength=joint.size)
-    return joint.reshape(shape)
+    cell = np.ravel_multi_index((stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), shape)
+    joint = np.bincount(cell, weights=weight, minlength=(n + 1) ** 4)
+    return joint.astype(np.int64).reshape(shape)

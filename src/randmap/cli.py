@@ -213,10 +213,13 @@ def _cmd_enumerate(args):
         "mean_lambda1": tables.mean_lambda1(),
     }
     if args.check_egf:
+        # the whole (n+1) x (n+1) table: no mapping has m = 0 components or,
+        # with m >= 1, l = 0 cyclic points, and a_count gives 0 at l = 0
         mismatches = 0
-        for m in range(1, args.n + 1):
-            for l in range(1, args.n + 1):
-                if tables.a(m, l) != gfseries.a_count(args.n, m, l):
+        for m in range(args.n + 1):
+            for l in range(args.n + 1):
+                expected = gfseries.a_count(args.n, m, l) if m else 0
+                if tables.a(m, l) != expected:
                     mismatches += 1
         values["egf_match"] = 1.0 if mismatches == 0 else 0.0
         values["egf_mismatch_cells"] = float(mismatches)

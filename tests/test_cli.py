@@ -537,6 +537,26 @@ class TestSimulateAndEnumerate:
         assert rec["values"]["connected_count"] == 3.0
         assert rec["values"]["egf_match"] == 1.0
 
+    @pytest.mark.parametrize("cell", [(1, 0), (0, 0), (0, 3)])
+    def test_egf_check_reads_the_zero_row_and_column(self, capsys, monkeypatch, cell):
+        # one mapping moved from a(1, 3) into a cell that must hold 0: two
+        # cells differ from the counting series, and the check sees both
+        enumerate_all = exact_enum.enumerate_all
+
+        def misplaced(n, workers=None):
+            t = enumerate_all(n, workers=workers)
+            counts = t.counts.copy()
+            counts[1, 3] -= 1
+            counts[cell] += 1
+            return exact_enum.ExactTables(n, counts, t.joint, t.connected_count)
+
+        monkeypatch.setattr(exact_enum, "enumerate_all", misplaced)
+        code, rec = run_json(capsys, "enumerate", "--n", "3", "--check-egf")
+        assert code == 0
+        assert rec["values"]["total"] == 27.0
+        assert rec["values"]["egf_match"] == 0.0
+        assert rec["values"]["egf_mismatch_cells"] == 2.0
+
     @pytest.mark.parametrize("workers", ["0", "-4", str(MAX_WORKERS + 1)])
     @pytest.mark.parametrize(
         "argv", [("simulate", "--n=64", "--trials=10", "--seed=1"), ("enumerate", "--n=3")]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randmap import _kernels
+from randmap import _kernels, exact_enum
 from randmap.exact_enum import EnumerationSizeError, enumerate_all
 from randmap.gfseries import a_count
 from randmap.mapping_sim import simulate
@@ -26,6 +26,17 @@ def _closed_form_count(n, m, l):
     if l == 0:
         return 0
     return math.comb(n, l) * l * n ** (n - l - 1) * _stirling1(l, m)
+
+
+def _odometer_slice(n, first):
+    """Brute-force tally of the slice image[0] = first: every mixed-radix
+    index i < n^n with i % n == first is unranked to image[j] = (i // n^j) % n,
+    analyzed by batch_stats and binned by (M, N, lam1, lam2)."""
+    shape = (n + 1,) * 4
+    idx = np.arange(first, n**n, n, dtype=np.int64)
+    stats = _kernels.batch_stats(idx[:, None] // n ** np.arange(n, dtype=np.int64) % n)
+    cell = np.ravel_multi_index((stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), shape)
+    return np.bincount(cell, minlength=(n + 1) ** 4).reshape(shape)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +66,25 @@ class TestSmallCases:
     def test_size_guard(self):
         with pytest.raises(EnumerationSizeError):
             enumerate_all(8)
+
+    @pytest.mark.parametrize("n", [6.5, 0.5, float("nan"), float("inf")])
+    def test_non_integral_n_is_refused_before_any_thread(self, monkeypatch, n):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(exact_enum, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(EnumerationSizeError):
+            enumerate_all(n)
+
+    def test_integral_float_n_is_that_n(self, tables):
+        t = enumerate_all(6.0)
+        assert t.n == 6 and type(t.n) is int
+        assert np.array_equal(t.joint, tables[6].joint)
+
+    @pytest.mark.parametrize("first", [6, -1, 2.5, float("nan")])
+    def test_first_entry_outside_the_slices_is_refused(self, first):
+        with pytest.raises(ValueError, match="first must be an integer in"):
+            _kernels.enumerate_tally(6, first)
 
 
 class TestInvariants:
@@ -126,6 +156,37 @@ class TestInvariants:
                 assert np.array_equal(t.joint, plain), (n, workers)
                 assert np.array_equal(t.counts, plain.sum(axis=(2, 3))), (n, workers)
                 assert t.connected_count == int(plain[1].sum()), (n, workers)
+
+
+class TestAgainstOdometer:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_slice_matches_brute_force(self, n):
+        for first in range(n):
+            ref = _odometer_slice(n, first)
+            got = _kernels.enumerate_tally(n, first)
+            assert got.dtype == np.int64 and got.shape == ref.shape, (n, first)
+            assert np.array_equal(got, ref), (n, first)
+            assert int(got.sum()) == n ** (n - 1), (n, first)
+
+    def test_integral_float_first_is_that_slice(self):
+        assert np.array_equal(_kernels.enumerate_tally(6, 2.0), _odometer_slice(6, 2))
+
+    def test_rows_analyzed_per_call(self, monkeypatch):
+        # the two slices make n * n! canonical rows, built afresh each call
+        analyze = _kernels._batch_stats
+        rows = []
+
+        def counting(images):
+            rows.append(len(images))
+            return analyze(images)
+
+        monkeypatch.setattr(_kernels, "_batch_stats", counting)
+        for n in range(2, 8):
+            for workers in (1, 2):
+                rows.clear()
+                enumerate_all(n, workers=workers)
+                enumerate_all(n, workers=workers)
+                assert sum(rows) == 2 * n * math.factorial(n), (n, workers)
 
 
 class TestAgainstSimulation:
