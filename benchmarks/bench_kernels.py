@@ -5,8 +5,8 @@ Usage:
 
 Times the batch analyzer and its count-only pass (the rejection filter of
 constrained simulation) across problem sizes (from enumeration-sized rows
-of 6 up to 10^4), the exact enumerator (`enumerate_all` on one worker at
-n = 5, 6 and 7, with the n * n! rows each analyzes), and
+of 6 up to 10^4), the exact enumerator (`enumerate_all` at n = 5, 6
+and 7, with the n * n! rows each analyzes), and
 an end-to-end simulate() call.
 A last section times uncached DDE solves (rank 1 and 2, theta = 1/2 and
 1.5), then the analytic layer on warm (already solved) DDE solutions:
@@ -67,7 +67,7 @@ def bench_enumerate(quick: bool):
     # enumerate_all analyzes n * n! canonical rows for the n^n mappings
     print(f"{'exact enumeration':<28}{'n':>16}{'best time':>14}{'rows':>10}")
     for n in (5, 6, 7):
-        t = _time(lambda: exact_enum.enumerate_all(n, workers=1), repeats=3 if quick else 5)
+        t = _time(lambda: exact_enum.enumerate_all(n), repeats=3 if quick else 5)
         print(f"{'':<28}{n:>16}{t * 1e3:>11.2f} ms{n * math.factorial(n):>10}")
 
 

@@ -33,20 +33,20 @@ _COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
 
 _BLOCK = 1 << 16  # nodes per component pass (a single row may exceed it)
 
-MAX_WORKERS = 64  # the most threads one simulate or enumerate_all call starts
+MAX_WORKERS = 64  # the most threads one simulate call starts
 
 
 def worker_count(workers=None) -> int:
     """``workers``, or RANDMAP_WORKERS (default 1) when it is None.
 
-    Raises ValueError outside [1, MAX_WORKERS], before any thread starts.
+    Raises ValueError for a count that is not an integer in [1, MAX_WORKERS],
+    before any thread starts; an integral float is taken as that integer.
     """
     if workers is None:
-        workers = os.environ.get("RANDMAP_WORKERS", "1")
-    workers = int(workers)
-    if not 1 <= workers <= MAX_WORKERS:
+        workers = int(os.environ.get("RANDMAP_WORKERS", "1"))
+    if not (1 <= workers <= MAX_WORKERS and workers == int(workers)):
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    return workers
+    return int(workers)
 
 
 def _permutes(succ, cyc) -> bool:
@@ -176,12 +176,12 @@ def analyze_arrays(image: np.ndarray):
     return np.sort(length)[::-1], np.sort(size)[::-1], flag
 
 
-def enumerate_tally(n: int, first: int):
-    """Exact joint tally over the n^(n-1) mappings with image[0] = first.
+def enumerate_tally(n: int):
+    """Exact joint tally over all n^n mappings.
 
     Returns joint[M, N, lam1, lam2] as an int64 array of shape (n + 1,)^4.
-    An n that is not an integer >= 1, or a first that is not an integer in
-    [0, n), raises ValueError; an integral float is taken as that integer.
+    An n that is not an integer >= 1 raises ValueError; an integral float
+    is taken as that integer.
 
     One mapping is analyzed per relabeling class of the points not yet
     seen.  With image[0..j-1] fixed, let D_j = {0..j} with image[0..j-1].
@@ -190,36 +190,22 @@ def enumerate_tally(n: int, first: int):
     image[j] = b and keeps M, N and every cycle length.  So image[j] runs
     over D_j and the smallest point outside it only, and that last branch
     stands for all n - |D_j| points outside and multiplies the row's weight
-    by n - |D_j|.  The rows grow one level at a time, each row's D_j held
-    as a bitmask that indexes tables of the choices and weight factors of
-    all 2^n sets.  For first in {0, 1}, D_j is {0..max D_j}, and the two
-    slices have n * n! rows together.  Each call builds its rows afresh,
-    analyzes them in one batch and bins them with their weights by one
-    float64 bincount, which is exact: every partial sum is an integer of at
-    most n^(n-1) < 2^53.  The rows take memory of order n * n!, so callers
-    bound n (enumerate_all: n <= 7).
+    by n - |D_j|.  Grown from the empty prefix, D_j is {0..j} at every
+    level, as each image[i] lies in D_i or is the point i + 1 just outside.
+    So the rows are the n * n! sequences with image[j] in
+    {0..min(j + 1, n - 1)}, and image[j] = j + 1 weighs n - j - 1.  Each
+    call builds its rows afresh, analyzes them in one batch and bins them
+    with their weights by one float64 bincount, which is exact: every
+    partial sum is an integer of at most n^n < 2^53.  The rows take memory
+    of order n * n!, so callers bound n (enumerate_all: n <= 7).
     """
     if not (1 <= n < math.inf and n == int(n)):
         raise ValueError(f"n must be an integer >= 1, got {n}")
-    if not (0 <= first < n and first == int(first)):
-        raise ValueError(f"first must be an integer in [0, {n}), got {first}")
-    n, first = int(n), int(first)
-    masks = np.arange(1 << n)
-    inside = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)  # x in the set s
-    choice = inside.copy()
-    choice[masks, inside.argmin(axis=1)] = True  # the smallest point outside (0 when none is)
-    factor = np.where(inside, 1, n - inside.sum(axis=1, keepdims=True))
-    state = np.array([1 | 1 << first])
-    weight = np.ones(1, dtype=np.int64)
-    rows = np.full((1, n), first, dtype=np.int8)
-    for j in range(1, n):
-        state |= 1 << j
-        parent, image = np.nonzero(choice[state])
-        state = state[parent]
-        weight = weight[parent] * factor[state, image]
-        state |= 1 << image
-        rows = np.take(rows, parent, axis=0)
-        rows[:, j] = image
+    n = int(n)
+    level = np.arange(n)
+    # copied to C order, which the batch analyzer ravels faster
+    rows = np.indices(np.minimum(level + 2, n), dtype=np.int8).reshape(n, -1).T.copy()
+    weight = np.where(rows == level + 1, n - 1 - level, 1).prod(axis=1)
     stats = _batch_stats(rows)
     shape = (n + 1,) * 4
     cell = np.ravel_multi_index((stats[:, 5], stats[:, 4], stats[:, 0], stats[:, 1]), shape)

@@ -206,7 +206,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_enumerate(args):
-    tables = exact_enum.enumerate_all(args.n, workers=args.workers)
+    tables = exact_enum.enumerate_all(args.n)
     values = {
         "total": float(tables.total()),
         "connected_count": float(tables.connected_count),
@@ -304,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="exact enumeration, n <= 7")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--check-egf", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("divisibility", parents=[common], help="half-normal divisibility report")

@@ -77,7 +77,7 @@ class Regime:
 
 
 def cyclic_points_density(nu, regime: Regime):
-    """Limiting density of N/sqrt(n) under the regime; nu > 0.
+    """Limiting density of N/sqrt(n) under the regime; nu > 0 and finite.
 
     A Python float gives a float by the same NumPy ufuncs on the scalar,
     which match their array loop bit for bit, so it equals the element of
@@ -85,12 +85,12 @@ def cyclic_points_density(nu, regime: Regime):
     through an array.
     """
     if isinstance(nu, float):
-        if nu <= 0.0:
-            raise SpecfunDomainError("cyclic-point density defined for nu > 0")
+        if not 0.0 < nu < math.inf:
+            raise SpecfunDomainError(f"cyclic-point density defined for finite nu > 0, got {nu}")
         return float(_density(nu, regime))
     arr = np.asarray(nu, dtype=float)
-    if (arr <= 0.0).any():
-        raise SpecfunDomainError("cyclic-point density defined for nu > 0")
+    if not ((0.0 < arr) & (arr < math.inf)).all():
+        raise SpecfunDomainError("cyclic-point density defined for finite nu > 0")
     out = _density(arr, regime)
     return float(out) if np.isscalar(nu) else out
 
@@ -249,10 +249,11 @@ def joint_density(p: JointPoint, r: int = 1, regime: Regime = Regime.rayleigh())
     """Joint density of (r-th longest cycle, N)/sqrt(n) under the regime.
 
     w(nu) [rho_r - rho_{r-1}](nu/lambda - 1) / lambda on 0 < lambda < nu,
-    with rho_0 identically 0; zero outside the support.
+    with rho_0 identically 0; zero outside the support.  A coordinate that
+    is not finite and positive raises SpecfunDomainError.
     """
-    if p.lam <= 0.0 or p.nu <= 0.0:
-        raise SpecfunDomainError(f"joint density requires positive coordinates, got {p}")
+    if not (0.0 < p.lam < math.inf and 0.0 < p.nu < math.inf):
+        raise SpecfunDomainError(f"joint density requires finite positive coordinates, got {p}")
     _check_rank(r)
     if p.nu <= p.lam:
         return 0.0

@@ -1,20 +1,17 @@
-"""Brute-force enumeration of all n^n mappings for small n.
+"""Exact enumeration of all n^n mappings for small n.
 
 Keeps exact integer tallies over all n^n mappings: the count table a[m][l]
 of mappings with m components and l cyclic points, a joint histogram over
 (components, cyclic points, two longest cycles), and the number of
-connected mappings.  Two relabeling symmetries cut the work.  A relabeling
-that fixes 0 and sends 1 to k carries the slice f(0) = 1 onto f(0) = k, so
-only the slices f(0) = 0 and f(0) = 1 are tallied.  Within a slice, the
-points outside D_j = {0..j} with f(0..j-1) are interchangeable once
-f(0..j-1) is fixed, so f(j) tries D_j and the smallest point outside it,
-with weight n - |D_j| (`_kernels.enumerate_tally`): n * n! weighted rows
-stand for all n^n mappings.
+connected mappings.  A relabeling symmetry cuts the work: once f(0..j-1)
+is fixed, the points outside D_j = {0..j} with f(0..j-1) are
+interchangeable, so f(j) tries D_j and the smallest point outside it, with
+weight n - |D_j| (`_kernels.enumerate_tally`): n * n! weighted rows stand
+for all n^n mappings.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,26 +49,20 @@ class ExactTables:
 
 
 def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
-    """Tally all n^n mappings, n <= 7.
+    """Tally all n^n mappings, n <= 7, in one `_kernels.enumerate_tally`
+    call on the calling thread: n * n! weighted canonical rows stand for
+    the n^n mappings.
 
-    The mappings are split by the first image entry f(0) into n slices.  A
-    relabeling sigma that fixes 0 and sends 1 to k maps the slice f(0) = 1
-    onto f(0) = k by f -> sigma f sigma^-1 and keeps M, N and every cycle
-    length, so only the slices f(0) = 0 and f(0) = 1 are tallied, on
-    min(workers, 2) threads, and slice 1 counts n - 1 times.  Each slice is
-    enumerated afresh as weighted canonical prefixes, n * n! rows for both
-    in place of 2 n^(n-1) (see `_kernels.enumerate_tally`).  An n that is
-    not an integer in [1, MAX_N] raises EnumerationSizeError before any
-    thread starts; an integral float is taken as that integer.  ``workers``
-    (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
+    An n that is not an integer in [1, MAX_N] raises EnumerationSizeError;
+    an integral float is taken as that integer.  ``workers`` has no effect:
+    an explicit value is only checked, by `_kernels.worker_count`, and
+    RANDMAP_WORKERS does not apply to enumeration.
     """
     if not (1 <= n <= MAX_N and n == int(n)):
         raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")
     n = int(n)
-    workers = _kernels.worker_count(workers)
-    slices = range(min(n, 2))
-    with ThreadPoolExecutor(max_workers=min(workers, 2)) as pool:
-        tallies = pool.map(_kernels.enumerate_tally, [n] * len(slices), slices)
-        joint = sum(w * t for w, t in zip((1, n - 1), tallies))
+    if workers is not None:
+        _kernels.worker_count(workers)
+    joint = _kernels.enumerate_tally(n)
     counts = joint.sum(axis=(2, 3))
     return ExactTables(n=n, counts=counts, joint=joint, connected_count=int(counts[1].sum()))

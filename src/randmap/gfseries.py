@@ -159,7 +159,14 @@ def component_cycle_egf(m: int, n_max: int) -> RationalSeries:
 
 
 def a_count(n: int, m: int, l: int) -> int:
-    """Number of n-mappings with exactly m components and l cyclic points."""
+    """Number of n-mappings with exactly m components and l cyclic points.
+
+    An n, m or l that is not an integer raises ValueError; an integral
+    float is taken as that integer.
+    """
+    if not all(-math.inf < k < math.inf and k == int(k) for k in (n, m, l)):
+        raise ValueError(f"n, m and l must be integers, got {n}, {m}, {l}")
+    n, m, l = int(n), int(m), int(l)
     if not 1 <= n <= MAX_EGF_ORDER:
         raise SeriesOrderError(f"a_count supports 1 <= n <= {MAX_EGF_ORDER}")
     if m < 1 or l < 0:

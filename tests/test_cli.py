@@ -403,14 +403,11 @@ class TestSmallInputsProperty:
     @given(
         n=st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 8, 10**9)),
         check_egf=st.booleans(),
-        workers=st.sampled_from((None, 1, 2, 0)),
     )
-    def test_enumerate(self, n, check_egf, workers):
+    def test_enumerate(self, n, check_egf):
         argv = ["enumerate", f"--n={n}"]
         if check_egf:
             argv.append("--check-egf")
-        if workers is not None:
-            argv.append(f"--workers={workers}")
         _finite_record_or_documented_error(argv)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -543,8 +540,8 @@ class TestSimulateAndEnumerate:
         # cells differ from the counting series, and the check sees both
         enumerate_all = exact_enum.enumerate_all
 
-        def misplaced(n, workers=None):
-            t = enumerate_all(n, workers=workers)
+        def misplaced(n):
+            t = enumerate_all(n)
             counts = t.counts.copy()
             counts[1, 3] -= 1
             counts[cell] += 1
@@ -559,14 +556,18 @@ class TestSimulateAndEnumerate:
 
     @pytest.mark.parametrize("workers", ["0", "-4", str(MAX_WORKERS + 1)])
     @pytest.mark.parametrize(
-        "argv", [("simulate", "--n=64", "--trials=10", "--seed=1"), ("enumerate", "--n=3")]
+        "argv",
+        [
+            ("simulate", "--n=64", "--trials=10", "--seed=1"),
+            # the connected path sizes its attempt budget per worker
+            ("simulate", "--n=64", "--trials=10", "--seed=1", "--constraint=connected"),
+        ],
     )
     def test_workers_out_of_range_is_error(self, capsys, monkeypatch, argv, workers):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was created")
 
         monkeypatch.setattr(mapping_sim, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(exact_enum, "ThreadPoolExecutor", no_pool)
         code, rec = run_json(capsys, *argv, f"--workers={workers}")
         assert code == 1
         assert rec["errors"]["reason"] == (
@@ -628,6 +629,11 @@ class TestSimulateAndEnumerate:
         assert code == 1
         assert rec["errors"]["reason"] == f"MemoryError: {reason}"
         assert rec["values"] == {}
+
+    def test_enumerate_takes_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n=3", "--workers=2"])
+        assert exc.value.code == 2
 
     def test_enumerate_size_error(self, capsys):
         code, rec = run_json(capsys, "enumerate", "--n", "9")

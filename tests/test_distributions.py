@@ -87,6 +87,15 @@ class TestCyclicPointsDensity:
         with pytest.raises(SpecfunDomainError):
             cyclic_points_density(np.array([1.0, 0.0]), Regime.rayleigh())
 
+    @pytest.mark.parametrize("reg", [Regime.rayleigh(), Regime.halfnormal(), Regime.pavlov(2.0)])
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_is_domain_error(self, reg, nu):
+        # nan returned nan, and inf warned from inf * 0 under rayleigh
+        with pytest.raises(SpecfunDomainError):
+            cyclic_points_density(nu, reg)
+        with pytest.raises(SpecfunDomainError):
+            cyclic_points_density(np.array([1.0, nu]), reg)
+
     @pytest.mark.parametrize(
         "reg",
         [Regime.rayleigh(), Regime.halfnormal()] + [Regime.pavlov(c) for c in (0.0, 1.0, 10.0, 40.0)],
@@ -397,6 +406,15 @@ class TestJointDensity:
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
             joint_density(JointPoint(-1.0, 1.0), 1, Regime.rayleigh())
+
+    @pytest.mark.parametrize(
+        "p", [JointPoint(math.nan, 1.0), JointPoint(0.5, math.nan), JointPoint(0.5, math.inf),
+              JointPoint(math.inf, 1.0)]
+    )
+    def test_non_finite_coordinate_is_domain_error(self, p):
+        # nan gave nan, and nu = inf warned from inf * 0
+        with pytest.raises(SpecfunDomainError):
+            joint_density(p, 1, Regime.rayleigh())
 
 
 @pytest.mark.parametrize(

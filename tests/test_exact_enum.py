@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from randmap import _kernels, exact_enum
+from randmap import _kernels
 from randmap.exact_enum import EnumerationSizeError, enumerate_all
 from randmap.gfseries import a_count
 from randmap.mapping_sim import simulate
@@ -69,10 +70,11 @@ class TestSmallCases:
 
     @pytest.mark.parametrize("n", [6.5, 0.5, float("nan"), float("inf")])
     def test_non_integral_n_is_refused_before_any_thread(self, monkeypatch, n):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was created")
+        def refused(*args, **kwargs):
+            raise AssertionError("work started on a refused n")
 
-        monkeypatch.setattr(exact_enum, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        monkeypatch.setattr(_kernels, "enumerate_tally", refused)
         with pytest.raises(EnumerationSizeError):
             enumerate_all(n)
 
@@ -80,11 +82,21 @@ class TestSmallCases:
         t = enumerate_all(6.0)
         assert t.n == 6 and type(t.n) is int
         assert np.array_equal(t.joint, tables[6].joint)
+        assert np.array_equal(_kernels.enumerate_tally(6.0), tables[6].joint)
 
-    @pytest.mark.parametrize("first", [6, -1, 2.5, float("nan")])
-    def test_first_entry_outside_the_slices_is_refused(self, first):
-        with pytest.raises(ValueError, match="first must be an integer in"):
-            _kernels.enumerate_tally(6, first)
+    @pytest.mark.parametrize("n", [0, 2.5, float("nan"), float("inf")])
+    def test_tally_refuses_non_integral_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            _kernels.enumerate_tally(n)
+
+    @pytest.mark.parametrize("workers", [0, 1.5, _kernels.MAX_WORKERS + 1])
+    def test_explicit_workers_are_still_checked(self, workers):
+        with pytest.raises(ValueError, match="workers must lie in"):
+            enumerate_all(3, workers=workers)
+
+    def test_randmap_workers_does_not_apply(self, monkeypatch, tables):
+        monkeypatch.setenv("RANDMAP_WORKERS", "0")
+        assert np.array_equal(enumerate_all(5).joint, tables[5].joint)
 
 
 class TestInvariants:
@@ -125,54 +137,40 @@ class TestInvariants:
                 assert np.array_equal(t.joint, one.joint), (n, workers)
                 assert t.connected_count == one.connected_count
 
-    def test_one_tally_per_first_entry(self, monkeypatch):
-        # only the slices f(0) = 0 and f(0) = 1 are tallied; relabeling
-        # gives every other slice the tally of f(0) = 1
+    def test_one_tally_call_on_the_calling_thread(self, monkeypatch):
+        # the whole tree is tallied by one call, with no slices and no pool
         tally = _kernels.enumerate_tally
         calls = []
 
-        def counting(n, first):
-            calls.append((n, first))
-            return tally(n, first)
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs, threading.current_thread()))
+            return tally(*args, **kwargs)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
         monkeypatch.setattr(_kernels, "enumerate_tally", counting)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for n in range(1, 7):
-            for workers in (1, 2, 3, n):
+            for workers in (None, 1, 2, n):
                 calls.clear()
                 enumerate_all(n, workers=workers)
-                assert sorted(calls) == [(n, first) for first in range(min(n, 2))], (n, workers)
-
-    def test_relabeling_symmetry_of_first_entry_slices(self):
-        # brute force over every slice: f(0) = k for k >= 2 tallies like
-        # f(0) = 1, and the weighted two-slice sum is the plain n-slice sum
-        for n in range(1, 8):
-            slices = [_kernels.enumerate_tally(n, first) for first in range(n)]
-            for first in range(2, n):
-                assert np.array_equal(slices[first], slices[1]), (n, first)
-            plain = sum(slices)
-            for workers in sorted({1, 2, n}):
-                t = enumerate_all(n, workers=workers)
-                assert t.joint.dtype == plain.dtype
-                assert np.array_equal(t.joint, plain), (n, workers)
-                assert np.array_equal(t.counts, plain.sum(axis=(2, 3))), (n, workers)
-                assert t.connected_count == int(plain[1].sum()), (n, workers)
+                assert calls == [((n,), {}, threading.main_thread())], (n, workers)
 
 
 class TestAgainstOdometer:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_slice_matches_brute_force(self, n):
-        for first in range(n):
-            ref = _odometer_slice(n, first)
-            got = _kernels.enumerate_tally(n, first)
-            assert got.dtype == np.int64 and got.shape == ref.shape, (n, first)
-            assert np.array_equal(got, ref), (n, first)
-            assert int(got.sum()) == n ** (n - 1), (n, first)
-
-    def test_integral_float_first_is_that_slice(self):
-        assert np.array_equal(_kernels.enumerate_tally(6, 2.0), _odometer_slice(6, 2))
+        # the reference is summed over the slices image[0] = first, so its
+        # memory peak stays that of one slice
+        ref = sum(_odometer_slice(n, first) for first in range(n))
+        got = _kernels.enumerate_tally(n)
+        assert got.dtype == np.int64 and got.shape == ref.shape, n
+        assert np.array_equal(got, ref), n
+        assert int(got.sum()) == n**n, n
 
     def test_rows_analyzed_per_call(self, monkeypatch):
-        # the two slices make n * n! canonical rows, built afresh each call
+        # the tree makes n * n! canonical rows, built afresh each call
         analyze = _kernels._batch_stats
         rows = []
 
@@ -181,12 +179,11 @@ class TestAgainstOdometer:
             return analyze(images)
 
         monkeypatch.setattr(_kernels, "_batch_stats", counting)
-        for n in range(2, 8):
-            for workers in (1, 2):
-                rows.clear()
-                enumerate_all(n, workers=workers)
-                enumerate_all(n, workers=workers)
-                assert sum(rows) == 2 * n * math.factorial(n), (n, workers)
+        for n in range(1, 8):
+            rows.clear()
+            enumerate_all(n)
+            enumerate_all(n)
+            assert rows == [n * math.factorial(n)] * 2, n
 
 
 class TestAgainstSimulation:

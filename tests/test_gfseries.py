@@ -60,6 +60,19 @@ class TestCounts:
         assert a_count(3, 2, 1) == 0  # l < m
         assert a_count(3, 1, 4) == 0  # l > n
 
+    @pytest.mark.parametrize(
+        "args", [(3, 1, 2.5), (2.5, 1, 1), (3, 1.5, 2), (3, 1, float("nan")), (float("inf"), 1, 1)]
+    )
+    def test_non_integral_arguments_are_refused(self, args):
+        # (3, 1, 2.5) returned 0 and (2.5, 1, 1) died with a bare TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            a_count(*args)
+
+    def test_integral_floats_are_those_integers(self):
+        assert a_count(2.0, 1, 1) == a_count(2, 1, 1) == 2
+        assert a_count(4, 2.0, 3.0) == a_count(4, 2, 3)
+        assert type(a_count(4.0, 2, 3)) is int
+
     def test_total_mass_small(self):
         assert sum(a_count(3, m, l) for m in (1, 2, 3) for l in range(1, 4)) == 27
 

@@ -226,7 +226,7 @@ class TestReferenceParity:
             return stirling1(l - 1, m - 1) + (l - 1) * stirling1(l - 1, m)
 
         n = 4
-        joint = sum(_kernels.enumerate_tally(n, first) for first in range(n))
+        joint = _kernels.enumerate_tally(n)
         counts = joint.sum(axis=(2, 3))
         # a mapping is a permutation of its l cyclic points plus a forest of
         # rooted trees on the rest: C(n,l) l n^(n-l-1) c(l,m) of them
@@ -270,6 +270,22 @@ class TestSimulate:
         # lambda1_sum and `flags` have the longest cycle in the largest component
         assert stats.mean["lambda1"] == lambda1_sum / (8 * 300)
         assert stats.p_largest_contains_longest == flags / 300
+
+    @pytest.mark.parametrize("workers", [1.9, 1.5, 0.5, float("nan"), float("inf")])
+    def test_non_integral_worker_count_is_refused_before_any_thread(self, monkeypatch, workers):
+        # 1.9 was truncated: simulate ran on 1 thread and reported workers == 1
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        with pytest.raises(ValueError, match=f"workers must lie in .*, got {workers}"):
+            simulate(10, 5, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers must lie in"):
+            _kernels.worker_count(workers)
+
+    def test_integral_float_worker_count_is_that_count(self):
+        assert _kernels.worker_count(2.0) == 2 and type(_kernels.worker_count(2.0)) is int
+        assert simulate(10, 5, seed=1, workers=2.0) == simulate(10, 5, seed=1, workers=2)
 
     def test_worker_partition_changes_stream_assignment_only(self):
         a = simulate(64, 300, seed=11, workers=1)

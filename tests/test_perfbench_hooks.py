@@ -81,3 +81,17 @@ def test_workload_round_has_no_failures(monkeypatch, name):
     work.finish()
     assert work.attempted > 0
     assert work.failures == []
+
+
+def test_traced_enumeration_is_one_tally_span(monkeypatch):
+    # the tally grows the whole tree in one call, which the tracer reads as
+    # n^n mappings
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        exact_enum.enumerate_all(6)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[0] == "kernels.enumerate_tally"]
+    assert [s[4] for s in spans] == [{"mappings": 6**6}]
