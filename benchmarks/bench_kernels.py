@@ -21,17 +21,22 @@ inversion of each erfc-family transform at xi = 1.5, the truncated CDF
 series at a = 1/16 of each kind from a cleared E^k tower, and the
 divisibility report on the README's grid with its 16 forward transforms.
 The cold-start section runs ``import randmap`` and each cheap README command
-in a fresh interpreter (best of 5 wall times) and lists which of scipy,
-scipy.special, scipy.optimize and mpmath each one loaded.
+in a fresh interpreter (best of 5 wall times), once with randmap's modules
+compiled from source and once from cached bytecode, each time in a
+temporary bytecode cache outside the tree, and lists the randmap modules
+and which of scipy, scipy.special, scipy.optimize and mpmath each loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -167,10 +172,10 @@ COLD_COMMANDS = (
     "divisibility --eta-min 0.02 --eta-max 20 --steps 1000",
 )
 
-# Runs one command (or only the import, with no arguments) and prints the
-# heavy modules it loaded.
+# Runs one command (or only the import, with no arguments) and prints its
+# exit code, the randmap modules it loaded and the heavy modules it loaded.
 _COLD_PROBE = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 if sys.argv[1:]:
     from randmap import cli
     with contextlib.redirect_stdout(io.StringIO()):
@@ -178,28 +183,55 @@ if sys.argv[1:]:
 else:
     import randmap
     code = 0
-print(code, *[m for m in {HEAVY!r} if m in sys.modules])
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("randmap.")),
+                  [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 
 def bench_cold_start():
-    env = dict(os.environ)
+    """Best of 5 fresh processes per command, in two bytecode states.
+
+    Each state gets its own empty PYTHONPYCACHEPREFIX directory, so nothing
+    is written into the tree.  One untimed run of every command fills it;
+    the timed runs then write nothing.  "no cache" then deletes randmap's
+    cached bytecode, so its modules compile from source in every process
+    while numpy and the standard library read theirs, as in a checkout run
+    with PYTHONDONTWRITEBYTECODE set; "cached" keeps it.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["RANDMAP_WORKERS"] = "1"
-    print(f"{'cold start (fresh process)':<68}{'best of 5':>10}  heavy modules loaded")
-    for command in ("import randmap",) + COLD_COMMANDS:
-        argv = [] if command == "import randmap" else command.split()
-        best, out = float("inf"), ""
-        for _ in range(5):
-            t0 = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], env=env,
-                                  capture_output=True, text=True, check=True)
-            best = min(best, time.perf_counter() - t0)
-            out = proc.stdout.split()
-        code, loaded = out[0], out[1:]
-        note = "" if code == "0" else f"  (exit {code})"
-        print(f"  {command:<66}{best:>9.2f}s  {', '.join(loaded) or '-'}{note}")
+    base = dict(os.environ, RANDMAP_WORKERS="1")
+    base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
+    base.pop("PYTHONDONTWRITEBYTECODE", None)
+    runs = {"import randmap": []} | {command: command.split() for command in COLD_COMMANDS}
+
+    def probe(argv, env):
+        return subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+
+    best, seen = {}, {}
+    for state in ("no cache", "cached"):
+        with tempfile.TemporaryDirectory() as prefix:
+            env = dict(base, PYTHONPYCACHEPREFIX=prefix)
+            for argv in runs.values():
+                probe(argv, env)
+            if state == "no cache":
+                shutil.rmtree(os.path.join(prefix, src.lstrip(os.sep), "randmap"))
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+            for command, argv in runs.items():
+                times = []
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    proc = probe(argv, env)
+                    times.append(time.perf_counter() - t0)
+                best[command, state] = min(times)
+                seen[command] = json.loads(proc.stdout)
+    print(f"{'cold start (fresh process, best of 5)':<68}{'no cache':>10}{'cached':>10}")
+    for command in runs:
+        code, modules, heavy = seen[command]
+        note = "" if code == 0 else f"  (exit {code})"
+        print(f"  {command:<66}{best[command, 'no cache']:>9.2f}s"
+              f"{best[command, 'cached']:>9.2f}s{note}")
+        print(f"      randmap: {' '.join(modules) or '-'}; heavy: {', '.join(heavy) or '-'}")
 
 
 def main():

@@ -26,8 +26,6 @@ import os
 
 import numpy as np
 
-BACKEND = "numpy"  # exported as randmap.kernel_backend for benchmark provenance
-
 # per-row output columns of batch_stats
 _COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
 
@@ -40,12 +38,18 @@ def worker_count(workers=None) -> int:
     """``workers``, or RANDMAP_WORKERS (default 1) when it is None.
 
     Raises ValueError for a count that is not an integer in [1, MAX_WORKERS],
-    before any thread starts; an integral float is taken as that integer.
+    before any thread starts; an integral float, or a variable such as
+    "2.0", is taken as that integer.
     """
+    shown = workers
     if workers is None:
-        workers = int(os.environ.get("RANDMAP_WORKERS", "1"))
+        shown = os.environ.get("RANDMAP_WORKERS", "1")
+        try:
+            workers = float(shown)
+        except ValueError:
+            workers = math.nan
     if not (1 <= workers <= MAX_WORKERS and workers == int(workers)):
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {shown}")
     return int(workers)
 
 

@@ -9,6 +9,9 @@ digits suffice to reparse them exactly).  JSON has no NaN or infinity, so a
 non-finite number (an argument such as ``--b nan``) is written as the string
 "nan", "inf" or "-inf".
 
+Each handler imports the modules it runs when it starts, so a command loads
+only those, and its ``wall_time_s`` includes their import.
+
 Exit codes: 0 success, 1 computation error (the reason lands in the record),
 2 usage error.
 """
@@ -25,9 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import dde, distributions, exact_enum, gfseries, laplace, mapping_sim, moments
-from .distributions import Regime
 
 # Largest --steps of `divisibility`: the report keeps several float arrays
 # of that length.
@@ -90,13 +90,17 @@ class OutputRecord:
         return buf.getvalue().rstrip("\n")
 
 
-def _regime_from(args) -> Regime:
+def _regime_from(args):
+    from . import distributions
+
     if args.regime == "pavlov" and args.c is None:
         raise ValueError("pavlov regime requires --c")
-    return Regime(args.regime, args.c if args.regime == "pavlov" else None)
+    return distributions.Regime(args.regime, args.c if args.regime == "pavlov" else None)
 
 
 def _cmd_eval(args):
+    from . import dde
+
     x = args.x
     if args.fn == "rho":
         sol = dde.dickman_solution(1)
@@ -128,6 +132,8 @@ def _rank(args) -> int:
 
 
 def _cmd_cdf(args):
+    from . import distributions
+
     if args.kind == "perm-cycle":
         if args.a is None:
             raise ValueError("perm-cycle requires --a")
@@ -149,6 +155,8 @@ def _cmd_cdf(args):
 
 
 def _cmd_constants(args):
+    from . import moments
+
     regime = _regime_from(args)
     table = moments.moment_table(regime, include_cross_rank=args.cross_rank)
     values = {}
@@ -166,6 +174,8 @@ def _cmd_constants(args):
 
 
 def _cmd_invlaplace(args):
+    from . import laplace
+
     spec_kwargs = {"id": args.transform}
     if args.transform == "theta":
         if args.theta is None:
@@ -183,6 +193,8 @@ def _cmd_invlaplace(args):
 
 
 def _cmd_simulate(args):
+    from . import mapping_sim
+
     stats = mapping_sim.simulate(
         args.n,
         args.trials,
@@ -206,6 +218,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_enumerate(args):
+    from . import exact_enum, gfseries
+
     tables = exact_enum.enumerate_all(args.n)
     values = {
         "total": float(tables.total()),
@@ -227,6 +241,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_divisibility(args):
+    from . import laplace
+
     if not (0.0 < args.eta_min < args.eta_max < math.inf):
         raise ValueError("need finite 0 < eta-min < eta-max")
     if not 2 <= args.steps <= MAX_DIVISIBILITY_STEPS:

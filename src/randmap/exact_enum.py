@@ -40,7 +40,11 @@ class ExactTables:
         return int(self.counts.sum())
 
     def a(self, m: int, l: int) -> int:
-        return int(self.counts[m, l])
+        """counts[m, l]; an m or l that is not an integer in [0, n] raises
+        ValueError (an integral float is taken as that integer)."""
+        if not all(0 <= k <= self.n and k == int(k) for k in (m, l)):
+            raise ValueError(f"a(m, l) needs integers 0 <= m, l <= n = {self.n}, got {m}, {l}")
+        return int(self.counts[int(m), int(l)])
 
     def mean_lambda1(self) -> float:
         lam1 = np.arange(self.n + 1)

@@ -574,6 +574,28 @@ class TestSimulateAndEnumerate:
             f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {workers}"
         )
 
+    def test_randmap_workers_integral_float_is_that_count(self, capsys, monkeypatch):
+        argv = ("simulate", "--n=64", "--trials=10", "--seed=1", "--quiet")
+        monkeypatch.setenv("RANDMAP_WORKERS", "2")
+        code2, rec2 = run_json(capsys, *argv)
+        monkeypatch.setenv("RANDMAP_WORKERS", "2.0")
+        code, rec = run_json(capsys, *argv)
+        assert code == code2 == 0
+        assert rec == rec2
+
+    @pytest.mark.parametrize("value", ["2.5", "0", "abc"])
+    def test_randmap_workers_outside_the_rule_is_error(self, capsys, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(mapping_sim, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("RANDMAP_WORKERS", value)
+        code, rec = run_json(capsys, "simulate", "--n=64", "--trials=10", "--seed=1")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {value}"
+        )
+
     @pytest.mark.parametrize(
         "n, m, reason",
         [

@@ -98,6 +98,18 @@ class TestSmallCases:
         monkeypatch.setenv("RANDMAP_WORKERS", "0")
         assert np.array_equal(enumerate_all(5).joint, tables[5].joint)
 
+    @pytest.mark.parametrize(
+        "m, l", [(-1, 3), (4, 0), (0, -1), (3, 4), (1.5, 1), (float("nan"), 1), (1, float("inf"))]
+    )
+    def test_count_outside_the_table_is_refused(self, tables, m, l):
+        # a(-1, 3) wrapped round to the m = 3 row and returned 1
+        with pytest.raises(ValueError, match=r"a\(m, l\) needs integers 0 <= m, l <= n = 3"):
+            tables[3].a(m, l)
+
+    def test_count_at_the_table_edges(self, tables):
+        t = tables[3]
+        assert t.a(0, 0) == 0 and t.a(3, 3) == 1 and t.a(3.0, 3.0) == 1
+
 
 class TestInvariants:
     @pytest.mark.parametrize("n", range(1, 8))

@@ -1,11 +1,12 @@
-"""Which heavy modules a fresh interpreter loads.
+"""Which modules a fresh interpreter loads.
 
-``import randmap`` and every CLI command must load no scipy module: the
-package does not use scipy.  mpmath is the one heavy module it imports, on
-first use, in the de Hoog and Bromwich engines; those commands must give
-the same values in a fresh process as in this one.  Every case runs in its
-own interpreter, because this test process has long since imported them
-all.
+``import randmap`` loads none of the package's modules and not numpy; each
+CLI command loads only the randmap modules it runs.  ``import randmap``
+and every CLI command must load no scipy module: the package does not use
+scipy.  mpmath is the one heavy module it imports, on first use, in the de
+Hoog and Bromwich engines; those commands must give the same values in a
+fresh process as in this one.  Every case runs in its own interpreter,
+because this test process has long since imported them all.
 """
 
 import contextlib
@@ -24,8 +25,9 @@ HEAVY = ("scipy", "scipy.special", "scipy.optimize", "mpmath")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
 
 # Runs cli.main on argv[1:] (or, for "import <module>", only that import) and
-# prints the exit code, the JSON record, the heavy modules then loaded and
-# whether numpy.ma was (np.unique imports it on first call, about 27 ms).
+# prints the exit code, the JSON record, the heavy modules then loaded, the
+# randmap modules loaded (without the "randmap." prefix), and whether numpy
+# and numpy.ma were (np.unique imports numpy.ma on first call, about 27 ms).
 _PROBE = """
 import contextlib, importlib, io, json, sys
 heavy = {heavy!r}
@@ -40,6 +42,8 @@ else:
     record = json.loads(buf.getvalue())
 print(json.dumps({{"code": code, "record": record,
                   "loaded": [m for m in heavy if m in sys.modules],
+                  "randmap": sorted(m[8:] for m in sys.modules if m.startswith("randmap.")),
+                  "numpy": "numpy" in sys.modules,
                   "numpy.ma": "numpy.ma" in sys.modules}}))
 """.format(heavy=HEAVY)
 
@@ -71,26 +75,45 @@ def test_import_loads_no_heavy_module(module):
     assert fresh("import", module)["loaded"] == []
 
 
+def test_import_randmap_loads_no_submodule_and_no_numpy():
+    out = fresh("import", "randmap")
+    assert out["randmap"] == []
+    assert not out["numpy"]
+
+
+def test_import_randmap_cli_loads_no_other_submodule():
+    assert fresh("import", "randmap.cli")["randmap"] == ["cli"]
+
+
+# Each cheap command, with the randmap modules it loads besides cli: only
+# the ones it runs.
+ANALYTIC = "dde _quad specfun"
+LAPLACE = "laplace " + ANALYTIC
 CHEAP = [
-    ("eval", "--fn", "rho", "--x", "2"),
-    ("cdf", "--kind", "mapping-cycle", "--b", "0.6842", "--regime", "rayleigh"),
-    ("invlaplace", "--transform", "cycle-cdf", "--b", "0.5", "--xi", "2", "--method", "talbot"),
-    ("enumerate", "--n", "5", "--check-egf"),
-    ("constants", "--regime", "halfnormal"),
-    ("divisibility", "--eta-min", "0.02", "--eta-max", "20", "--steps", "1000"),
-    ("invlaplace", "--transform", "erfc-gauss", "--xi", "1"),
+    (("eval", "--fn", "rho", "--x", "2"), ANALYTIC),
+    (("cdf", "--kind", "mapping-cycle", "--b", "0.6842", "--regime", "rayleigh"),
+     "distributions " + ANALYTIC),
+    (("invlaplace", "--transform", "cycle-cdf", "--b", "0.5", "--xi", "2", "--method", "talbot"),
+     LAPLACE),
+    (("enumerate", "--n", "5", "--check-egf"), "exact_enum _kernels gfseries"),
+    (("constants", "--regime", "halfnormal"), "distributions moments " + ANALYTIC),
+    (("divisibility", "--eta-min", "0.02", "--eta-max", "20", "--steps", "1000"), LAPLACE),
+    (("invlaplace", "--transform", "erfc-gauss", "--xi", "1"), LAPLACE),
+    (("simulate", "--n", "64", "--trials", "10", "--seed", "1"), "mapping_sim _kernels"),
 ]
 
 
-CHEAP_IDS = ["eval", "cdf", "invlaplace", "enumerate", "constants", "divisibility", "erfc-gauss"]
+CHEAP_IDS = ["eval", "cdf", "invlaplace", "enumerate", "constants", "divisibility", "erfc-gauss",
+             "simulate"]
 
 
-@pytest.mark.parametrize("argv", CHEAP, ids=CHEAP_IDS)
-def test_cheap_command_loads_no_heavy_module(argv):
+@pytest.mark.parametrize("argv, modules", CHEAP, ids=CHEAP_IDS)
+def test_cheap_command_loads_no_heavy_module(argv, modules):
     out = fresh(*argv)
     assert out["code"] == 0
     assert out["loaded"] == []
     assert not out["numpy.ma"]
+    assert out["randmap"] == sorted(["cli", *modules.split()])
 
 
 # The first two load nothing heavy; the last two reach the first-call import

@@ -287,6 +287,19 @@ class TestSimulate:
         assert _kernels.worker_count(2.0) == 2 and type(_kernels.worker_count(2.0)) is int
         assert simulate(10, 5, seed=1, workers=2.0) == simulate(10, 5, seed=1, workers=2)
 
+    @pytest.mark.parametrize("value, count", [("2.0", 2), ("2", 2), ("1", 1), ("64", 64)])
+    def test_randmap_workers_follows_the_argument_rule(self, monkeypatch, value, count):
+        # "2.0" raised int()'s bare "invalid literal" message
+        monkeypatch.setenv("RANDMAP_WORKERS", value)
+        assert _kernels.worker_count() == count and type(_kernels.worker_count()) is int
+
+    @pytest.mark.parametrize("value", ["2.5", "0", "65", "abc", "", "nan", "inf"])
+    def test_randmap_workers_outside_the_rule_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("RANDMAP_WORKERS", value)
+        with pytest.raises(ValueError) as exc:
+            _kernels.worker_count()
+        assert str(exc.value) == f"workers must lie in [1, {_kernels.MAX_WORKERS}], got {value}"
+
     def test_worker_partition_changes_stream_assignment_only(self):
         a = simulate(64, 300, seed=11, workers=1)
         b = simulate(64, 300, seed=11, workers=3)
