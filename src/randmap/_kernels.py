@@ -16,7 +16,7 @@ cycle lengths, component sizes and per-row counts; one integer sort ranks
 the cycle lengths and a per-row maximum picks the largest component.
 component_counts stops after the naming, which is all a rejection test on
 the component count needs.  Rows are processed in blocks of at most _BLOCK
-nodes, which keeps the int32 temporary arrays small.
+nodes, which keeps the np.intp (8-byte) temporary arrays small.
 """
 
 from __future__ import annotations
@@ -65,19 +65,19 @@ def _cycles(block: np.ndarray):
     Returns each node's landing point on its cycle, the cyclic nodes
     (ascending), each cyclic node's cycle label (the compressed index of the
     cycle's smallest node), the node -> compressed index map (valid at cyclic
-    nodes) and the per-row cyclic-point counts.  Gathers use np.take, which
-    reads int32 indices directly where fancy indexing first converts them to
-    intp.
+    nodes) and the per-row cyclic-point counts.  Every index array is
+    np.intp, the width that gathers, scatters and bincount read without
+    first converting their indices.
     """
     rows, n = block.shape
-    f = (block.astype(np.int32) + np.arange(0, rows * n, n, dtype=np.int32)[:, None]).ravel()
+    f = (block.astype(np.intp) + np.arange(0, rows * n, n, dtype=np.intp)[:, None]).ravel()
     steps = max(1, (n - 1).bit_length())  # 2^steps >= n bounds tails and cycles
     first_test = min(steps, ((16 * n - 1).bit_length() + 1) // 2)  # least k: 2^k >= 4 sqrt(n)
     land = f
     for k in range(steps + 1):
         if k >= first_test:
             cyclic = np.zeros(f.size, dtype=bool)
-            cyclic[land.astype(np.intp)] = True  # an intp index scatters faster than int32
+            cyclic[land] = True
             cyc = np.flatnonzero(cyclic)
             del cyclic
             succ = np.take(f, cyc)
@@ -85,10 +85,10 @@ def _cycles(block: np.ndarray):
                 break
         land = np.take(land, land)
     n_cyclic = np.bincount(cyc // n, minlength=rows)
-    index = np.empty(f.size, dtype=np.int32)  # compressed index, read at cyclic nodes only
-    index[cyc] = np.arange(cyc.size, dtype=np.int32)
+    index = np.empty(f.size, dtype=np.intp)  # compressed index, read at cyclic nodes only
+    index[cyc] = np.arange(cyc.size)
     succ = np.take(index, succ)
-    label = np.arange(cyc.size, dtype=np.int32)
+    label = np.arange(cyc.size)
     for _ in range((int(n_cyclic.max()) - 1).bit_length()):  # 2^rounds >= every cycle length
         label = np.minimum(label, np.take(label, succ))
         succ = np.take(succ, succ)

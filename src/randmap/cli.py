@@ -27,8 +27,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # Largest --steps of `divisibility`: the report keeps several float arrays
 # of that length.
 MAX_DIVISIBILITY_STEPS = 100_000
@@ -241,6 +239,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_divisibility(args):
+    import numpy as np
+
     from . import laplace
 
     if not (0.0 < args.eta_min < args.eta_max < math.inf):

@@ -3,6 +3,10 @@
 Sampling is counter-based: worker w draws from a Philox stream keyed by
 (seed, w), and trial t is assigned to stream t mod workers, so results are
 reproducible for a fixed (seed, workers) pair regardless of scheduling.
+Worker 0 runs on the calling thread and workers 1..W-1 on a thread pool,
+which starts a thread per submitted worker only; the parts are merged in
+worker order.  Images are drawn as int32, which holds the values of an
+int64 draw: below 2^32 NumPy's bounded draw takes one 32-bit path for both.
 Constrained runs (connected, exactly m components) use rejection: each drawn
 block is filtered on its component counts alone (_kernels.component_counts),
 and only the accepted rows, in draw order and cut at the worker's remaining
@@ -42,13 +46,15 @@ _STAT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4", "n_cyclic", "componen
 # it the default attempt budget (10^4 times the expected attempts) is out of
 # reach, e.g. components=20 at n = 20 has 20^-20 = 9.5e-27.
 MIN_ACCEPTANCE = 1e-6
-# Largest n: a worker draws (rows, n) blocks of at most MAX_N entries, about
-# 36 bytes a node at peak (140 MB) whatever the trials; past it one row is
-# drawn whole and memory grows with n up to the kernel's int32 bound 2^31.
+# Largest n: a worker draws (rows, n) int32 blocks of at most MAX_N entries.
+# Its traced peak is 28 bytes a node of one row (112 MB at n = MAX_N), and
+# 4.4 bytes a drawn node when n <= 2^16, as the kernel then analyzes the
+# block 2^16 nodes at a time; past MAX_N one row would be drawn whole and
+# memory would grow with n up to the int32 draws' bound 2^31.
 MAX_N = 4_000_000
 # Largest expected count of drawn nodes, trials * n / expected acceptance:
-# the time bound, as MAX_N is the memory bound.  At about 2.5e7 nodes a
-# second on one core (n = 10^4) it is some 7 minutes.
+# the time bound, as MAX_N is the memory bound.  At about 4e7 nodes a
+# second on one core of an x86-64 VM (n = 10^4) it is some 4 minutes.
 MAX_DRAWN_NODES = 10**10
 _MAX_CYCLES = 512  # |s(l, j)|/l! <= H_l^(j-1)/(j-1)! < 1e-300 above it, l <= 10^20
 
@@ -214,7 +220,7 @@ def _worker_run(n, quota, seed, widx, m_required, cap, cdf_grid):
     remaining = quota
     while remaining > 0:
         rows = min(chunk_rows, remaining) if m_required is None else chunk_rows
-        images = rng.integers(0, n, size=(rows, n), dtype=np.int64)
+        images = rng.integers(0, n, size=(rows, n), dtype=np.int32)
         part.attempts += rows
         if m_required is not None:
             accepted = np.flatnonzero(_kernels.component_counts(images) == m_required)
@@ -284,10 +290,11 @@ def simulate(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [
             pool.submit(_worker_run, n, quotas[w], seed, w, m_required, cap_per_worker, grid)
-            for w in range(workers)
+            for w in range(1, workers)
             if quotas[w] > 0
         ]
-        parts = [f.result() for f in futs]
+        parts = [_worker_run(n, quotas[0], seed, 0, m_required, cap_per_worker, grid)]
+        parts += [f.result() for f in futs]
     total = _Partial()
     for p in parts:
         total.merge(p)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -707,7 +708,7 @@ class TestDivisibility:
         def no_grid(*args, **kwargs):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
         code, rec = run_json(
             capsys, "divisibility", "--eta-min=0.1", "--eta-max=2", f"--steps={steps}"
         )

@@ -1,12 +1,13 @@
 """Which modules a fresh interpreter loads.
 
 ``import randmap`` loads none of the package's modules and not numpy; each
-CLI command loads only the randmap modules it runs.  ``import randmap``
-and every CLI command must load no scipy module: the package does not use
-scipy.  mpmath is the one heavy module it imports, on first use, in the de
-Hoog and Bromwich engines; those commands must give the same values in a
-fresh process as in this one.  Every case runs in its own interpreter,
-because this test process has long since imported them all.
+CLI command loads only the randmap modules it runs, and ``--help`` or a
+usage error loads no numpy.  ``import randmap`` and every CLI command must
+load no scipy module: the package does not use scipy.  mpmath is the one
+heavy module it imports, on first use, in the de Hoog and Bromwich engines;
+those commands must give the same values in a fresh process as in this one.
+Every case runs in its own interpreter, because this test process has long
+since imported them all.
 """
 
 import contextlib
@@ -25,7 +26,8 @@ HEAVY = ("scipy", "scipy.special", "scipy.optimize", "mpmath")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
 
 # Runs cli.main on argv[1:] (or, for "import <module>", only that import) and
-# prints the exit code, the JSON record, the heavy modules then loaded, the
+# prints the exit code, the JSON record (None after --help or a usage error,
+# which exit through SystemExit), the heavy modules then loaded, the
 # randmap modules loaded (without the "randmap." prefix), and whether numpy
 # and numpy.ma were (np.unique imports numpy.ma on first call, about 27 ms).
 _PROBE = """
@@ -37,9 +39,12 @@ if sys.argv[1] == "import":
 else:
     from randmap import cli
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(sys.argv[1:])
-    record = json.loads(buf.getvalue())
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(sys.argv[1:])
+        record = json.loads(buf.getvalue())
+    except SystemExit as exc:
+        code, record = exc.code, None
 print(json.dumps({{"code": code, "record": record,
                   "loaded": [m for m in heavy if m in sys.modules],
                   "randmap": sorted(m[8:] for m in sys.modules if m.startswith("randmap.")),
@@ -83,6 +88,25 @@ def test_import_randmap_loads_no_submodule_and_no_numpy():
 
 def test_import_randmap_cli_loads_no_other_submodule():
     assert fresh("import", "randmap.cli")["randmap"] == ["cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--help",), 0),
+        (("simulate", "--help"), 0),
+        (("simulate", "--n", "many"), 2),
+        (("nosuchcommand",), 2),
+    ],
+    ids=["help", "simulate-help", "bad-value", "bad-command"],
+)
+def test_help_and_usage_errors_load_no_numpy(argv, code):
+    # the divisibility handler's np.linspace loaded numpy with the cli module
+    out = fresh(*argv)
+    assert out["code"] == code
+    assert out["record"] is None
+    assert out["randmap"] == ["cli"]
+    assert not out["numpy"]
 
 
 # Each cheap command, with the randmap modules it loads besides cli: only

@@ -1,5 +1,9 @@
+import concurrent.futures
+import dataclasses
 import itertools
+import json
 import math
+import os
 import re
 import threading
 
@@ -163,6 +167,21 @@ class TestReferenceParity:
         assert counts.dtype == np.int64
         assert np.array_equal(counts, stats[:, 5])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 127])
+    def test_every_integer_input_width_gives_the_reference_rows(self, n, dtype):
+        # the kernel widens its input to intp; simulate passes int32 draws,
+        # enumeration int8 rows
+        rng = np.random.default_rng(300 + n)
+        imgs = np.concatenate(
+            [rng.integers(0, n, size=(40, n), dtype=np.int64), _structured_images(n)]
+        ).astype(dtype)
+        stats = _kernels.batch_stats(imgs)
+        counts = _kernels.component_counts(imgs)
+        assert stats.dtype == counts.dtype == np.int64
+        assert stats.tolist() == [_reference_row(image) for image in imgs]
+        assert np.array_equal(counts, stats[:, 5])
+
     @pytest.mark.parametrize("n", [6, 17, 1000])
     def test_batch_stats_across_block_seams(self, n):
         # rows * n spans several analysis blocks, with a partial last block
@@ -254,22 +273,53 @@ class TestSimulate:
         assert a == b
 
     @pytest.mark.parametrize("workers, lambda1_sum, flags", [(1, 1927, 241), (2, 1948, 246)])
-    def test_every_worker_count_runs_in_the_pool(self, monkeypatch, workers, lambda1_sum, flags):
+    def test_worker_zero_runs_on_the_calling_thread(self, monkeypatch, workers, lambda1_sum, flags):
         batch_stats = _kernels.batch_stats
         threads = []
 
         def recording(images):
+            assert images.dtype == np.int32
             threads.append(threading.current_thread())
             return batch_stats(images)
 
         monkeypatch.setattr(_kernels, "batch_stats", recording)
         stats = simulate(64, 300, seed=11, workers=workers)
-        assert threads and threading.main_thread() not in threads
+        assert threading.main_thread() in threads
+        assert len(set(threads)) == workers
         # the draws of trial t come from Philox stream (seed, t mod workers):
         # over 300 trials the longest cycles (scaled by sqrt(64) = 8) sum to
         # lambda1_sum and `flags` have the longest cycle in the largest component
         assert stats.mean["lambda1"] == lambda1_sum / (8 * 300)
         assert stats.p_largest_contains_longest == flags / 300
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", refused)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert simulate(64, 10, seed=1, workers=1).trials == 10
+
+    def test_pool_runs_workers_one_and_up(self, monkeypatch):
+        worker_run = mapping_sim._worker_run
+        submit = concurrent.futures.ThreadPoolExecutor.submit
+        ran, submitted = {}, []
+
+        def recording_run(n, quota, seed, widx, *args):
+            ran[widx] = threading.get_ident()
+            return worker_run(n, quota, seed, widx, *args)
+
+        def recording_submit(pool, fn, *args, **kwargs):
+            submitted.append(args[3])
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", recording_run)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", recording_submit)
+        stats = simulate(64, 30, seed=4, workers=3)
+        assert submitted == [1, 2]
+        assert ran[0] == threading.get_ident()
+        assert threading.get_ident() not in (ran[1], ran[2])
+        assert stats.trials == 30
 
     @pytest.mark.parametrize("workers", [1.9, 1.5, 0.5, float("nan"), float("inf")])
     def test_non_integral_worker_count_is_refused_before_any_thread(self, monkeypatch, workers):
@@ -549,3 +599,48 @@ class TestInterplay:
     def test_nondegenerate_at_moderate_n(self):
         est, se = interplay_estimate(400, 2000, seed=23)
         assert 0.5 < est < 1.0
+
+
+class TestDrawStream:
+    """simulate draws int32 images.  Below 2^32 NumPy's bounded draw takes
+    one 32-bit path for int32 and int64, so the int32 draw holds the values
+    of the int64 one, and a draw split in parts is the whole draw."""
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, 1023, 1024, 10**4, 3_000_001, MAX_N])
+    def test_int32_draw_is_the_int64_draw(self, n):
+        rows = max(1, 2**16 // n)
+        whole64 = mapping_sim._philox(99, 2).integers(0, n, size=(rows, n), dtype=np.int64)
+        whole32 = mapping_sim._philox(99, 2).integers(0, n, size=(rows, n), dtype=np.int32)
+        assert whole32.dtype == np.int32
+        assert np.array_equal(whole32, whole64)
+        del whole64
+        rng = mapping_sim._philox(99, 2)
+        cut = rows * n // 3
+        first = rng.integers(0, n, size=cut, dtype=np.int32)
+        rest = rng.integers(0, n, size=rows * n - cut, dtype=np.int32)
+        assert np.array_equal(np.concatenate([first, rest]), whole32.ravel())
+
+
+# SimStats of a small grid, each field as its repr, recorded by _golden_case
+# when simulate drew int64 images and ran every worker on a pool thread: the
+# draw width and the thread layout may change, the bits of the result may not
+with open(os.path.join(os.path.dirname(__file__), "data", "simulate_golden.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+def _golden_case(key):
+    constraint, n, workers = key.split("|")
+    return simulate(
+        int(n.removeprefix("n=")),
+        30,
+        constraint=constraint,
+        seed=2027,
+        workers=int(workers.removeprefix("workers=")),
+        cdf_grid=(0.5, 0.7824, 1.0),
+    )
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_simulate_keeps_every_field_of_the_golden_grid(key):
+    stats = _golden_case(key)
+    assert {f.name: repr(getattr(stats, f.name)) for f in dataclasses.fields(stats)} == GOLDEN[key]
