@@ -95,6 +95,11 @@ class GraphSummary:
         return self.cycle_lengths[r - 1] if r <= len(self.cycle_lengths) else 0
 
 
+def _is_integer(value, low=-math.inf) -> bool:
+    """Whether value is an integer >= low: an int, or an integral float."""
+    return -math.inf < value < math.inf and value >= low and value == int(value)
+
+
 def _philox(seed, stream: int) -> np.random.Generator:
     # a uint64 key: NumPy reads a list of ints past 2^63 as float64
     key = np.array([int(seed) % 2**64, stream], dtype=np.uint64)
@@ -102,9 +107,14 @@ def _philox(seed, stream: int) -> np.random.Generator:
 
 
 def sample_mapping(n: int, rng) -> Mapping:
-    """Draw a uniform mapping; rng is a numpy Generator or an integer seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Draw a uniform mapping; rng is a numpy Generator or an integer seed.
+
+    An n that is not an integer >= 1 raises ValueError; an integral float is
+    taken as that integer.
+    """
+    if not _is_integer(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    n = int(n)
     gen = rng if isinstance(rng, np.random.Generator) else _philox(rng, 0)
     image = gen.integers(0, n, size=n, dtype=np.int64) + 1
     return Mapping(n=n, image=image)
@@ -126,16 +136,20 @@ def analyze(mapping: Mapping) -> GraphSummary:
 
 def _required_components(constraint):
     """The component count a constraint requires: None, "none", "connected"
-    (1) or "components=m" with m >= 1; None means unconstrained."""
+    (1) or "components=m" with an integer m >= 1 ("components=2.0" is m = 2);
+    None means unconstrained."""
     if constraint in (None, "none"):
         return None
     if constraint == "connected":
         return 1
     if isinstance(constraint, str) and constraint.startswith("components="):
-        m = int(constraint.split("=", 1)[1])
-        if m < 1:
-            raise ValueError("component constraint must be >= 1")
-        return m
+        try:
+            m = float(constraint.split("=", 1)[1])
+        except ValueError:
+            m = math.nan
+        if not _is_integer(m, 1):
+            raise ValueError(f"component constraint must be an integer >= 1, got {constraint!r}")
+        return int(m)
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
@@ -260,11 +274,22 @@ def simulate(
     ``MIN_ACCEPTANCE`` or more than ``MAX_DRAWN_NODES`` expected drawn nodes
     (trials * n / acceptance) raise ValueError before any draw.  ``workers``
     (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
+    An n, trials, seed, max_attempts or component count that is not an
+    integer, or a NaN in ``cdf_grid``, raises ValueError too, before any
+    draw; an integral float is taken as that integer.
     """
-    if not 2 <= n <= MAX_N:
+    if not (_is_integer(n) and 2 <= n <= MAX_N):
         raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not _is_integer(trials, 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed}")
+    if max_attempts is not None and not _is_integer(max_attempts, 1):
+        raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts}")
+    grid = tuple(float(b) for b in cdf_grid) if cdf_grid is not None else None
+    if grid is not None and any(math.isnan(b) for b in grid):
+        raise ValueError(f"cdf_grid must not hold NaN, got {cdf_grid}")
+    n, trials, seed = int(n), int(trials), int(seed)
     m_required = _required_components(constraint)
     if m_required is not None and m_required > n:
         raise ValueError(f"a mapping of size {n} has at most {n} components, not {m_required}")
@@ -285,7 +310,6 @@ def simulate(
     else:
         cap_per_worker = int(math.ceil(10_000.0 * (trials / workers + 1) / acc))
     quotas = [len(range(w, trials, workers)) for w in range(workers)]
-    grid = tuple(float(b) for b in cdf_grid) if cdf_grid is not None else None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [

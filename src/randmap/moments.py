@@ -54,12 +54,14 @@ def g_constant(r: int, h: int, tol: float = 1e-12) -> float:
     is below 1e-18.  The panels and the 48-point rule are fixed: ``tol`` must
     be positive but does not change them.  It stays a parameter because
     callers pass it positionally (the analytic benchmark's G table passes
-    1e-12), and the lru_cache keys on it.
+    1e-12), and the lru_cache keys on it.  An integral float r or h is
+    taken as that integer.
     """
     if r not in _RANKS or h not in (1, 2):
         raise ValueError(f"supported ranks 1..4 and heights 1..2, got r={r} h={h}")
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
+    r, h = int(r), int(h)
 
     def integrand(x):
         e1 = e1_real(x)
@@ -104,10 +106,12 @@ def cross_rank_moment(r: int, s: int) -> float:
     below x.  E(y) and exp(-E(y) - y) on the fixed panels are computed once
     per call; only the last panel's are computed per node.  Each node's
     panel sums are added in edge order, so the value is the one a separate
-    quadrature per outer node gives.
+    quadrature per outer node gives.  Ranks that are not integers raise
+    ValueError before any quadrature; an integral float is that integer.
     """
-    if not 1 <= r < s:
-        raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
+    if not (1 <= r < s < math.inf and r == int(r) and s == int(s)):
+        raise ValueError(f"need integers 1 <= r < s, got r={r}, s={s}")
+    r, s = int(r), int(s)
     _, w = _quad.gl_rule(48)
     fixed = np.array(_CROSS_INNER_EDGES)
     y_fixed, half_fixed = _quad.gl_nodes(fixed[:-1], fixed[1:], 48)

@@ -123,6 +123,14 @@ class TestInvariants:
             for l in range(1, n + 1):
                 assert t.a(m, l) == a_count(n, m, l)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_generating_function_matches_closed_form(self, n):
+        # every cell the series supports, zeros included, past the n <= 7
+        # that enumeration reaches
+        for m in range(1, n + 1):
+            for l in range(n + 1):
+                assert a_count(n, m, l) == _closed_form_count(n, m, l), (n, m, l)
+
     def test_connected_equals_m1_row(self, tables):
         for n in range(1, 8):
             t = tables[n]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,39 +9,55 @@ from randmap.gfseries import (
     SeriesOrderError,
     a_count,
     component_cycle_egf,
-    cyclic_point_weighted_trend,
-    mapping_count_row_sum,
-    tree_equation_residual,
-    tree_function_series,
 )
+
+
+def _tree_series(n_max):
+    """[x^0..x^n_max] of tau, read off the y^1 column of ln(1/(1 - y tau))."""
+    egf = component_cycle_egf(1, n_max)
+    return [egf.get((n, 1), Fraction(0)) for n in range(n_max + 1)]
+
+
+def _series_exp(c):
+    """exp of a univariate series with zero constant term: n e_n = sum k c_k e_(n-k)."""
+    e = [Fraction(1)]
+    for n in range(1, len(c)):
+        e.append(sum(k * c[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return e
+
+
+def _weighted_cyclic_points(n, m):
+    """sum_l l a(n, m, l): n-mappings with m components and a marked cyclic point."""
+    return sum(l * a_count(n, m, l) for l in range(m, n + 1))
 
 
 class TestTreeFunction:
     def test_first_coefficients(self):
-        tau = tree_function_series(6)
-        assert tau.coefficient(1) == Fraction(1)
-        assert tau.coefficient(2) == Fraction(1)
-        assert tau.coefficient(3) == Fraction(3, 2)
-        assert tau.coefficient(4) == Fraction(8, 3)
+        tau = _tree_series(6)
+        assert tau[:5] == [0, Fraction(1), Fraction(1), Fraction(3, 2), Fraction(8, 3)]
 
     def test_functional_equation_residual_is_zero(self):
-        for order in (4, 10, 16):
-            assert tree_equation_residual(order).coeffs == ()
+        # tau = x e^tau: [x^n] tau = [x^(n-1)] e^tau
+        for order in (4, 10, 12):
+            tau = _tree_series(order)
+            assert tau[1:] == _series_exp(tau)[:-1]
 
     def test_order_limits(self):
         with pytest.raises(SeriesOrderError):
-            tree_function_series(17)
+            component_cycle_egf(1, 13)
         with pytest.raises(SeriesOrderError):
-            tree_function_series(0)
+            component_cycle_egf(1, 0)
 
 
 class TestComponentCycleEgf:
     def test_two_element_coefficients(self):
         one = component_cycle_egf(1, 4)
-        assert one.coefficient(2, 1) * 2 == Fraction(2)
-        assert one.coefficient(2, 2) * 2 == Fraction(1)
+        assert one[(2, 1)] * 2 == Fraction(2)
+        assert one[(2, 2)] * 2 == Fraction(1)
         two = component_cycle_egf(2, 4)
-        assert two.coefficient(2, 2) * 2 == Fraction(1)
+        assert two[(2, 2)] * 2 == Fraction(1)
+        assert two.get((2, 1), 0) == 0  # no zero coefficient is stored
+        assert all(c != 0 for c in two.values())
 
     def test_m_bounds(self):
         with pytest.raises(SeriesOrderError):
@@ -76,9 +93,9 @@ class TestCounts:
     def test_total_mass_small(self):
         assert sum(a_count(3, m, l) for m in (1, 2, 3) for l in range(1, 4)) == 27
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_row_sums(self, n):
-        assert mapping_count_row_sum(n) == n**n
+        assert sum(a_count(n, m, l) for m in range(1, n + 1) for l in range(m, n + 1)) == n**n
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_enumeration(self, n):
@@ -96,27 +113,34 @@ class TestCounts:
 
 
 class TestTrend:
+    # sum_l l a(n, m, l)/n^n against its asymptote log(n)^(m-1)/(2^(m-1) (m-1)!)
+    @staticmethod
+    def _ratios(m):
+        rows = {}
+        for n in range(max(m, 2), 13):
+            lead = math.log(n) ** (m - 1) / (2 ** (m - 1) * math.factorial(m - 1))
+            rows[n] = _weighted_cyclic_points(n, m) / n**n / lead
+        return rows
+
     def test_ratio_report_shape_and_positivity(self):
         for m in (1, 2, 3):
-            rows = cyclic_point_weighted_trend(12, m)
-            assert rows[0][0] == max(m, 2)
-            assert rows[-1][0] == 12
-            assert all(ratio > 0 for _, ratio in rows)
+            rows = self._ratios(m)
+            assert list(rows) == list(range(max(m, 2), 13))
+            assert all(ratio > 0 for ratio in rows.values())
 
     def test_m1_ratio_is_exactly_one(self):
         # connected mappings with a marked cyclic point biject with all
-        # mappings, so sum_l l a(n,1,l) = n^n and the normalized ratio is 1
-        rows = cyclic_point_weighted_trend(12, 1)
-        assert all(r == pytest.approx(1.0, abs=1e-12) for _, r in rows)
+        # mappings, so sum_l l a(n,1,l) = n^n
+        for n in range(1, 13):
+            assert _weighted_cyclic_points(n, 1) == n**n
 
     def test_higher_m_ratios_report_sanity(self):
         # convergence is logarithmic and not assertable at n <= 12; the
-        # report should stay within a loose band of its asymptote and the
+        # ratios should stay within a loose band of their asymptote and the
         # m = 2 ratios should descend toward it
         for m in (2, 3):
-            ratios = [r for _, r in cyclic_point_weighted_trend(12, m)]
-            assert all(0.5 < r < 1.5 for r in ratios)
-        m2 = [r for _, r in cyclic_point_weighted_trend(12, 2)]
+            assert all(0.5 < r < 1.5 for r in self._ratios(m).values())
+        m2 = list(self._ratios(2).values())
         assert all(a > b for a, b in zip(m2, m2[1:]))
         assert m2[-1] > 1.0
 

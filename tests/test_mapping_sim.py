@@ -507,6 +507,46 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(10, 5, constraint="weird")
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((10.5, 5), {}, "n must lie in"),
+            ((float("nan"), 5), {}, "n must lie in"),
+            ((100, 2.5), {}, "trials must be an integer >= 1, got 2.5"),
+            ((100, float("nan")), {}, "trials must be an integer >= 1, got nan"),
+            ((100, 5), {"constraint": "components=2.5"}, "must be an integer >= 1, got 'components=2.5'"),
+            ((100, 5), {"constraint": "components=inf"}, "must be an integer >= 1"),
+            ((100, 5), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ((100, 5), {"max_attempts": 2.5}, "max_attempts must be an integer >= 1"),
+            ((100, 5), {"cdf_grid": (0.5, float("nan"))}, "cdf_grid must not hold NaN"),
+        ],
+    )
+    def test_non_integral_arguments_fail_before_any_draw(self, monkeypatch, args, kwargs, message):
+        # each died with a bare TypeError, int()'s "invalid literal" or
+        # "cannot convert float NaN", or (the NaN grid point) returned {nan: 0.0}
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(*args, **kwargs)
+
+    def test_integral_floats_are_those_integers(self):
+        floats = simulate(100.0, 20.0, constraint="components=2.0", seed=3.0, max_attempts=1e6)
+        ints = simulate(100, 20, constraint="components=2", seed=3, max_attempts=10**6)
+        assert repr(floats) == repr(ints)
+        assert interplay_estimate(64.0, 20.0) == interplay_estimate(64, 20)
+        assert sample_mapping(3.0, 1).image.tolist() == sample_mapping(3, 1).image.tolist()
+
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), 0])
+    def test_sample_mapping_refuses_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
+            sample_mapping(n, 1)
+
+    def test_interplay_estimate_refuses_non_integral_trials(self):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            interplay_estimate(6, 2.5)
+
 
 @pytest.fixture(scope="module")
 def big_run():

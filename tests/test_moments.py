@@ -70,6 +70,17 @@ class TestGConstant:
             g_constant(5, 1)
         with pytest.raises(ValueError):
             g_constant(1, 3)
+        with pytest.raises(ValueError):
+            g_constant(1.5, 1)
+
+    def test_integral_floats_are_those_integers(self):
+        # g_constant(1.0, 1) and g_constant(2, 1.0) raised a bare TypeError
+        # from math.factorial
+        g_constant.cache_clear()
+        assert g_constant(1.0, 1) == g_constant(1, 1)
+        assert g_constant(2, 1.0) == g_constant(2, 1)
+        g_constant.cache_clear()
+        assert g_constant(3.0, 2.0, 1e-12) == g_constant(3, 2, 1e-12)
 
 
 class TestMomentTables:
@@ -252,6 +263,19 @@ class TestCrossRankMoments:
     def test_validation(self):
         with pytest.raises(ValueError):
             cross_rank_moment(2, 2)
+
+    @pytest.mark.parametrize("r, s", [(1, 2.5), (1.5, 2), (1, math.inf), (math.nan, 2)])
+    def test_non_integral_ranks_are_refused(self, r, s):
+        # (1, 2.5) raised a RuntimeWarning (an invalid sqrt) before returning
+        with pytest.raises(ValueError, match="need integers 1 <= r < s"):
+            cross_rank_moment(r, s)
+
+    def test_integral_float_ranks_are_those_integers(self):
+        # cross_rank_moment(1.0, 2) raised a bare TypeError from math.factorial
+        cross_rank_moment.cache_clear()
+        assert cross_rank_moment(1.0, 2) == cross_rank_moment(1, 2)
+        cross_rank_moment.cache_clear()
+        assert cross_rank_moment(1, 3) == cross_rank_moment(1.0, 3.0)
 
     def test_monotone_in_s(self):
         vals = [cross_rank_moment(1, s) for s in (2, 3, 4)]
