@@ -37,6 +37,11 @@ class NonIntegerCoefficientError(ArithmeticError):
     """An n! * coefficient that must be integral is not (implementation bug)."""
 
 
+def _is_integer(k) -> bool:
+    """Whether k is an int or an integral float."""
+    return -math.inf < k < math.inf and k == int(k)
+
+
 def _tree_coeffs(n_max: int) -> list:
     # [x^n] tau = n^(n-1)/n!
     return [Fraction(0)] + [Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, n_max + 1)]
@@ -58,7 +63,12 @@ def _truncated_product(a: dict, b: dict, order: int) -> dict:
 def component_cycle_egf(m: int, n_max: int) -> dict:
     """(1/m!) ln(1/(1 - y tau(x)))^m truncated at x-order n_max, as the dict
     {(i, j): Fraction} of its nonzero coefficients.  The dict is the cached
-    value itself: callers must not mutate it."""
+    value itself: callers must not mutate it.  An m or n_max that is not an
+    integer raises SeriesOrderError; an integral float is taken as that
+    integer."""
+    if not all(_is_integer(k) for k in (m, n_max)):
+        raise SeriesOrderError(f"m and n_max must be integers, got {m}, {n_max}")
+    m, n_max = int(m), int(n_max)
     if not 1 <= n_max <= MAX_EGF_ORDER:
         raise SeriesOrderError(f"EGF supports 1 <= n_max <= {MAX_EGF_ORDER}")
     if not 1 <= m <= n_max:
@@ -92,7 +102,7 @@ def a_count(n: int, m: int, l: int) -> int:
     An n, m or l that is not an integer raises ValueError; an integral
     float is taken as that integer.
     """
-    if not all(-math.inf < k < math.inf and k == int(k) for k in (n, m, l)):
+    if not all(_is_integer(k) for k in (n, m, l)):
         raise ValueError(f"n, m and l must be integers, got {n}, {m}, {l}")
     n, m, l = int(n), int(m), int(l)
     if not 1 <= n <= MAX_EGF_ORDER:

@@ -279,7 +279,11 @@ class TransformSpec:
 def transform_value(spec: TransformSpec, eta):
     """Evaluate the transform at a (possibly complex) point eta or array of them.
 
-    An array element gets the bits of the same point alone.
+    An array element gets the bits of the same point alone.  The theta and
+    erfc families take eta with Re eta >= 0 (eta != 0 for the theta family),
+    the half-plane their engines use, where E1 and erfcx are defined: Re eta
+    < 0 raises SpecfunDomainError.  ``cycle-cdf`` takes E1 at the principal
+    square root sqrt(2 b eta), whose real part is >= 0 for every eta != 0.
     """
     if spec.id in _THETAS:
         th = spec.effective_theta

@@ -71,6 +71,9 @@ class Mapping:
     image: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.n, 0):
+            raise ValueError(f"n must be an integer >= 0, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         img = np.asarray(self.image, dtype=np.int64)
         object.__setattr__(self, "image", img)
         if img.shape != (self.n,):
@@ -91,7 +94,14 @@ class GraphSummary:
     largest_component_contains_longest_cycle: bool
 
     def lambda_r(self, r: int) -> int:
-        """Length of the r-th longest cycle; 0 when fewer than r cycles."""
+        """Length of the r-th longest cycle; 0 when fewer than r cycles.
+
+        An r that is not an integer >= 1 raises ValueError; an integral
+        float is taken as that integer.
+        """
+        if not _is_integer(r, 1):
+            raise ValueError(f"r must be an integer >= 1, got {r}")
+        r = int(r)
         return self.cycle_lengths[r - 1] if r <= len(self.cycle_lengths) else 0
 
 
@@ -109,13 +119,18 @@ def _philox(seed, stream: int) -> np.random.Generator:
 def sample_mapping(n: int, rng) -> Mapping:
     """Draw a uniform mapping; rng is a numpy Generator or an integer seed.
 
-    An n that is not an integer >= 1 raises ValueError; an integral float is
-    taken as that integer.
+    An n that is not an integer >= 1, or a seed that is not an integer,
+    raises ValueError; an integral float is taken as that integer.
     """
     if not _is_integer(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n}")
     n = int(n)
-    gen = rng if isinstance(rng, np.random.Generator) else _philox(rng, 0)
+    if isinstance(rng, np.random.Generator):
+        gen = rng
+    elif _is_integer(rng):
+        gen = _philox(rng, 0)
+    else:
+        raise ValueError(f"seed must be an integer, got {rng}")
     image = gen.integers(0, n, size=n, dtype=np.int64) + 1
     return Mapping(n=n, image=image)
 

@@ -65,6 +65,18 @@ class TestComponentCycleEgf:
         with pytest.raises(SeriesOrderError):
             component_cycle_egf(1, 13)
 
+    @pytest.mark.parametrize("args", [(1.5, 6), (2, 6.5), (float("nan"), 6), (2, float("inf"))])
+    def test_non_integral_arguments_are_refused(self, args):
+        # each died with a bare TypeError
+        with pytest.raises(SeriesOrderError, match="must be integers"):
+            component_cycle_egf(*args)
+
+    def test_integral_floats_are_those_integers(self):
+        # (2.0, 6) died with a bare TypeError in range()
+        component_cycle_egf.cache_clear()
+        assert component_cycle_egf(2.0, 6.0) == component_cycle_egf(2, 6)
+        assert all(type(i) is int and type(j) is int for i, j in component_cycle_egf(2.0, 6))
+
 
 class TestCounts:
     def test_small_values(self):

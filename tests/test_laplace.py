@@ -314,6 +314,28 @@ class TestInvert:
         assert laplace._invert_talbot(_per_node(spec), xi) == value
         assert shapes == [(32,)] + [()] * 32
 
+    def test_engines_call_e1_and_erfcx_on_the_right_half_plane(self, monkeypatch):
+        # specfun defines E1 and erfcx on Re z >= 0 only: Talbot reaches E1
+        # through a principal square root, and the line and the divisibility
+        # report reach erfcx at positive multiples of eta with Re eta > 0
+        args = {"e1_complex": [], "erfcx": []}
+        for name, seen in args.items():
+            def recording(z, real=getattr(laplace, name), seen=seen):
+                seen.append(np.ravel(np.asarray(z, dtype=complex)))
+                return real(z)
+
+            monkeypatch.setattr(laplace, name, recording)
+        for b in (0.01, 0.05, 0.5, 2.0, 5.0):
+            mapping_cycle_cdf_contour(b, check=True)
+        for tid in laplace._LINES:
+            for xi in (0.05, 1.0, 4.0, 8.0):
+                invert(TransformSpec(id=tid), xi, check=True, tol=1e-6)
+        divisibility_report(np.linspace(0.02, 20.0, 64))
+        e1_args, erfcx_args = (np.concatenate(args[name]) for name in ("e1_complex", "erfcx"))
+        assert e1_args.size > 300 and erfcx_args.size > 10_000
+        assert np.all(e1_args.real >= 0.0) and np.all(e1_args != 0.0)
+        assert np.all(erfcx_args.real >= 0.0)
+
     def test_talbot_inverts_scalar_only_custom_transform(self):
         # e^(-sqrt(p))/sqrt(p) <-> e^(-1/(4 xi))/sqrt(pi xi), written with
         # cmath, so it takes one point at a time: a per-node array wrapper
@@ -620,6 +642,22 @@ def test_spec_is_a_named_transform():
         TransformSpec(id="custom")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec",
+    [TransformSpec(id=tid) for tid in ("dickman", "watterson", *laplace._LINES)]
+    + [TransformSpec(id="theta", theta=1.5)],
+    ids=lambda spec: spec.id,
+)
+@pytest.mark.parametrize("eta", [-0.5, -1.0 + 2.0j, math.nan, complex(1.0, math.nan)])
+def test_transform_value_refuses_the_left_half_plane_and_nan(spec, eta):
+    # E1 and erfcx are defined on Re z >= 0 only, with no warning elsewhere
+    with pytest.raises(SpecfunDomainError):
+        transform_value(spec, eta)
+    with pytest.raises(SpecfunDomainError):
+        transform_value(spec, np.array([1.0 + 1.0j, eta]))
+
+
 def test_transform_value_real_consistency():
     spec = TransformSpec(id="dickman")
     v1 = transform_value(spec, 1.0)
@@ -643,6 +681,14 @@ def test_transform_value_array_matches_scalar_calls(spec):
     re, im = np.meshgrid(np.linspace(-3.0, 6.0, 19), np.linspace(-40.0, 40.0, 9))
     etas = (re + 1j * im).ravel()
     etas = etas[(etas.imag != 0.0) | (etas.real > 0.0)]  # off the branch cut
+    if spec.id != "cycle-cdf":  # the theta family is refused on Re eta < 0
+        left = etas[etas.real < 0.0]
+        with pytest.raises(SpecfunDomainError):
+            transform_value(spec, left)
+        for eta in left:
+            with pytest.raises(SpecfunDomainError):
+                transform_value(spec, complex(eta))
+        etas = etas[etas.real >= 0.0]
     out = transform_value(spec, etas)
     assert out.shape == etas.shape
     assert all(v == transform_value(spec, complex(eta)) for eta, v in zip(etas, out))

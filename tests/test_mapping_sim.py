@@ -36,6 +36,17 @@ class TestMappingType:
         with pytest.raises(ValueError):
             Mapping(n=3, image=np.array([1, 2, 4]))
 
+    def test_integral_float_n_is_that_integer(self):
+        # n = 3.0 was kept as a float, so analyze(...).n was 3.0
+        m = Mapping(n=3.0, image=np.array([2, 3, 1]))
+        assert type(m.n) is int and type(analyze(m).n) is int and m.n == 3
+
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), -1])
+    def test_non_integral_n_is_refused(self, n):
+        # n = 2.5 blamed the image length
+        with pytest.raises(ValueError, match=f"n must be an integer >= 0, got {n}"):
+            Mapping(n=n, image=np.array([1, 2]))
+
 
 class TestSampleMapping:
     def test_n_one(self):
@@ -77,6 +88,16 @@ class TestAnalyze:
         assert s.cycle_lengths == (2, 2)
         assert s.lambda_r(2) == 2
         assert s.lambda_r(3) == 0
+        assert s.lambda_r(2.0) == 2
+
+    @pytest.mark.parametrize("r", [0, -1, 1.5, float("nan"), float("inf")])
+    def test_lambda_r_refuses_a_rank_below_one_or_not_integral(self, r):
+        # on cycles (3, 2, 1) r = 0 gave 1 and r = -1 gave 2 (Python's
+        # negative indices), and r = 1.0 died with a bare TypeError
+        s = analyze(Mapping(n=6, image=np.array([2, 3, 1, 5, 4, 6])))
+        assert s.cycle_lengths == (3, 2, 1) and s.lambda_r(1.0) == 3
+        with pytest.raises(ValueError, match=f"r must be an integer >= 1, got {r}"):
+            s.lambda_r(r)
 
     @given(
         st.integers(min_value=1, max_value=60).flatmap(
@@ -542,6 +563,13 @@ class TestSimulate:
     def test_sample_mapping_refuses_non_integral_n(self, n):
         with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
             sample_mapping(n, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), float("inf")])
+    def test_sample_mapping_refuses_non_integral_seed(self, seed):
+        # 1.5 drew seed 1's mapping and NaN died inside int()
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            sample_mapping(5, seed)
+        assert sample_mapping(5, 1.0).image.tolist() == sample_mapping(5, 1).image.tolist()
 
     def test_interplay_estimate_refuses_non_integral_trials(self):
         with pytest.raises(ValueError, match="trials must be an integer"):
