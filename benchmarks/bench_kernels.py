@@ -150,7 +150,9 @@ def bench_analytic(quick: bool):
     t = _time(lambda: laplace.divisibility_report(grid), repeats=3)
     print(f"{'divisibility_report':<28}{'1000 points':>16}{t * 1e3:>11.3f} ms")
     sub = np.geomspace(0.02, 20.0, 8)
-    bounds = [laplace._lower_bound_inverse(c) for c in (np.sqrt(np.pi / 2.0), np.sqrt(2.0 / np.pi))]
+    # L^-1[1/sqrt(1 + c eta)], as the report writes them
+    bounds = [lambda xi, c=c: np.exp(-xi / c) / np.sqrt(np.pi * c * xi)
+              for c in (np.sqrt(np.pi / 2.0), np.sqrt(2.0 / np.pi))]
     t = _time(lambda: [laplace.forward_laplace(f, e, tol=1e-11) for f in bounds for e in sub],
               repeats=3)
     print(f"{'forward_laplace (bounds)':<28}{'16 transforms':>16}{t * 1e3:>11.3f} ms")

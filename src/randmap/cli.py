@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-# Largest --steps of `divisibility`: the report keeps several float arrays
+# Largest --steps of `divisibility`: the report computes several float arrays
 # of that length.
 MAX_DIVISIBILITY_STEPS = 100_000
 
@@ -248,8 +248,7 @@ def _cmd_divisibility(args):
     if not 2 <= args.steps <= MAX_DIVISIBILITY_STEPS:
         raise ValueError(f"need 2 <= steps <= {MAX_DIVISIBILITY_STEPS}")
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-    report = laplace.divisibility_report(grid)
-    return report.values_dict(), {}, None
+    return laplace.divisibility_report(grid), {}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -147,24 +147,31 @@ def _rank_solution(r: int):
     return dde.dickman_solution(r)
 
 
+def _reciprocal(a) -> float:
+    """1/a, or SpecfunDomainError naming a unless a is in [1/64, 1]."""
+    x = 1.0 / float(a) if 0.0 < a <= 1.0 else math.nan
+    if not x <= dde.X_MAX * (1.0 + 1e-12):  # the solutions' own slack at X_MAX
+        raise SpecfunDomainError(f"requires a in [1/{dde.X_MAX}, 1], got {a}")
+    return x
+
+
 def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:
     """Limiting P{r-th longest cycle of a permutation <= a n} = rho_r(1/a).
 
     rho_r is 1 on [0, r]; its fitted pieces there read up to a few ulps
-    above 1, so the value is capped at 1.
+    above 1, so the value is capped at 1.  The solutions cover 1/a <= 64:
+    an a outside [1/64, 1] raises SpecfunDomainError before any solve.
     """
-    if not 0.0 < a <= 1.0:
-        raise SpecfunDomainError(f"requires a in (0, 1], got {a}")
+    x = _reciprocal(a)
     _check_rank(r)
-    return min(float(_rank_solution(r)(1.0 / a)), 1.0)
+    return min(float(_rank_solution(r)(x)), 1.0)
 
 
 def largest_component_cdf(a: float) -> float:
-    """Limiting P{largest component <= a n} = sqrt(1/a) sigma(1/a)."""
-    if not 0.0 < a <= 1.0:
-        raise SpecfunDomainError(f"requires a in (0, 1], got {a}")
-    sol = dde.watterson_solution()
-    return float(dde.sigma_tilde(sol, 1.0 / a))
+    """Limiting P{largest component <= a n} = sqrt(1/a) sigma(1/a), for a
+    in [1/64, 1] as ``perm_longest_cycle_cdf``."""
+    x = _reciprocal(a)
+    return float(dde.sigma_tilde(dde.watterson_solution(), x))
 
 
 def connected_cycle_cdf(b: float, r: int = 1) -> float:

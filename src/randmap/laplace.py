@@ -638,47 +638,7 @@ def mapping_cycle_cdf_contour(b: float, check: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lower_bound_inverse(c: float):
-    # L^-1[1/sqrt(1 + c eta)] with c = sqrt(pi/2): 2^(1/4) pi^(-3/4) xi^(-1/2) e^(-xi sqrt(2/pi))
-    def f(xi):
-        return np.exp(-xi / c) / np.sqrt(np.pi * c * xi)
-
-    return f
-
-
-@dataclass
-class DivisibilityReport:
-    """Bound chain, root approximation error, bound round trips and the
-    two-part allocation probe for the half-normal law."""
-
-    eta: np.ndarray
-    lower: np.ndarray
-    center: np.ndarray
-    upper: np.ndarray
-    bounds_strict: bool
-    approx_rel_err: np.ndarray
-    max_approx_rel_err: float
-    roundtrip_eta: np.ndarray
-    roundtrip_err_lower: np.ndarray
-    roundtrip_err_upper: np.ndarray
-    m2_root_small_xi: float
-    m2_root_small_value: float
-    m2_root_unit_value: float
-    m2_root_ratio: float
-
-    def values_dict(self) -> dict:
-        return {
-            "bounds_strict": float(self.bounds_strict),
-            "max_approx_rel_err": self.max_approx_rel_err,
-            "max_roundtrip_err_lower": float(np.max(np.abs(self.roundtrip_err_lower))),
-            "max_roundtrip_err_upper": float(np.max(np.abs(self.roundtrip_err_upper))),
-            "m2_root_small_value": self.m2_root_small_value,
-            "m2_root_unit_value": self.m2_root_unit_value,
-            "m2_root_ratio": self.m2_root_ratio,
-        }
-
-
-def divisibility_report(eta_grid) -> DivisibilityReport:
+def divisibility_report(eta_grid) -> dict:
     """Evaluate the half-normal/Rayleigh divisibility checks on a grid.
 
     Per grid point: the strict bound chain
@@ -688,55 +648,38 @@ def divisibility_report(eta_grid) -> DivisibilityReport:
     The two closed-form inverse bounds are pushed back through
     forward_laplace on a small log-spaced subset, and the two-component
     allocation probe (square root of the half-normal transform) is inverted
-    near the origin to exhibit its unbounded growth.
+    near the origin to exhibit its unbounded growth.  Returns the record
+    ``randmap divisibility`` prints.  An eta that is not positive (NaN too)
+    or above ``DIVISIBILITY_MAX_ETA`` raises SpecfunDomainError.
     """
     eta = np.asarray(eta_grid, dtype=float)
-    if np.any(eta <= 0.0):
+    if not np.all(eta > 0.0):
         raise SpecfunDomainError("eta grid must be positive")
     if not np.all(eta <= DIVISIBILITY_MAX_ETA):
         raise SpecfunDomainError(f"eta grid must lie below DIVISIBILITY_MAX_ETA = 1e3")
-    center = np.sqrt(math.pi / 2.0) * erfcx(eta / math.sqrt(2.0))
+    center = math.sqrt(math.pi / 2.0) * _LINES["halfnormal"].value(eta)
     lower = math.pi / (math.sqrt(2.0 * math.pi) + math.pi * eta)
     upper = math.pi / (math.sqrt(2.0 * math.pi) + 2.0 * eta)
-    strict = bool(np.all(lower < center) and np.all(center < upper))
+    root = np.sqrt(_LINES["rayleigh"].value(eta))
+    rel = np.abs(root - _LINES["erfc-gauss"].value(eta)) / root
 
-    ray = 1.0 - np.sqrt(math.pi / 2.0) * eta * erfcx(eta / np.sqrt(2.0))
-    root = np.sqrt(ray)
-    approx = erfcx(eta / math.sqrt(math.pi))
-    rel = np.abs(root - approx) / root
-
-    sub = eta
-    if len(eta) > 1:  # a sorted set rather than np.unique, whose first call imports numpy.ma
-        sub = np.array(sorted(set(np.geomspace(eta.min(), eta.max(), min(8, len(eta))).tolist())))
-    c_lo = math.sqrt(math.pi / 2.0)
-    c_hi = math.sqrt(2.0 / math.pi)
-    f_lo = _lower_bound_inverse(c_lo)
-    f_hi = _lower_bound_inverse(c_hi)
-    err_lo = np.array(
-        [forward_laplace(f_lo, e, tol=1e-11) - 1.0 / math.sqrt(1.0 + c_lo * e) for e in sub]
-    )
-    err_hi = np.array(
-        [forward_laplace(f_hi, e, tol=1e-11) - 1.0 / math.sqrt(1.0 + c_hi * e) for e in sub]
-    )
+    # a sorted set rather than np.unique, whose first call imports numpy.ma
+    sub = sorted(set(np.geomspace(eta.min(), eta.max(), min(8, len(eta))).tolist()))
+    roundtrip = []
+    for c in (math.sqrt(math.pi / 2.0), math.sqrt(2.0 / math.pi)):
+        f = lambda xi: np.exp(-xi / c) / np.sqrt(np.pi * c * xi)
+        err = [forward_laplace(f, e, tol=1e-11) - 1.0 / math.sqrt(1.0 + c * e) for e in sub]
+        roundtrip.append(float(np.max(np.abs(err))))
 
     m2 = TransformSpec(id="halfnormal-m2-root")
-    small_xi = 0.01
-    v_small = invert(m2, small_xi)
+    v_small = invert(m2, 0.01)
     v_unit = invert(m2, 1.0)
-
-    return DivisibilityReport(
-        eta=eta,
-        lower=lower,
-        center=center,
-        upper=upper,
-        bounds_strict=strict,
-        approx_rel_err=rel,
-        max_approx_rel_err=float(np.max(rel)),
-        roundtrip_eta=sub,
-        roundtrip_err_lower=err_lo,
-        roundtrip_err_upper=err_hi,
-        m2_root_small_xi=small_xi,
-        m2_root_small_value=v_small,
-        m2_root_unit_value=v_unit,
-        m2_root_ratio=v_small / v_unit,
-    )
+    return {
+        "bounds_strict": float(np.all(lower < center) and np.all(center < upper)),
+        "max_approx_rel_err": float(np.max(rel)),
+        "max_roundtrip_err_lower": roundtrip[0],
+        "max_roundtrip_err_upper": roundtrip[1],
+        "m2_root_small_value": v_small,
+        "m2_root_unit_value": v_unit,
+        "m2_root_ratio": v_small / v_unit,
+    }

@@ -21,7 +21,7 @@ NumPy and the standard library:
 The engines call E1 and erfcx only on Re z >= 0: the Talbot nodes of
 ``cycle-cdf`` reach E1 through a principal square root, and the Bromwich
 line and the divisibility report reach erfcx at positive multiples of an
-eta with Re eta > 0.  Re z < 0 is refused.
+eta with Re eta > 0.  Re z < 0 (and an infinite erfcx argument) is refused.
 
 The test suite checks each against mpmath and an independent quadrature.
 """
@@ -200,8 +200,9 @@ def erfcx(z):
     """Scaled complementary error function e^(z^2) erfc(z) for Re z >= 0.
 
     Takes a real or complex scalar or array and keeps its type; a scalar
-    gives the bits of the same element in an array.  Re z < 0 and NaN raise
-    SpecfunDomainError, without a warning.  Against mpmath the relative
+    gives the bits of the same element in an array.  Re z < 0, NaN and an
+    infinite real or imaginary part raise SpecfunDomainError, before any
+    arithmetic and without a warning.  Against mpmath the relative
     error is below 1e-15 on the real axis to x = 30 and on Re z in [0, 20]
     with |Im z| <= 60.  It stays finite, without a warning, up to the
     largest finite |z|, where it meets the asymptote 1/(sqrt(pi) z).
@@ -210,9 +211,9 @@ def erfcx(z):
     if arr.dtype.kind not in "fc":
         arr = arr.astype(float)
     flat = arr.reshape(-1)  # a scalar runs as an array element, and gets its bits
-    bad = np.isnan(flat) | (flat.real < 0.0)
+    bad = ~np.isfinite(flat) | (flat.real < 0.0)
     if np.any(bad):
-        raise SpecfunDomainError(f"erfcx requires Re z >= 0, got {flat[bad][0]}")
+        raise SpecfunDomainError(f"erfcx requires finite z with Re z >= 0, got {flat[bad][0]}")
     return _erfcx_right(flat).reshape(arr.shape)[()]
 
 

@@ -150,20 +150,17 @@ def test_criterion_07_contour_vs_mixture():
 def test_criterion_08_divisibility_suite():
     t0 = time.perf_counter()
     report = divisibility_report(np.linspace(0.02, 20.0, 1000))
-    rt = max(
-        float(np.max(np.abs(report.roundtrip_err_lower))),
-        float(np.max(np.abs(report.roundtrip_err_upper))),
-    )
+    rt = max(report["max_roundtrip_err_lower"], report["max_roundtrip_err_upper"])
     elapsed = time.perf_counter() - t0
     ok = (
-        report.bounds_strict
-        and report.max_approx_rel_err < 0.005
+        report["bounds_strict"] == 1.0
+        and report["max_approx_rel_err"] < 0.005
         and rt <= 1e-8
-        and report.m2_root_ratio >= 5.0
+        and report["m2_root_ratio"] >= 5.0
     )
     _report(8, "half-normal divisibility bounds/approximation/probe", ok,
-            f"approx={report.max_approx_rel_err:.2e} roundtrip={rt:.2e} "
-            f"ratio={report.m2_root_ratio:.1f} t={elapsed:.0f}s")
+            f"approx={report['max_approx_rel_err']:.2e} roundtrip={rt:.2e} "
+            f"ratio={report['m2_root_ratio']:.1f} t={elapsed:.0f}s")
 
 
 def test_criterion_09_derivative_identity():

@@ -173,6 +173,14 @@ class TestCdf:
         assert code == 1
         assert rec["errors"]["reason"] == "ValueError: rank must be >= 1, got 0"
 
+    @pytest.mark.parametrize("kind, a", [("perm-cycle", "1e-300"), ("largest-component", "1e-5")])
+    def test_a_below_one_64th_names_a(self, capsys, kind, a):
+        # the reason named the internal x = 1/a ("x=9.999999999999999e+299
+        # outside the solved domain")
+        code, rec = run_json(capsys, "cdf", "--kind", kind, "--a", a)
+        assert code == 1
+        assert rec["errors"]["reason"] == f"SpecfunDomainError: requires a in [1/64, 1], got {float(a)}"
+
     def test_connected_nan_is_domain_error(self, capsys):
         code, rec = run_json(
             capsys, "cdf", "--kind", "mapping-cycle", "--regime", "connected", "--b", "nan"

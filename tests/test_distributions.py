@@ -140,12 +140,29 @@ class TestPermAndComponentCdfs:
 
     def test_cdfs_in_unit_interval_down_to_one_64th(self):
         # 1/a reaches the end of the solved domain, where rho and sigma are
-        # near 1e-132 and 1e-155; 0.04487 once gave a negative CDF
-        grid = np.concatenate([np.geomspace(1.0 / 64.0, 1.0, 400), [0.04487]])
+        # near 1e-132 and 1e-155; 0.04487 once gave a negative CDF, and the
+        # float below 1/64 has 1/a = 64 in floating point
+        grid = np.concatenate([np.geomspace(1.0 / 64.0, 1.0, 400),
+                               [0.04487, np.nextafter(1.0 / 64.0, 0.0)]])
         for a in grid.tolist():
             assert 0.0 <= largest_component_cdf(a) <= 1.0, a
             for r in (1, 2, 3, 4):
                 assert 0.0 <= perm_longest_cycle_cdf(a, r) <= 1.0, (a, r)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-5, 1.0 / 64.0 * (1.0 - 1e-11), 5e-324,
+                                   np.float64(5e-324)])
+    def test_a_below_the_solved_domain_names_a(self, a, monkeypatch):
+        # 1/a past 64 raised EvaluationRangeError naming x = 1/a, after the
+        # rank's solve; now a is refused before any solution is asked for
+        def no_solve(*args):
+            raise AssertionError("solved before the domain check")
+
+        monkeypatch.setattr(distributions, "_rank_solution", no_solve)
+        monkeypatch.setattr(dde, "watterson_solution", no_solve)
+        for call in (lambda: perm_longest_cycle_cdf(a, 1), lambda: perm_longest_cycle_cdf(a, 7),
+                     lambda: largest_component_cdf(a)):
+            with pytest.raises(SpecfunDomainError, match=rf"a in \[1/64, 1\], got {a}$"):
+                call()
 
     def test_domains(self):
         for bad in [0.0, 1.5, -0.2]:

@@ -557,20 +557,54 @@ def report():
 
 class TestDivisibility:
     def test_bounds_strict(self, report):
-        assert report.bounds_strict
+        assert report["bounds_strict"] == 1.0
 
     def test_approx_error_below_half_percent(self, report):
-        assert report.max_approx_rel_err < 0.005
+        assert report["max_approx_rel_err"] < 0.005
 
     def test_bound_roundtrips(self, report):
-        assert np.max(np.abs(report.roundtrip_err_lower)) < 1e-8
-        assert np.max(np.abs(report.roundtrip_err_upper)) < 1e-8
+        assert report["max_roundtrip_err_lower"] < 1e-8
+        assert report["max_roundtrip_err_upper"] < 1e-8
 
     def test_m2_root_unbounded_near_origin(self, report):
-        assert report.m2_root_ratio >= 5.0
+        assert report["m2_root_ratio"] >= 5.0
         # the small-xi value tracks (2/pi)^(1/4)/sqrt(pi xi)
         leading = (2.0 / math.pi) ** 0.25 / math.sqrt(math.pi * 0.01)
-        assert report.m2_root_small_value == pytest.approx(leading, rel=0.02)
+        assert report["m2_root_small_value"] == pytest.approx(leading, rel=0.02)
+
+    # the record on the README's grid, the tests' grid and one point, as
+    # float.hex strings: the JSON and CSV records print these bits
+    _PROBE = ["0x1.42831df6090d0p+2", "0x1.055001c5ce718p-2", "0x1.3bf4985c86e3ep+4"]
+
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            (np.linspace(0.02, 20.0, 1000),
+             ["0x1.0000000000000p+0", "0x1.29c9651b48cb0p-8", "0x1.2800000000000p-46",
+              "0x1.7200000000000p-46", *_PROBE]),
+            (np.linspace(0.02, 20.0, 64),
+             ["0x1.0000000000000p+0", "0x1.29b12c52fec2fp-8", "0x1.2800000000000p-46",
+              "0x1.7200000000000p-46", *_PROBE]),
+            ([0.5],
+             ["0x1.0000000000000p+0", "0x1.ae94f77d538fep-9", "0x1.2800000000000p-46",
+              "0x1.6e00000000000p-46", *_PROBE]),
+        ],
+        ids=["readme-1000", "tests-64", "one-point"],
+    )
+    def test_record_keys_and_bits(self, grid, expected):
+        record = divisibility_report(grid)
+        assert list(record) == [
+            "bounds_strict", "max_approx_rel_err", "max_roundtrip_err_lower",
+            "max_roundtrip_err_upper", "m2_root_small_value", "m2_root_unit_value",
+            "m2_root_ratio",
+        ]
+        assert all(type(v) is float for v in record.values())
+        assert [v.hex() for v in record.values()] == expected
+
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan], [0.5, 0.0], [-1.0, 2.0]])
+    def test_nan_or_non_positive_eta_is_not_positive(self, grid):
+        with pytest.raises(SpecfunDomainError, match="eta grid must be positive"):
+            divisibility_report(grid)
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,17 @@ def test_left_half_plane_and_nan_are_refused(z):
     assert np.isfinite(e1_complex(complex(-0.0, 1.0))) and np.isfinite(erfcx(complex(-0.0, 1.0)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [math.inf, complex(math.inf, 0.0), complex(0.0, math.inf)])
+def test_erfcx_refuses_an_infinite_argument(z):
+    # it returned nan with "invalid value encountered" warnings; no engine
+    # reaches an infinite argument, so it is refused as NaN is
+    with pytest.raises(SpecfunDomainError, match="finite z"):
+        erfcx(z)
+    with pytest.raises(SpecfunDomainError, match="finite z"):
+        erfcx(np.array([1.0, z, 2.0]))
+
+
 class TestErfcArctanh:
     def test_arctanh_value(self):
         x = math.sqrt(0.5)
