@@ -171,15 +171,6 @@ def component_counts(images: np.ndarray) -> np.ndarray:
 batch_stats = _batch_stats
 
 
-def analyze_arrays(image: np.ndarray):
-    """Full per-mapping digest: (cycle lengths desc, component sizes desc, flag)."""
-    image = np.asarray(image)
-    parts = _components(image[None, :])
-    flag = int(_stats(image.size, *parts)[0, 6])
-    _, length, size, _ = parts
-    return np.sort(length)[::-1], np.sort(size)[::-1], flag
-
-
 def enumerate_tally(n: int):
     """Exact joint tally over all n^n mappings.
 

@@ -149,10 +149,9 @@ def _rank_solution(r: int):
 
 def _reciprocal(a) -> float:
     """1/a, or SpecfunDomainError naming a unless a is in [1/64, 1]."""
-    x = 1.0 / float(a) if 0.0 < a <= 1.0 else math.nan
-    if not x <= dde.X_MAX * (1.0 + 1e-12):  # the solutions' own slack at X_MAX
+    if not 1.0 / dde.X_MAX <= a <= 1.0:  # as the series: 1/a <= X_MAX
         raise SpecfunDomainError(f"requires a in [1/{dde.X_MAX}, 1], got {a}")
-    return x
+    return 1.0 / float(a)
 
 
 def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:

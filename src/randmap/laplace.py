@@ -649,10 +649,12 @@ def divisibility_report(eta_grid) -> dict:
     forward_laplace on a small log-spaced subset, and the two-component
     allocation probe (square root of the half-normal transform) is inverted
     near the origin to exhibit its unbounded growth.  Returns the record
-    ``randmap divisibility`` prints.  An eta that is not positive (NaN too)
-    or above ``DIVISIBILITY_MAX_ETA`` raises SpecfunDomainError.
+    ``randmap divisibility`` prints.  An empty grid, or an eta not positive
+    (NaN too) or above ``DIVISIBILITY_MAX_ETA``, raises SpecfunDomainError.
     """
     eta = np.asarray(eta_grid, dtype=float)
+    if eta.size == 0:
+        raise SpecfunDomainError("eta grid must not be empty")
     if not np.all(eta > 0.0):
         raise SpecfunDomainError("eta grid must be positive")
     if not np.all(eta <= DIVISIBILITY_MAX_ETA):

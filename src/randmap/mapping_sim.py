@@ -26,17 +26,12 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "Mapping",
-    "GraphSummary",
     "SimStats",
     "BudgetExhaustedError",
     "MIN_ACCEPTANCE",
     "MAX_DRAWN_NODES",
     "MAX_N",
-    "sample_mapping",
-    "analyze",
     "simulate",
-    "interplay_estimate",
 ]
 
 _STAT_NAMES = ("lambda1", "lambda2", "lambda3", "lambda4", "n_cyclic", "components")
@@ -63,48 +58,6 @@ class BudgetExhaustedError(RuntimeError):
     """Rejection sampling hit its attempt budget before enough acceptances."""
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """A function {1..n} -> {1..n}; image[i-1] = f(i), values are 1-based."""
-
-    n: int
-    image: np.ndarray
-
-    def __post_init__(self):
-        if not _is_integer(self.n, 0):
-            raise ValueError(f"n must be an integer >= 0, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        img = np.asarray(self.image, dtype=np.int64)
-        object.__setattr__(self, "image", img)
-        if img.shape != (self.n,):
-            raise ValueError(f"image must have length n={self.n}")
-        if img.size and (img.min() < 1 or img.max() > self.n):
-            raise ValueError("image entries must lie in [1, n]")
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    """Structural digest of one mapping's functional graph."""
-
-    n: int
-    component_count: int
-    cyclic_point_count: int
-    cycle_lengths: tuple  # descending, one per component
-    component_sizes: tuple  # descending
-    largest_component_contains_longest_cycle: bool
-
-    def lambda_r(self, r: int) -> int:
-        """Length of the r-th longest cycle; 0 when fewer than r cycles.
-
-        An r that is not an integer >= 1 raises ValueError; an integral
-        float is taken as that integer.
-        """
-        if not _is_integer(r, 1):
-            raise ValueError(f"r must be an integer >= 1, got {r}")
-        r = int(r)
-        return self.cycle_lengths[r - 1] if r <= len(self.cycle_lengths) else 0
-
-
 def _is_integer(value, low=-math.inf) -> bool:
     """Whether value is an integer >= low: an int, or an integral float."""
     return -math.inf < value < math.inf and value >= low and value == int(value)
@@ -114,39 +67,6 @@ def _philox(seed, stream: int) -> np.random.Generator:
     # a uint64 key: NumPy reads a list of ints past 2^63 as float64
     key = np.array([int(seed) % 2**64, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_mapping(n: int, rng) -> Mapping:
-    """Draw a uniform mapping; rng is a numpy Generator or an integer seed.
-
-    An n that is not an integer >= 1, or a seed that is not an integer,
-    raises ValueError; an integral float is taken as that integer.
-    """
-    if not _is_integer(n, 1):
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    n = int(n)
-    if isinstance(rng, np.random.Generator):
-        gen = rng
-    elif _is_integer(rng):
-        gen = _philox(rng, 0)
-    else:
-        raise ValueError(f"seed must be an integer, got {rng}")
-    image = gen.integers(0, n, size=n, dtype=np.int64) + 1
-    return Mapping(n=n, image=image)
-
-
-def analyze(mapping: Mapping) -> GraphSummary:
-    """Ranked cycle lengths, component sizes and the largest-component flag,
-    computed by the NumPy kernel in randmap._kernels."""
-    lengths, sizes, flag = _kernels.analyze_arrays(mapping.image - 1)
-    return GraphSummary(
-        n=mapping.n,
-        component_count=len(lengths),
-        cyclic_point_count=int(lengths.sum()),
-        cycle_lengths=tuple(int(v) for v in lengths),
-        component_sizes=tuple(int(v) for v in sizes),
-        largest_component_contains_longest_cycle=bool(flag),
-    )
 
 
 def _required_components(constraint):
@@ -234,6 +154,9 @@ class SimStats:
     standard_error: dict
     corr_lambda_n: dict  # r -> corr(Lambda_r, N)
     corr_lambda_pairs: dict  # (r, s) -> corr(Lambda_r, Lambda_s)
+    # P{largest component holds a longest cycle}: ties on size go to the
+    # longer cycle, then the lower minimum label, and a tie on cycle length
+    # counts as success when any longest cycle lies in the chosen component
     p_largest_contains_longest: float
     p_largest_contains_longest_se: float
     lambda1_cdf: dict  # b -> empirical P{Lambda_1 <= b sqrt(n)}
@@ -377,13 +300,3 @@ def simulate(
         lambda1_cdf=cdf,
     )
 
-
-def interplay_estimate(n: int, trials: int, seed: int = 0, workers: int | None = None):
-    """P{largest component contains a longest cycle} with standard error.
-
-    Ties on component size go to the component with the longer cycle, then
-    the lower minimum label; a tie on cycle length counts as success when any
-    longest cycle lies in the selected component.
-    """
-    stats = simulate(n, trials, constraint="none", seed=seed, workers=workers)
-    return stats.p_largest_contains_longest, stats.p_largest_contains_longest_se

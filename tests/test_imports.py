@@ -11,9 +11,11 @@ since imported them all.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -78,6 +80,17 @@ def in_process(*argv):
 @pytest.mark.parametrize("module", ["randmap", "randmap.cli"])
 def test_import_loads_no_heavy_module(module):
     assert fresh("import", module)["loaded"] == []
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(randmap.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    # a name deleted from a module but left in its __all__ breaks
+    # "from randmap.<module> import *" only
+    module = importlib.import_module(f"randmap.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_import_randmap_loads_no_submodule_and_no_numpy():

@@ -531,8 +531,11 @@ class TestTruncatedSeries:
         with pytest.raises(Exception):
             truncated_cdf_series(0.0, "permutation")
         for kind in ("permutation", "component"):
-            with pytest.raises(SpecfunDomainError):
-                truncated_cdf_series(1.0 / 64.5, kind)
+            for a in (1.0 / 64.5, np.nextafter(1.0 / 64.0, 0.0)):
+                with pytest.raises(SpecfunDomainError):
+                    truncated_cdf_series(a, kind)
+            # accepted; the alternating sum cancels to its rounding floor there
+            assert abs(truncated_cdf_series(1.0 / 64.0, kind)) < 1e-13
         with pytest.raises(ValueError):
             truncated_cdf_series(0.5, "nope")
 
@@ -605,6 +608,11 @@ class TestDivisibility:
     def test_nan_or_non_positive_eta_is_not_positive(self, grid):
         with pytest.raises(SpecfunDomainError, match="eta grid must be positive"):
             divisibility_report(grid)
+
+    def test_empty_grid_is_refused(self):
+        # raised NumPy's "zero-size array to reduction operation minimum"
+        with pytest.raises(SpecfunDomainError, match="eta grid must not be empty"):
+            divisibility_report([])
 
 
 @pytest.mark.parametrize(

@@ -17,108 +17,55 @@ from randmap.mapping_sim import (
     MAX_DRAWN_NODES,
     MAX_N,
     BudgetExhaustedError,
-    GraphSummary,
-    Mapping,
     _expected_acceptance,
-    analyze,
-    interplay_estimate,
-    sample_mapping,
     simulate,
 )
 
 
-class TestMappingType:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Mapping(n=3, image=np.array([1, 2]))
-        with pytest.raises(ValueError):
-            Mapping(n=3, image=np.array([0, 1, 2]))
-        with pytest.raises(ValueError):
-            Mapping(n=3, image=np.array([1, 2, 4]))
-
-    def test_integral_float_n_is_that_integer(self):
-        # n = 3.0 was kept as a float, so analyze(...).n was 3.0
-        m = Mapping(n=3.0, image=np.array([2, 3, 1]))
-        assert type(m.n) is int and type(analyze(m).n) is int and m.n == 3
-
-    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), -1])
-    def test_non_integral_n_is_refused(self, n):
-        # n = 2.5 blamed the image length
-        with pytest.raises(ValueError, match=f"n must be an integer >= 0, got {n}"):
-            Mapping(n=n, image=np.array([1, 2]))
-
-
-class TestSampleMapping:
-    def test_n_one(self):
-        m = sample_mapping(1, 0)
-        assert list(m.image) == [1]
-
-    def test_determinism(self):
-        a = sample_mapping(20, 12345)
-        b = sample_mapping(20, 12345)
-        assert np.array_equal(a.image, b.image)
-
-    def test_uniformity_chi_square(self):
-        rng = np.random.Generator(np.random.Philox(key=[99, 0]))
-        n = 10
-        draws = np.array([sample_mapping(n, rng).image[0] for _ in range(100_000)])
-        counts = np.bincount(draws - 1, minlength=n)
-        _, p = chisquare(counts)
-        assert p > 0.001
-
-
 class TestAnalyze:
+    """The kernel on one 0-based mapping: its batch_stats row and _components sizes."""
+
     def test_three_cycle(self):
-        s = analyze(Mapping(n=3, image=np.array([2, 3, 1])))
-        assert s.component_count == 1
-        assert s.cyclic_point_count == 3
-        assert s.cycle_lengths == (3,)
+        assert _kernels.batch_stats(np.array([[1, 2, 0]])).tolist() == [[3, 0, 0, 0, 3, 1, 1]]
 
     def test_rooted_tree_on_fixed_point(self):
-        s = analyze(Mapping(n=3, image=np.array([1, 1, 1])))
-        assert s.component_count == 1
-        assert s.cyclic_point_count == 1
-        assert s.cycle_lengths == (1,)
-        assert s.component_sizes == (3,)
+        image = np.array([[0, 0, 0]])
+        assert _kernels.batch_stats(image).tolist() == [[1, 0, 0, 0, 1, 1, 1]]
+        _, _, size, _ = _kernels._components(image)
+        assert size.tolist() == [3]
 
     def test_two_transpositions(self):
-        s = analyze(Mapping(n=4, image=np.array([2, 1, 4, 3])))
-        assert s.component_count == 2
-        assert s.cyclic_point_count == 4
-        assert s.cycle_lengths == (2, 2)
-        assert s.lambda_r(2) == 2
-        assert s.lambda_r(3) == 0
-        assert s.lambda_r(2.0) == 2
+        row = _kernels.batch_stats(np.array([[1, 0, 3, 2]]))[0]
+        # lambda_2 = 2 and lambda_3 = 0: fewer than three cycles
+        assert row.tolist() == [2, 2, 0, 0, 4, 2, 1]
 
-    @pytest.mark.parametrize("r", [0, -1, 1.5, float("nan"), float("inf")])
-    def test_lambda_r_refuses_a_rank_below_one_or_not_integral(self, r):
-        # on cycles (3, 2, 1) r = 0 gave 1 and r = -1 gave 2 (Python's
-        # negative indices), and r = 1.0 died with a bare TypeError
-        s = analyze(Mapping(n=6, image=np.array([2, 3, 1, 5, 4, 6])))
-        assert s.cycle_lengths == (3, 2, 1) and s.lambda_r(1.0) == 3
-        with pytest.raises(ValueError, match=f"r must be an integer >= 1, got {r}"):
-            s.lambda_r(r)
+    def test_three_ranked_cycles(self):
+        row = _kernels.batch_stats(np.array([[1, 2, 0, 4, 3, 5]]))[0]
+        assert row.tolist() == [3, 2, 1, 0, 6, 3, 1]
 
     @given(
         st.integers(min_value=1, max_value=60).flatmap(
             lambda n: st.lists(
-                st.integers(min_value=1, max_value=n), min_size=n, max_size=n
+                st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n
             )
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_structural_invariants(self, image):
         n = len(image)
-        s = analyze(Mapping(n=n, image=np.array(image)))
-        assert 1 <= s.component_count <= s.cyclic_point_count <= n
-        assert sum(s.cycle_lengths) == s.cyclic_point_count
-        assert sum(s.component_sizes) == n
+        block = np.array([image])
+        lam1, lam2, lam3, lam4, n_cyclic, m_comp, _ = _kernels.batch_stats(block)[0].tolist()
+        _, length, size, _ = _kernels._components(block)
+        assert 1 <= m_comp <= n_cyclic <= n
+        assert sum(length) == n_cyclic
+        assert sum(size) == n
         # one cycle per component: the cycle count and the component count
         # must coincide
-        assert len(s.cycle_lengths) == s.component_count
-        assert len(s.component_sizes) == s.component_count
-        assert all(a >= b for a, b in zip(s.cycle_lengths, s.cycle_lengths[1:]))
-        assert all(a >= b for a, b in zip(s.component_sizes, s.component_sizes[1:]))
+        assert len(length) == m_comp
+        assert len(size) == m_comp
+        # the ranked lengths are the four longest, descending
+        ranked = sorted(length.tolist(), reverse=True)
+        assert [lam1, lam2, lam3, lam4] == (ranked + [0, 0, 0])[:4]
 
 
 def _reference_digest(image):
@@ -245,17 +192,16 @@ class TestReferenceParity:
             assert count == row[5]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64, 257])
-    def test_analyze_arrays_matches_reference(self, n):
+    def test_component_sizes_match_reference(self, n):
         rng = np.random.default_rng(100 + n)
         imgs = np.concatenate(
             [rng.integers(0, n, size=(12, n), dtype=np.int64), _structured_images(n)]
         )
         for image in imgs:
-            lengths, sizes, flag = _kernels.analyze_arrays(image)
-            ref_lengths, ref_sizes, ref_flag = _reference_digest(image)
-            assert lengths.tolist() == ref_lengths
-            assert sizes.tolist() == ref_sizes
-            assert flag == ref_flag
+            _, length, size, _ = _kernels._components(image[None, :])
+            ref_lengths, ref_sizes, _ = _reference_digest(image)
+            assert sorted(length.tolist(), reverse=True) == ref_lengths
+            assert sorted(size.tolist(), reverse=True) == ref_sizes
 
     def test_enumerate_matches_closed_form_and_reference(self):
         def stirling1(l, m):
@@ -493,7 +439,6 @@ class TestSimulate:
 
         assert lam1(-1) == lam1(2**64 - 1) != lam1(0)
         assert lam1(2**63) != lam1(2**63 + 1)
-        assert sample_mapping(64, -1).image.tolist() != sample_mapping(64, 0).image.tolist()
 
     def test_expected_acceptance_is_exact(self):
         # P(M = m) against the exact counts a(n, m, l), and values no
@@ -520,6 +465,13 @@ class TestSimulate:
         assert -1.0 <= min(stats.corr_lambda_pairs.values())
         assert max(stats.corr_lambda_pairs.values()) <= 1.0
 
+    def test_smallest_n(self):
+        # every 2-mapping has its longest cycle in its largest component
+        stats = simulate(2, 50, seed=0, workers=1)
+        assert stats.trials == 50 and stats.attempts == 50
+        assert stats.p_largest_contains_longest == 1.0
+        assert stats.p_largest_contains_longest_se == 0.0
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             simulate(1, 10)
@@ -533,12 +485,18 @@ class TestSimulate:
         [
             ((10.5, 5), {}, "n must lie in"),
             ((float("nan"), 5), {}, "n must lie in"),
+            ((float("inf"), 5), {}, "n must lie in [2, %d], got inf" % MAX_N),
+            ((0, 5), {}, "n must lie in [2, %d], got 0" % MAX_N),
             ((100, 2.5), {}, "trials must be an integer >= 1, got 2.5"),
             ((100, float("nan")), {}, "trials must be an integer >= 1, got nan"),
+            ((100, float("inf")), {}, "trials must be an integer >= 1, got inf"),
             ((100, 5), {"constraint": "components=2.5"}, "must be an integer >= 1, got 'components=2.5'"),
             ((100, 5), {"constraint": "components=inf"}, "must be an integer >= 1"),
             ((100, 5), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ((100, 5), {"seed": float("nan")}, "seed must be an integer, got nan"),
+            ((100, 5), {"seed": float("inf")}, "seed must be an integer, got inf"),
             ((100, 5), {"max_attempts": 2.5}, "max_attempts must be an integer >= 1"),
+            ((100, 5), {"max_attempts": float("nan")}, "max_attempts must be an integer >= 1, got nan"),
             ((100, 5), {"cdf_grid": (0.5, float("nan"))}, "cdf_grid must not hold NaN"),
         ],
     )
@@ -556,24 +514,6 @@ class TestSimulate:
         floats = simulate(100.0, 20.0, constraint="components=2.0", seed=3.0, max_attempts=1e6)
         ints = simulate(100, 20, constraint="components=2", seed=3, max_attempts=10**6)
         assert repr(floats) == repr(ints)
-        assert interplay_estimate(64.0, 20.0) == interplay_estimate(64, 20)
-        assert sample_mapping(3.0, 1).image.tolist() == sample_mapping(3, 1).image.tolist()
-
-    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), 0])
-    def test_sample_mapping_refuses_non_integral_n(self, n):
-        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
-            sample_mapping(n, 1)
-
-    @pytest.mark.parametrize("seed", [1.5, float("nan"), float("inf")])
-    def test_sample_mapping_refuses_non_integral_seed(self, seed):
-        # 1.5 drew seed 1's mapping and NaN died inside int()
-        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
-            sample_mapping(5, seed)
-        assert sample_mapping(5, 1.0).image.tolist() == sample_mapping(5, 1).image.tolist()
-
-    def test_interplay_estimate_refuses_non_integral_trials(self):
-        with pytest.raises(ValueError, match="trials must be an integer"):
-            interplay_estimate(6, 2.5)
 
 
 @pytest.fixture(scope="module")
@@ -645,11 +585,8 @@ class TestLimitLawAgreement:
 class TestInterplay:
     def test_exhaustive_n2(self):
         # every 2-mapping's longest cycle lies in its largest component
-        flags = []
-        for image in itertools.product((1, 2), repeat=2):
-            s = analyze(Mapping(n=2, image=np.array(image)))
-            flags.append(s.largest_component_contains_longest_cycle)
-        assert flags == [True] * 4
+        stats = _kernels.batch_stats(np.array(list(itertools.product((0, 1), repeat=2))))
+        assert stats[:, 6].tolist() == [1] * 4
 
     def test_estimate_matches_exhaustive_at_n6(self):
         # exact probability over all 6^6 mappings
@@ -661,12 +598,11 @@ class TestInterplay:
         hits = int(stats[:, 6].sum())
         total = len(stats)
         exact = hits / total
-        est, se = interplay_estimate(6, 40_000, seed=17)
-        assert abs(est - exact) <= 3 * se
+        stats = simulate(6, 40_000, seed=17)
+        assert abs(stats.p_largest_contains_longest - exact) <= 3 * stats.p_largest_contains_longest_se
 
     def test_nondegenerate_at_moderate_n(self):
-        est, se = interplay_estimate(400, 2000, seed=23)
-        assert 0.5 < est < 1.0
+        assert 0.5 < simulate(400, 2000, seed=23).p_largest_contains_longest < 1.0
 
 
 class TestDrawStream:
@@ -687,6 +623,24 @@ class TestDrawStream:
         first = rng.integers(0, n, size=cut, dtype=np.int32)
         rest = rng.integers(0, n, size=rows * n - cut, dtype=np.int32)
         assert np.array_equal(np.concatenate([first, rest]), whole32.ravel())
+
+    def test_uniformity_chi_square(self, monkeypatch):
+        # the 10^5 image entries of 10^4 mappings of size 10, as simulate
+        # hands them to the kernel
+        batch_stats = _kernels.batch_stats
+        seen = []
+
+        def recording(images):
+            assert images.dtype == np.int32
+            seen.append(images.copy())
+            return batch_stats(images)
+
+        monkeypatch.setattr(_kernels, "batch_stats", recording)
+        simulate(10, 10_000, seed=99, workers=1)
+        draws = np.concatenate(seen).ravel()
+        assert draws.size == 100_000
+        _, p = chisquare(np.bincount(draws, minlength=10))
+        assert p > 0.001
 
 
 # SimStats of a small grid, each field as its repr, recorded by _golden_case
