@@ -201,7 +201,7 @@ def bench_cold_start():
     with PYTHONDONTWRITEBYTECODE set; "cached" keeps it.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(randmap.__file__)))
-    base = dict(os.environ, RANDMAP_WORKERS="1")
+    base = dict(os.environ)
     base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
     base.pop("PYTHONDONTWRITEBYTECODE", None)
     runs = {"import randmap": []} | {command: command.split() for command in COLD_COMMANDS}

@@ -22,7 +22,7 @@ nodes, which keeps the np.intp (8-byte) temporary arrays small.
 from __future__ import annotations
 
 import math
-import os
+import numbers
 
 import numpy as np
 
@@ -34,22 +34,11 @@ _BLOCK = 1 << 16  # nodes per component pass (a single row may exceed it)
 MAX_WORKERS = 64  # the most threads one simulate call starts
 
 
-def worker_count(workers=None) -> int:
-    """``workers``, or RANDMAP_WORKERS (default 1) when it is None.
-
-    Raises ValueError for a count that is not an integer in [1, MAX_WORKERS],
-    before any thread starts; an integral float, or a variable such as
-    "2.0", is taken as that integer.
-    """
-    shown = workers
-    if workers is None:
-        shown = os.environ.get("RANDMAP_WORKERS", "1")
-        try:
-            workers = float(shown)
-        except ValueError:
-            workers = math.nan
-    if not (1 <= workers <= MAX_WORKERS and workers == int(workers)):
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {shown}")
+def worker_count(workers) -> int:
+    """``workers`` as an int; ValueError unless it is integral and in [1, MAX_WORKERS]."""
+    real = isinstance(workers, numbers.Real)
+    if not (real and 1 <= workers <= MAX_WORKERS and workers == int(workers)):
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     return int(workers)
 
 

@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--constraint", default="none")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("enumerate", parents=[common], help="exact enumeration, n <= 7")

@@ -194,8 +194,8 @@ class PiecewiseSolution:
     point x > 2 in one Clenshaw pass over the rows its points select, with
     chebval's values bitwise.  A Python float takes a scalar path through the
     same expressions (``_piece_value`` on ``coef`` as lists of Python floats,
-    built once), so it gets the array path's bits; on the head of a rank
-    r >= 2 it is 1.0.
+    built once), so it gets the array path's bits.  A rank r >= 2 solution is
+    1.0 on [0, r], where its pieces only approximate 1, and at most 1.0.
 
     ``unit_table(n)`` holds the solution at the n Gauss-Legendre nodes of
     every unit interval, computed once per rule: a panel [k b, (k+1) b] of
@@ -207,6 +207,7 @@ class PiecewiseSolution:
     lower: "PiecewiseSolution | None" = None
     coef: np.ndarray = field(init=False, repr=False)
     _rows: list = field(init=False, repr=False, compare=False)
+    _rank: int = field(init=False, repr=False, compare=False)  # r of a rank r >= 2, else 0
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, pieces):
@@ -214,6 +215,7 @@ class PiecewiseSolution:
         for row, c in zip(self.coef, pieces):
             row[: len(c)] = c
         self._rows = self.coef.tolist()
+        self._rank = 0 if self.lower is None else 1 + max(self.lower._rank, 1)
 
     @property
     def x_max(self) -> float:
@@ -221,12 +223,10 @@ class PiecewiseSolution:
 
     def __call__(self, x):
         if isinstance(x, float) and _UNDERFLOW < x <= X_MAX:  # not near the pole
-            if x > 2.0:
-                v = _piece_value(self._rows, 2, x)
-            elif self.theta is None:
+            if x <= self._rank:
                 return 1.0
-            else:
-                v = float(exact_part(self.theta, x))
+            v = _piece_value(self._rows, 2, x) if x > 2.0 else float(exact_part(self.theta, x))
+            v = min(v, 1.0) if self._rank else v
             return 0.0 if abs(v) < _UNDERFLOW else v
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -246,6 +246,8 @@ class PiecewiseSolution:
             idx = np.minimum(np.floor(xb - 2.0).astype(int), len(self.coef) - 1)
             s = np.power(xb - (idx + 2.0), 1.0 / _STRETCH)
             out[body] = _clenshaw(self.coef[idx], 2.0 * s - 1.0)
+        if self._rank:
+            out[(xs >= 0.0) & (xs <= self._rank) | (out > 1.0)] = 1.0
         np.copyto(out, 0.0, where=np.abs(out) < _UNDERFLOW)
         return float(out[0]) if scalar else out
 

@@ -157,13 +157,12 @@ def _reciprocal(a) -> float:
 def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:
     """Limiting P{r-th longest cycle of a permutation <= a n} = rho_r(1/a).
 
-    rho_r is 1 on [0, r]; its fitted pieces there read up to a few ulps
-    above 1, so the value is capped at 1.  The solutions cover 1/a <= 64:
-    an a outside [1/64, 1] raises SpecfunDomainError before any solve.
+    The solutions cover 1/a <= 64: an a outside [1/64, 1] raises
+    SpecfunDomainError before any solve.
     """
     x = _reciprocal(a)
     _check_rank(r)
-    return min(float(_rank_solution(r)(x)), 1.0)
+    return float(_rank_solution(r)(x))
 
 
 def largest_component_cdf(a: float) -> float:

@@ -59,8 +59,7 @@ def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
 
     An n that is not an integer in [1, MAX_N] raises EnumerationSizeError;
     an integral float is taken as that integer.  ``workers`` has no effect:
-    an explicit value is only checked, by `_kernels.worker_count`, and
-    RANDMAP_WORKERS does not apply to enumeration.
+    an explicit value is only checked, by `_kernels.worker_count`.
     """
     if not (1 <= n <= MAX_N and n == int(n)):
         raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")

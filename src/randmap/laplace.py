@@ -75,6 +75,7 @@ __all__ = [
     "LINE_MAX_PANELS",
     "LINE_MAX_ROUNDING",
     "TALBOT_MAX_ROUNDING",
+    "DIVISIBILITY_MIN_ETA",
     "DIVISIBILITY_MAX_ETA",
 ]
 
@@ -86,6 +87,9 @@ LINE_MAX_PANELS = 4096
 # Largest rounding error estimate the Bromwich line engine accepts: 10x below
 # the 1e-8 tolerance of invert(check=True).
 LINE_MAX_ROUNDING = 1e-9
+
+# Smallest eta of the divisibility report: floats break its bound chain below 7.6e-8.
+DIVISIBILITY_MIN_ETA = 1e-6
 
 # Largest eta of the divisibility report: the Rayleigh transform cancels to
 # 1/eta^2, so its reported error is 2e-4 off at 1e3, 2.2x at 1e4, inf at 1e200.
@@ -609,6 +613,9 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     equals sqrt(xi) sigma(xi).  Terms with index above floor(xi) vanish on
     the support, so the truncation is exact.  The levels come from the E^k
     tower, which covers xi <= 64: a below 1/64 raises SpecfunDomainError.
+    The sum cancels to an absolute error below 7e-15 against the DDE, and
+    is clamped to [0, 1]; the relative error is 7.5e-9 at xi = 8, 2.1e-5 at
+    10, 8% from 12 ("permutation"), 1.7e-9 at 6, 2e-6 at 8, 8% from 10.
     """
     if not 1.0 / X_MAX <= a <= 1.0:
         raise SpecfunDomainError(f"series requires a in [1/{X_MAX}, 1], got {a}")
@@ -618,7 +625,7 @@ def truncated_cdf_series(a: float, kind: str) -> float:
     theta = 1.0 if kind == "permutation" else 0.5
     terms = ((-theta) ** k / math.factorial(k) * tower(k, theta, xi) for k in range(int(xi) + 1))
     total = math.gamma(theta) * sum(terms)
-    return total if theta == 1.0 else math.sqrt(xi) * total
+    return min(max(total if theta == 1.0 else math.sqrt(xi) * total, 0.0), 1.0)
 
 
 def mapping_cycle_cdf_contour(b: float, check: bool = False) -> float:
@@ -650,13 +657,16 @@ def divisibility_report(eta_grid) -> dict:
     allocation probe (square root of the half-normal transform) is inverted
     near the origin to exhibit its unbounded growth.  Returns the record
     ``randmap divisibility`` prints.  An empty grid, or an eta not positive
-    (NaN too) or above ``DIVISIBILITY_MAX_ETA``, raises SpecfunDomainError.
+    (NaN too) or outside [DIVISIBILITY_MIN_ETA, DIVISIBILITY_MAX_ETA],
+    raises SpecfunDomainError.
     """
     eta = np.asarray(eta_grid, dtype=float)
     if eta.size == 0:
         raise SpecfunDomainError("eta grid must not be empty")
     if not np.all(eta > 0.0):
         raise SpecfunDomainError("eta grid must be positive")
+    if not np.all(eta >= DIVISIBILITY_MIN_ETA):
+        raise SpecfunDomainError("eta grid must lie above DIVISIBILITY_MIN_ETA = 1e-6")
     if not np.all(eta <= DIVISIBILITY_MAX_ETA):
         raise SpecfunDomainError(f"eta grid must lie below DIVISIBILITY_MAX_ETA = 1e3")
     center = math.sqrt(math.pi / 2.0) * _LINES["halfnormal"].value(eta)
@@ -666,7 +676,7 @@ def divisibility_report(eta_grid) -> dict:
     rel = np.abs(root - _LINES["erfc-gauss"].value(eta)) / root
 
     # a sorted set rather than np.unique, whose first call imports numpy.ma
-    sub = sorted(set(np.geomspace(eta.min(), eta.max(), min(8, len(eta))).tolist()))
+    sub = sorted(set(np.geomspace(eta.min(), eta.max(), min(8, eta.size)).tolist()))
     roundtrip = []
     for c in (math.sqrt(math.pi / 2.0), math.sqrt(2.0 / math.pi)):
         f = lambda xi: np.exp(-xi / c) / np.sqrt(np.pi * c * xi)

@@ -200,7 +200,7 @@ def simulate(
     trials: int,
     constraint="none",
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
     cdf_grid=None,
     max_attempts: int | None = None,
 ) -> SimStats:
@@ -211,10 +211,10 @@ def simulate(
     [2, MAX_N], more than n components, an expected acceptance rate below
     ``MIN_ACCEPTANCE`` or more than ``MAX_DRAWN_NODES`` expected drawn nodes
     (trials * n / acceptance) raise ValueError before any draw.  ``workers``
-    (default RANDMAP_WORKERS, else 1) must lie in [1, _kernels.MAX_WORKERS].
-    An n, trials, seed, max_attempts or component count that is not an
-    integer, or a NaN in ``cdf_grid``, raises ValueError too, before any
-    draw; an integral float is taken as that integer.
+    (default 1) must lie in [1, _kernels.MAX_WORKERS].  An n, trials, seed,
+    max_attempts or component count that is not an integer, or a NaN in
+    ``cdf_grid``, raises ValueError too, before any draw; an integral float
+    is taken as that integer.
     """
     if not (_is_integer(n) and 2 <= n <= MAX_N):
         raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")

@@ -583,27 +583,20 @@ class TestSimulateAndEnumerate:
             f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {workers}"
         )
 
-    def test_randmap_workers_integral_float_is_that_count(self, capsys, monkeypatch):
-        argv = ("simulate", "--n=64", "--trials=10", "--seed=1", "--quiet")
-        monkeypatch.setenv("RANDMAP_WORKERS", "2")
-        code2, rec2 = run_json(capsys, *argv)
-        monkeypatch.setenv("RANDMAP_WORKERS", "2.0")
+    @pytest.mark.parametrize("value", ["2", "", "abc"])
+    def test_environment_does_not_change_a_simulate_result(self, capsys, monkeypatch, value):
+        # this variable once set the default worker count, and so the
+        # Philox stream of each trial, without showing in the record
+        variable = f"{cli.__package__.upper()}_WORKERS"
+        argv = ("simulate", "--n=200", "--trials=50", "--seed=1")
+        monkeypatch.delenv(variable, raising=False)
+        stats = mapping_sim.simulate(200, 50, seed=1)
+        code, rec = run_json(capsys, *argv, "--quiet")
+        monkeypatch.setenv(variable, value)
+        assert mapping_sim.simulate(200, 50, seed=1) == stats and stats.workers == 1
+        assert run_json(capsys, *argv, "--quiet") == (code, rec) and code == 0
         code, rec = run_json(capsys, *argv)
-        assert code == code2 == 0
-        assert rec == rec2
-
-    @pytest.mark.parametrize("value", ["2.5", "0", "abc"])
-    def test_randmap_workers_outside_the_rule_is_error(self, capsys, monkeypatch, value):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was created")
-
-        monkeypatch.setattr(mapping_sim, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setenv("RANDMAP_WORKERS", value)
-        code, rec = run_json(capsys, "simulate", "--n=64", "--trials=10", "--seed=1")
-        assert code == 1
-        assert rec["errors"]["reason"] == (
-            f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {value}"
-        )
+        assert code == 0 and rec["params"]["workers"] == 1
 
     @pytest.mark.parametrize(
         "n, m, reason",
@@ -709,6 +702,19 @@ class TestDivisibility:
             "SpecfunDomainError: eta grid must lie below DIVISIBILITY_MAX_ETA = 1e3"
         )
         code, rec = run_json(capsys, "divisibility", "--eta-min=1", "--eta-max=1000", "--steps=2")
+        assert code == 0 and rec["values"]["bounds_strict"] == 1.0
+
+    @pytest.mark.parametrize("lo", ["1e-12", "9.99e-7"])
+    def test_eta_below_bound_is_error(self, capsys, lo):
+        # the bound chain holds for every eta > 0, yet at 1e-12 the record
+        # reported bounds_strict 0.0: double precision breaks it below 1e-7
+        argv = ("divisibility", "--eta-max=20", "--steps=50")
+        code, rec = run_json(capsys, *argv, f"--eta-min={lo}")
+        assert code == 1
+        assert rec["errors"]["reason"] == (
+            "SpecfunDomainError: eta grid must lie above DIVISIBILITY_MIN_ETA = 1e-6"
+        )
+        code, rec = run_json(capsys, *argv, "--eta-min=1e-6")
         assert code == 0 and rec["values"]["bounds_strict"] == 1.0
 
     @pytest.mark.parametrize("steps", [1, MAX_DIVISIBILITY_STEPS + 1, 10**15])

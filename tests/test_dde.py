@@ -273,6 +273,20 @@ class TestGeneralizedDickman:
         r3 = dickman_solution(3)
         assert r3(2.9) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_exactly_one_on_zero_to_rank_and_never_above(self, rank):
+        # the fitted pieces on [2, 3] read 0.9999999999999976 to
+        # 1.0000000000000016 at rank 3, and ranks 6 and 7 passed 1 beyond r
+        sol = dickman_solution(rank)
+        plateau = np.linspace(0.0, rank, 50 * rank + 1)
+        assert np.all(sol(plateau) == 1.0)
+        assert all(sol(float(x)) == 1.0 for x in plateau)
+        xs = np.linspace(0.0, dde.X_MAX, 6401)
+        assert sol(xs).max() == 1.0
+        assert max(sol(float(x)) for x in xs) == 1.0
+        table = sol.unit_table(32)
+        assert np.all(table[:rank] == 1.0) and table.max() == 1.0
+
     def test_rank_two_quadrature_oracle(self):
         # on [2,3]: rho_2(x) = 1 - int_2^x ln(t-1)/t dt
         r2 = dickman_solution(2)

@@ -89,14 +89,12 @@ class TestSmallCases:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             _kernels.enumerate_tally(n)
 
-    @pytest.mark.parametrize("workers", [0, 1.5, _kernels.MAX_WORKERS + 1])
+    @pytest.mark.parametrize(
+        "workers", [0, 1.5, _kernels.MAX_WORKERS + 1, float("nan"), float("inf"), "2", "abc"]
+    )
     def test_explicit_workers_are_still_checked(self, workers):
         with pytest.raises(ValueError, match="workers must lie in"):
             enumerate_all(3, workers=workers)
-
-    def test_randmap_workers_does_not_apply(self, monkeypatch, tables):
-        monkeypatch.setenv("RANDMAP_WORKERS", "0")
-        assert np.array_equal(enumerate_all(5).joint, tables[5].joint)
 
     @pytest.mark.parametrize(
         "m, l", [(-1, 3), (4, 0), (0, -1), (3, 4), (1.5, 1), (float("nan"), 1), (1, float("inf"))]

@@ -10,7 +10,9 @@ Every case runs in its own interpreter, because this test process has long
 since imported them all.
 """
 
+import ast
 import contextlib
+import glob
 import importlib
 import io
 import json
@@ -58,7 +60,6 @@ print(json.dumps({{"code": code, "record": record,
 def fresh(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["RANDMAP_WORKERS"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         env=env,
@@ -91,6 +92,21 @@ def test_every_exported_name_exists(name):
     # "from randmap.<module> import *" only
     module = importlib.import_module(f"randmap.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+SOURCES = sorted(glob.glob("**/*.py", root_dir=randmap.__path__[0], recursive=True))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_no_module_reads_the_environment(source):
+    # a result depends on its arguments only: an environment variable once
+    # set simulate's default worker count without showing in the record
+    with open(os.path.join(randmap.__path__[0], source)) as f:
+        tree = ast.parse(f.read())
+    names = [getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name, ast.alias))]
+    assert ENV_READERS.isdisjoint(names)
 
 
 def test_import_randmap_loads_no_submodule_and_no_numpy():

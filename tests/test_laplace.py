@@ -527,6 +527,18 @@ class TestTruncatedSeries:
                 dde.sigma_tilde(sigma, 1.0 / a), abs=1e-12
             )
 
+    @pytest.mark.parametrize("kind", ["permutation", "component"])
+    def test_a_cdf_within_rounding_of_the_dde(self, kind):
+        # unclamped, the cancelling sum read -6.2e-15 at a = 1/64 and was
+        # negative at xi = 14, 24, 32, 48 ("permutation") and 16, 32, 48
+        rho, sigma = dde.dickman_solution(1), dde.watterson_solution()
+        for k in range(1, 65):
+            x = float(k)
+            ref = rho(x) if kind == "permutation" else dde.sigma_tilde(sigma, x)
+            value = truncated_cdf_series(1.0 / k, kind)
+            assert 0.0 <= value <= 1.0, k
+            assert value == pytest.approx(ref, abs=1e-13), k
+
     def test_domain(self):
         with pytest.raises(Exception):
             truncated_cdf_series(0.0, "permutation")
@@ -603,6 +615,13 @@ class TestDivisibility:
         ]
         assert all(type(v) is float for v in record.values())
         assert [v.hex() for v in record.values()] == expected
+
+    def test_a_scalar_eta_is_a_one_point_grid(self):
+        # len() of the 0-d array raised a bare TypeError
+        record = divisibility_report(0.5)
+        assert [v.hex() for v in record.values()] == [
+            v.hex() for v in divisibility_report([0.5]).values()
+        ]
 
     @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan], [0.5, 0.0], [-1.0, 2.0]])
     def test_nan_or_non_positive_eta_is_not_positive(self, grid):
