@@ -3,7 +3,9 @@
 One subcommand per reproduction task: pointwise evaluation of the limiting
 functions, CDFs, moment-constant tables, numerical transform inversion,
 Monte Carlo simulation, exact enumeration, and the divisibility report.
-Records are emitted as JSON (one object) or CSV (name/value table); all
+A record is one dict with the keys command, params (unless --quiet), values,
+errors (if any), seed (if any) and wall_time_s (unless --quiet), in that
+order.  It is emitted as JSON (one object) or CSV (name/value table); all
 numbers are encoded with shortest round-trip precision (17 significant
 digits suffice to reparse them exactly).  JSON has no NaN or infinity, so a
 non-finite number (an argument such as ``--b nan``) is written as the string
@@ -25,7 +27,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 # Largest --steps of `divisibility`: the report computes several float arrays
 # of that length.
@@ -35,7 +36,7 @@ _COMPUTE_ERRORS = (ValueError, ArithmeticError, RuntimeError, MemoryError)
 
 
 def _strict(value):
-    """The payload with every non-finite float replaced by its repr string."""
+    """The record with every non-finite float replaced by its repr string."""
     if isinstance(value, dict):
         return {k: _strict(v) for k, v in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
@@ -43,49 +44,18 @@ def _strict(value):
     return value
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    params: dict
-    values: dict
-    errors: dict = field(default_factory=dict)
-    seed: int | None = None
-    wall_time_s: float | None = None
-
-    def _payload(self, quiet: bool) -> dict:
-        out = {"command": self.command}
-        if not quiet:
-            out["params"] = self.params
-        out["values"] = self.values
-        if self.errors:
-            out["errors"] = self.errors
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if not quiet and self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
-        return out
-
-    def to_json(self, quiet: bool = False) -> str:
-        return json.dumps(_strict(self._payload(quiet)), allow_nan=False)
-
-    def to_csv(self, quiet: bool = False) -> str:
-        payload = self._payload(quiet)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "value"])
-        writer.writerow(["command", payload["command"]])
-        if "params" in payload:
-            for k in sorted(payload["params"]):
-                writer.writerow([f"param.{k}", payload["params"][k]])
-        for k in sorted(payload["values"]):
-            writer.writerow([k, repr(payload["values"][k])])
-        for k in sorted(payload.get("errors", {})):
-            writer.writerow([f"error.{k}", payload["errors"][k]])
-        if payload.get("seed") is not None:
-            writer.writerow(["seed", payload["seed"]])
-        if "wall_time_s" in payload:
-            writer.writerow(["wall_time_s", payload["wall_time_s"]])
-        return buf.getvalue().rstrip("\n")
+def _render(record: dict, fmt: str) -> str:
+    """The record as one JSON object or as a name/value CSV table."""
+    if fmt == "json":
+        return json.dumps(_strict(record), allow_nan=False)
+    rows = [("name", "value"), ("command", record["command"])]
+    rows += [(f"param.{k}", v) for k, v in sorted(record.get("params", {}).items())]
+    rows += [(k, repr(v)) for k, v in sorted(record["values"].items())]
+    rows += [(f"error.{k}", v) for k, v in sorted(record.get("errors", {}).items())]
+    rows += [(k, record[k]) for k in ("seed", "wall_time_s") if k in record]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def _regime_from(args):
@@ -332,45 +302,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(record: OutputRecord, fmt: str, quiet: bool, stream=None):
-    stream = stream or sys.stdout
-    if fmt == "csv":
-        print(record.to_csv(quiet=quiet), file=stream)
-    else:
-        print(record.to_json(quiet=quiet), file=stream)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler", "format", "quiet", "command") and v is not None
-    }
+    args = _build_parser().parse_args(argv)
+    record = {"command": args.command}
+    if not args.quiet:
+        record["params"] = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("handler", "format", "quiet", "command") and v is not None
+        }
     start = time.perf_counter()
     try:
         values, errors, seed = args.handler(args)
+        code = 0
     except _COMPUTE_ERRORS as exc:
-        record = OutputRecord(
-            command=args.command,
-            params=params,
-            values={},
-            errors={"reason": f"{type(exc).__name__}: {exc}"},
-            wall_time_s=time.perf_counter() - start,
-        )
-        _emit(record, args.format, args.quiet)
-        return 1
-    record = OutputRecord(
-        command=args.command,
-        params=params,
-        values=values,
-        errors=errors,
-        seed=seed,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(record, args.format, args.quiet)
-    return 0
+        values, errors, seed = {}, {"reason": f"{type(exc).__name__}: {exc}"}, None
+        code = 1
+    record["values"] = values
+    if errors:
+        record["errors"] = errors
+    if seed is not None:
+        record["seed"] = seed
+    if not args.quiet:
+        record["wall_time_s"] = time.perf_counter() - start
+    print(_render(record, args.format))
+    return code
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from . import _quad
-from .specfun import SpecfunDomainError, arctanh, dilog
+from .specfun import SpecfunDomainError, dilog
 
 _STRETCH = 4  # x = k + s**_STRETCH on each numeric piece
 _DEGREE = 48
@@ -413,7 +413,7 @@ def sigma_closed_form(x: float) -> float:
         raise SpecfunDomainError(f"sigma_closed_form covers (0, 2], got {x}")
     if x <= 1.0:
         return 1.0 / math.sqrt(x)
-    return (1.0 - arctanh(math.sqrt(1.0 - 1.0 / x))) / math.sqrt(x)
+    return (1.0 - math.atanh(math.sqrt(1.0 - 1.0 / x))) / math.sqrt(x)
 
 
 @lru_cache(maxsize=64)

@@ -1,7 +1,6 @@
 """One-sided Laplace transforms: forward quadrature, numerical inversion,
-closed forms of the reciprocal tail's convolutions, truncated CDF series, and
-the divisibility bound/approximation checks for the half-normal and Rayleigh
-laws.
+truncated CDF series, and the divisibility bound/approximation checks for the
+half-normal and Rayleigh laws.
 
 Throughout, h denotes the reciprocal tail h(xi) = 1/xi for xi >= 1 (0 below),
 whose transform is the exponential integral E(eta).  Named transforms:
@@ -58,7 +57,7 @@ import numpy as np
 
 from . import _quad
 from .dde import MAX_THETA, MIN_THETA, X_MAX, exact_part, tower
-from .specfun import SpecfunDomainError, dilog, e1_complex, e1_real, erfcx
+from .specfun import SpecfunDomainError, e1_complex, e1_real, erfcx
 
 __all__ = [
     "TransformSpec",
@@ -68,7 +67,6 @@ __all__ = [
     "forward_laplace",
     "transform_value",
     "invert",
-    "hk_closed_form",
     "truncated_cdf_series",
     "mapping_cycle_cdf_contour",
     "divisibility_report",
@@ -577,26 +575,6 @@ def invert(
             )
         value = refined
     return value
-
-
-# ---------------------------------------------------------------------------
-# reciprocal-tail convolutions
-# ---------------------------------------------------------------------------
-
-
-def hk_closed_form(k: int, xi: float) -> float:
-    """Closed forms of L^-1[E(eta)^k / eta], available for k in {0, 1, 2}."""
-    if k not in (0, 1, 2):
-        raise ValueError(f"closed form available for k in {{0,1,2}}, got {k}")
-    if not 0.0 <= xi < math.inf:
-        raise SpecfunDomainError(f"xi must be finite and >= 0, got {xi}")
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return math.log(xi) if xi >= 1.0 else 0.0
-    if xi < 2.0:
-        return 0.0
-    return -math.pi**2 / 6.0 + math.log(xi) ** 2 + 2.0 * dilog(1.0 / xi)
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,16 @@ class MomentReport:
     median: float | None = None
 
     def validate(self):
+        """Raise RuntimeError, naming the failed condition, on an implausible table."""
         means = [self.mean[r] for r in _RANKS]
-        assert all(m > 0 for m in means) and all(
-            a > b for a, b in zip(means, means[1:])
-        ), "means must be positive and decreasing in rank"
-        assert all(self.variance[r] > 0 for r in _RANKS)
-        assert all(0.0 < self.corr_with_n[r] < 1.0 for r in _RANKS)
+        if not (all(m > 0 for m in means) and all(a > b for a, b in zip(means, means[1:]))):
+            raise RuntimeError(f"means must be positive and decreasing in rank, got {means}")
+        variances = [self.variance[r] for r in _RANKS]
+        if not all(v > 0 for v in variances):
+            raise RuntimeError(f"variances must be positive, got {variances}")
+        corrs = [self.corr_with_n[r] for r in _RANKS]
+        if not all(0.0 < c < 1.0 for c in corrs):
+            raise RuntimeError(f"correlations with N must lie in (0, 1), got {corrs}")
 
 
 def moment_table(

@@ -1,6 +1,5 @@
 """Special functions: exponential integral E1 (real and complex), the scaled
-complementary error function erfcx, dilogarithm and inverse hyperbolic
-tangent.
+complementary error function erfcx and the dilogarithm.
 
 All functions are pure and deterministic, and all are implemented here with
 NumPy and the standard library:
@@ -215,10 +214,3 @@ def erfcx(z):
     if np.any(bad):
         raise SpecfunDomainError(f"erfcx requires finite z with Re z >= 0, got {flat[bad][0]}")
     return _erfcx_right(flat).reshape(arr.shape)[()]
-
-
-def arctanh(x: float) -> float:
-    """Inverse hyperbolic tangent, |x| < 1."""
-    if not -1.0 < x < 1.0:
-        raise SpecfunDomainError(f"arctanh requires |x| < 1, got {x}")
-    return math.atanh(x)

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -462,6 +464,19 @@ class TestConstants:
         assert vals["mode"] == pytest.approx(0.4809, abs=1e-3)
         assert vals["median"] == pytest.approx(0.6842, abs=5e-4)
 
+    def test_implausible_table_is_error(self, capsys, monkeypatch):
+        # a failed table check is a computation error with a record, not a
+        # traceback, and python -O keeps it
+        from randmap import moments
+
+        monkeypatch.setattr(moments, "g_constant", lambda r, h, tol=1e-12: 1.0)
+        code, rec = run_json(capsys, "constants", "--regime", "rayleigh")
+        assert code == 1
+        assert rec["errors"]["reason"].startswith(
+            "RuntimeError: means must be positive and decreasing in rank"
+        )
+        assert rec["values"] == {}
+
 
 class TestInvlaplace:
     def test_erfc_gauss(self, capsys):
@@ -764,3 +779,22 @@ class TestFormats:
         with pytest.raises(SystemExit) as exc:
             main(["cdf", "--kind", "nope"])
         assert exc.value.code == 2
+
+
+# The exact stdout and exit code of a success, an error and a simulate record
+# (which carries errors and seed), as JSON and CSV, with and without --quiet;
+# wall_time_s is written as <wall>
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_records.json")) as fh:
+    RECORDS = json.load(fh)
+_WALL_TIME = re.compile(r'(?<=wall_time_s": )[0-9.e+-]+|(?<=wall_time_s,)[0-9.e+-]+')
+
+
+@pytest.mark.parametrize("argv", sorted(RECORDS))
+def test_record_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    walls = _WALL_TIME.findall(out)
+    assert len(walls) == (0 if "--quiet" in argv else 1)
+    assert all(float(w) >= 0.0 for w in walls)
+    assert code == RECORDS[argv]["exit"]
+    assert _WALL_TIME.sub("<wall>", out) == RECORDS[argv]["stdout"]

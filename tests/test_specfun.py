@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from randmap.specfun import (
     EULER_GAMMA,
     SpecfunDomainError,
-    arctanh,
     dilog,
     e1_complex,
     e1_real,
@@ -294,19 +293,6 @@ def test_erfcx_refuses_an_infinite_argument(z):
         erfcx(z)
     with pytest.raises(SpecfunDomainError, match="finite z"):
         erfcx(np.array([1.0, z, 2.0]))
-
-
-class TestErfcArctanh:
-    def test_arctanh_value(self):
-        x = math.sqrt(0.5)
-        oracle = 0.5 * math.log((1.0 + x) / (1.0 - x))
-        assert arctanh(x) == pytest.approx(oracle, rel=1e-15)
-        assert arctanh(x) == pytest.approx(0.8813735870195430, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [1.0, -1.0, 1.5])
-    def test_arctanh_domain(self, x):
-        with pytest.raises(SpecfunDomainError):
-            arctanh(x)
 
 
 def test_e1_complex_matches_real_on_grid():
