@@ -21,10 +21,9 @@ nodes, which keeps the np.intp (8-byte) temporary arrays small.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
+
+from ._args import integer
 
 # per-row output columns of batch_stats
 _COLS = 7  # lam1, lam2, lam3, lam4, n_cyclic, n_components, flag
@@ -36,10 +35,7 @@ MAX_WORKERS = 64  # the most threads one simulate call starts
 
 def worker_count(workers) -> int:
     """``workers`` as an int; ValueError unless it is integral and in [1, MAX_WORKERS]."""
-    real = isinstance(workers, numbers.Real)
-    if not (real and 1 <= workers <= MAX_WORKERS and workers == int(workers)):
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    return int(workers)
+    return integer(workers, "workers", 1, MAX_WORKERS)
 
 
 def _permutes(succ, cyc) -> bool:
@@ -183,9 +179,7 @@ def enumerate_tally(n: int):
     partial sum is an integer of at most n^n < 2^53.  The rows take memory
     of order n * n!, so callers bound n (enumerate_all: n <= 7).
     """
-    if not (1 <= n < math.inf and n == int(n)):
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    n = int(n)
+    n = integer(n, "n", 1)
     level = np.arange(n)
     # copied to C order, which the batch analyzer ravels faster
     rows = np.indices(np.minimum(level + 2, n), dtype=np.int8).reshape(n, -1).T.copy()

@@ -35,6 +35,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from . import _quad
+from ._args import integer
 from .specfun import SpecfunDomainError, dilog
 
 _STRETCH = 4  # x = k + s**_STRETCH on each numeric piece
@@ -265,30 +266,6 @@ class PiecewiseSolution:
             self._tables[nodes] = table
         return table
 
-    def derivative(self, x: float) -> float:
-        """d/dx of the stored interpolant (pieces region only, x > 2)."""
-        if not 2.0 < x <= X_MAX:
-            raise EvaluationRangeError("interpolant derivative defined on (2, x_max]")
-        idx = min(int(math.floor(x - 2.0)), len(self.coef) - 1)
-        s = (x - (idx + 2.0)) ** (1.0 / _STRETCH)
-        dcoef = _cheb.chebder(self.coef[idx])
-        dg_dzeta = _cheb.chebval(2.0 * s - 1.0, dcoef)
-        return float(dg_dzeta * 2.0 / (_STRETCH * s ** (_STRETCH - 1)))
-
-    def dde_residual(self, x: float) -> float:
-        """Residual of the delay equation using the interpolant's derivative."""
-        g = self(x)
-        gd = self(x - 1.0)
-        gp = self.derivative(x)
-        if self.theta is not None:
-            return x * gp + (1.0 - self.theta) * g + self.theta * gd
-        return x * gp + gd - self.lower(x - 1.0)
-
-    def residual_grid(self) -> np.ndarray:
-        """Interior sample points away from breakpoints, one set per piece."""
-        s = np.linspace(0.3, 0.98, 9)
-        return (2.0 + np.arange(len(self.coef))[:, None] + s**_STRETCH).ravel()
-
 
 def sigma_tilde(sol: PiecewiseSolution, x):
     """sqrt(x) times the solution value."""
@@ -363,15 +340,6 @@ def _solve_pieces(theta: float | None, lower: PiecewiseSolution | None = None) -
     return _fit_pieces(2, 0.0 if lower is None else 1.0, step)  # M(1) = 1 for rank >= 2
 
 
-def _checked_rank(rank) -> int:
-    """``rank`` as an int, or DdeError unless it is an integer in [1, MAX_RANK]."""
-    if not 1 <= rank <= MAX_RANK:
-        raise DdeError(f"generalized-dickman requires 1 <= rank <= {MAX_RANK}, got {rank}")
-    if rank != int(rank):
-        raise DdeError(f"generalized-dickman requires an integer rank, got {rank}")
-    return int(rank)
-
-
 def solve_theta_dde(theta: float) -> PiecewiseSolution:
     """Solve the theta-family equation on (0, X_MAX]."""
     if not MIN_THETA <= theta <= MAX_THETA:
@@ -384,7 +352,7 @@ def solve_theta_dde(theta: float) -> PiecewiseSolution:
 
 def solve_generalized_dickman(rank: int) -> PiecewiseSolution:
     """Solve the rank-r recursion; lower ranks come from ``dickman_solution``."""
-    rank = _checked_rank(rank)
+    rank = integer(rank, "rank", 1, MAX_RANK, DdeError)
     lower = None if rank == 1 else dickman_solution(rank - 1)
     theta = 1.0 if lower is None else None
     return PiecewiseSolution(theta, _solve_pieces(theta, lower), lower)
@@ -440,7 +408,7 @@ def dickman_solution(rank: int = 1) -> PiecewiseSolution:
     grow with r.  A rank that is not an integer in [1, ``MAX_RANK``] raises
     DdeError before any solve.
     """
-    rank = _checked_rank(rank)
+    rank = integer(rank, "rank", 1, MAX_RANK, DdeError)
     for lower in range(1, rank):
         _dickman_cached(lower)
     return _dickman_cached(rank)
@@ -487,13 +455,11 @@ def tower(k: int, theta: float, x: float) -> float:
     0 and 1 are closed forms, and level k >= 2 is fitted once per theta.
     A level that is not an integer k >= 0, or a theta outside [MIN_THETA,
     MAX_THETA], raises DdeError before any fit."""
-    if not (0 <= k < math.inf and k == int(k)):
-        raise DdeError(f"the E^k tower requires an integer level k >= 0, got {k}")
+    k = integer(k, "k", 0, error=DdeError)
     if not MIN_THETA <= theta <= MAX_THETA:
         raise DdeError(f"the E^k tower requires {MIN_THETA} <= theta <= {MAX_THETA}, got {theta}")
     if not x <= X_MAX:
         raise SpecfunDomainError(f"the E^k tower covers xi <= {X_MAX}, got {x}")
-    k = int(k)
     if x <= 0.0 or (k and x <= k):
         return 0.0
     if k <= 1:

@@ -14,7 +14,8 @@ N/sqrt(n) are supported:
 Conditioned on N = nu sqrt(n), the cyclic points form a uniform random
 permutation, so P{r-th longest cycle <= lambda sqrt(n) | N} is the rank-r
 Dickman value rho_r(nu/lambda); mixing against the regime density yields the
-unconditional CDFs and joint densities below.
+unconditional CDFs and joint densities below.  A rank r that is not an
+integer >= 1 raises dde.DdeError before any solve.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad, dde
+from ._args import integer
 from .specfun import SpecfunDomainError
 
 __all__ = [
@@ -133,15 +135,6 @@ def _nu_window(regime: Regime):
     return [max(mode - _NU_CUT, 0.0), mode, mode + _NU_CUT]
 
 
-def _check_rank(r) -> None:
-    """ValueError for a rank below 1, and the solver layer's DdeError for
-    one that is not an integer, before any solve."""
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    if not (r < math.inf and r == int(r)):
-        raise dde.DdeError(f"the limit laws require an integer rank, got {r}")
-
-
 @lru_cache(maxsize=16)
 def _rank_solution(r: int):
     return dde.dickman_solution(r)
@@ -161,7 +154,7 @@ def perm_longest_cycle_cdf(a: float, r: int = 1) -> float:
     SpecfunDomainError before any solve.
     """
     x = _reciprocal(a)
-    _check_rank(r)
+    r = integer(r, "r", 1, error=dde.DdeError)
     return float(_rank_solution(r)(x))
 
 
@@ -183,7 +176,7 @@ def connected_cycle_cdf(b: float, r: int = 1) -> float:
     """
     if math.isnan(b):
         raise SpecfunDomainError(f"requires b to be a number, got {b}")
-    _check_rank(r)
+    r = integer(r, "r", 1, error=dde.DdeError)
     if r > 1 and b >= 0.0:
         return 1.0
     if b <= 0.0:
@@ -229,7 +222,7 @@ def mapping_longest_cycle_cdf(b: float, r: int = 1, regime: Regime = Regime.rayl
     """
     if not b > 0.0:
         raise SpecfunDomainError(f"requires b > 0, got {b}")
-    _check_rank(r)
+    r = integer(r, "r", 1, error=dde.DdeError)
     sol = _rank_solution(r)
     nu, half, rho = _quad.kink_panels(
         _nu_window(regime), b, 0, sol.unit_table(32), lambda x: _rank_values(sol, x)
@@ -259,7 +252,7 @@ def joint_density(p: JointPoint, r: int = 1, regime: Regime = Regime.rayleigh())
     """
     if not (0.0 < p.lam < math.inf and 0.0 < p.nu < math.inf):
         raise SpecfunDomainError(f"joint density requires finite positive coordinates, got {p}")
-    _check_rank(r)
+    r = integer(r, "r", 1, error=dde.DdeError)
     if p.nu <= p.lam:
         return 0.0
     arg = p.nu / p.lam - 1.0

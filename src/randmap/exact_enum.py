@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._args import integer
 
 __all__ = ["ExactTables", "EnumerationSizeError", "enumerate_all", "MAX_N"]
 
@@ -42,9 +43,7 @@ class ExactTables:
     def a(self, m: int, l: int) -> int:
         """counts[m, l]; an m or l that is not an integer in [0, n] raises
         ValueError (an integral float is taken as that integer)."""
-        if not all(0 <= k <= self.n and k == int(k) for k in (m, l)):
-            raise ValueError(f"a(m, l) needs integers 0 <= m, l <= n = {self.n}, got {m}, {l}")
-        return int(self.counts[int(m), int(l)])
+        return int(self.counts[integer(m, "m", 0, self.n), integer(l, "l", 0, self.n)])
 
     def mean_lambda1(self) -> float:
         lam1 = np.arange(self.n + 1)
@@ -61,9 +60,7 @@ def enumerate_all(n: int, workers: int | None = None) -> ExactTables:
     an integral float is taken as that integer.  ``workers`` has no effect:
     an explicit value is only checked, by `_kernels.worker_count`.
     """
-    if not (1 <= n <= MAX_N and n == int(n)):
-        raise EnumerationSizeError(f"enumeration supports 1 <= n <= {MAX_N}, got {n}")
-    n = int(n)
+    n = integer(n, "n", 1, MAX_N, EnumerationSizeError)
     if workers is not None:
         _kernels.worker_count(workers)
     joint = _kernels.enumerate_tally(n)

@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from ._args import integer
+
 __all__ = [
     "SeriesOrderError",
     "NonIntegerCoefficientError",
@@ -35,11 +37,6 @@ class SeriesOrderError(ValueError):
 
 class NonIntegerCoefficientError(ArithmeticError):
     """An n! * coefficient that must be integral is not (implementation bug)."""
-
-
-def _is_integer(k) -> bool:
-    """Whether k is an int or an integral float."""
-    return -math.inf < k < math.inf and k == int(k)
 
 
 def _tree_coeffs(n_max: int) -> list:
@@ -63,16 +60,11 @@ def _truncated_product(a: dict, b: dict, order: int) -> dict:
 def component_cycle_egf(m: int, n_max: int) -> dict:
     """(1/m!) ln(1/(1 - y tau(x)))^m truncated at x-order n_max, as the dict
     {(i, j): Fraction} of its nonzero coefficients.  The dict is the cached
-    value itself: callers must not mutate it.  An m or n_max that is not an
-    integer raises SeriesOrderError; an integral float is taken as that
-    integer."""
-    if not all(_is_integer(k) for k in (m, n_max)):
-        raise SeriesOrderError(f"m and n_max must be integers, got {m}, {n_max}")
-    m, n_max = int(m), int(n_max)
-    if not 1 <= n_max <= MAX_EGF_ORDER:
-        raise SeriesOrderError(f"EGF supports 1 <= n_max <= {MAX_EGF_ORDER}")
-    if not 1 <= m <= n_max:
-        raise SeriesOrderError(f"need 1 <= m <= n_max, got m={m}")
+    value itself: callers must not mutate it.  An n_max that is not an
+    integer in [1, MAX_EGF_ORDER], or an m not in [1, n_max], raises
+    SeriesOrderError; an integral float is taken as that integer."""
+    n_max = integer(n_max, "n_max", 1, MAX_EGF_ORDER, SeriesOrderError)
+    m = integer(m, "m", 1, n_max, SeriesOrderError)
     tau = _tree_coeffs(n_max)
     # ln(1/(1 - y tau)) = sum_j y^j tau^j / j, and tau^j has lowest x-degree
     # j, so the sum truncates at j = n_max
@@ -99,16 +91,13 @@ def component_cycle_egf(m: int, n_max: int) -> dict:
 def a_count(n: int, m: int, l: int) -> int:
     """Number of n-mappings with exactly m components and l cyclic points.
 
-    An n, m or l that is not an integer raises ValueError; an integral
-    float is taken as that integer.
+    n must be an integer in [1, MAX_EGF_ORDER] (else SeriesOrderError), m an
+    integer >= 1 and l an integer >= 0 (else ValueError); an integral float
+    is taken as that integer.
     """
-    if not all(_is_integer(k) for k in (n, m, l)):
-        raise ValueError(f"n, m and l must be integers, got {n}, {m}, {l}")
-    n, m, l = int(n), int(m), int(l)
-    if not 1 <= n <= MAX_EGF_ORDER:
-        raise SeriesOrderError(f"a_count supports 1 <= n <= {MAX_EGF_ORDER}")
-    if m < 1 or l < 0:
-        raise ValueError("need m >= 1 and l >= 0")
+    n = integer(n, "n", 1, MAX_EGF_ORDER, SeriesOrderError)
+    m = integer(m, "m", 1)
+    l = integer(l, "l", 0)
     if l < m or l > n:
         return 0
     coeff = component_cycle_egf(m, n).get((n, l), 0) * math.factorial(n)

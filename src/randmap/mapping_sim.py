@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._args import integer
 
 __all__ = [
     "SimStats",
@@ -58,11 +59,6 @@ class BudgetExhaustedError(RuntimeError):
     """Rejection sampling hit its attempt budget before enough acceptances."""
 
 
-def _is_integer(value, low=-math.inf) -> bool:
-    """Whether value is an integer >= low: an int, or an integral float."""
-    return -math.inf < value < math.inf and value >= low and value == int(value)
-
-
 def _philox(seed, stream: int) -> np.random.Generator:
     # a uint64 key: NumPy reads a list of ints past 2^63 as float64
     key = np.array([int(seed) % 2**64, stream], dtype=np.uint64)
@@ -82,9 +78,7 @@ def _required_components(constraint):
             m = float(constraint.split("=", 1)[1])
         except ValueError:
             m = math.nan
-        if not _is_integer(m, 1):
-            raise ValueError(f"component constraint must be an integer >= 1, got {constraint!r}")
-        return int(m)
+        return integer(m, f"the component count in {constraint!r}", 1)
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
@@ -202,32 +196,25 @@ def simulate(
     seed: int = 0,
     workers: int = 1,
     cdf_grid=None,
-    max_attempts: int | None = None,
 ) -> SimStats:
     """Aggregate structural statistics over `trials` (accepted) mappings.
 
-    ``max_attempts`` caps each worker's rejection attempts; the default is
-    10^4 times the expected attempt count for the constraint.  An n outside
-    [2, MAX_N], more than n components, an expected acceptance rate below
-    ``MIN_ACCEPTANCE`` or more than ``MAX_DRAWN_NODES`` expected drawn nodes
-    (trials * n / acceptance) raise ValueError before any draw.  ``workers``
-    (default 1) must lie in [1, _kernels.MAX_WORKERS].  An n, trials, seed,
-    max_attempts or component count that is not an integer, or a NaN in
-    ``cdf_grid``, raises ValueError too, before any draw; an integral float
-    is taken as that integer.
+    Each worker's rejection attempts are capped at 10^4 times its expected
+    attempt count for the constraint.  An n outside [2, MAX_N], more than n
+    components, an expected acceptance rate below ``MIN_ACCEPTANCE`` or more
+    than ``MAX_DRAWN_NODES`` expected drawn nodes (trials * n / acceptance)
+    raise ValueError before any draw.  ``workers``
+    (default 1) must lie in [1, _kernels.MAX_WORKERS].  An n, trials, seed
+    or component count that is not an integer, or a NaN in ``cdf_grid``,
+    raises ValueError too, before any draw; an integral float is taken as
+    that integer.
     """
-    if not (_is_integer(n) and 2 <= n <= MAX_N):
-        raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
-    if not _is_integer(trials, 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials}")
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed}")
-    if max_attempts is not None and not _is_integer(max_attempts, 1):
-        raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts}")
+    n = integer(n, "n", 2, MAX_N)
+    trials = integer(trials, "trials", 1)
+    seed = integer(seed, "seed")
     grid = tuple(float(b) for b in cdf_grid) if cdf_grid is not None else None
     if grid is not None and any(math.isnan(b) for b in grid):
         raise ValueError(f"cdf_grid must not hold NaN, got {cdf_grid}")
-    n, trials, seed = int(n), int(trials), int(seed)
     m_required = _required_components(constraint)
     if m_required is not None and m_required > n:
         raise ValueError(f"a mapping of size {n} has at most {n} components, not {m_required}")
@@ -243,10 +230,7 @@ def simulate(
             f"(trials * n / expected acceptance), above MAX_DRAWN_NODES = {MAX_DRAWN_NODES:.0e}"
         )
     workers = _kernels.worker_count(workers)
-    if max_attempts is not None:
-        cap_per_worker = int(max_attempts)
-    else:
-        cap_per_worker = int(math.ceil(10_000.0 * (trials / workers + 1) / acc))
+    cap_per_worker = int(math.ceil(10_000.0 * (trials / workers + 1) / acc))
     quotas = [len(range(w, trials, workers)) for w in range(workers)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad, dde, distributions
+from ._args import integer
 from .distributions import Regime
 from .specfun import e1_real
 
@@ -109,9 +110,8 @@ def cross_rank_moment(r: int, s: int) -> float:
     quadrature per outer node gives.  Ranks that are not integers raise
     ValueError before any quadrature; an integral float is that integer.
     """
-    if not (1 <= r < s < math.inf and r == int(r) and s == int(s)):
-        raise ValueError(f"need integers 1 <= r < s, got r={r}, s={s}")
-    r, s = int(r), int(s)
+    r = integer(r, "r", 1)
+    s = integer(s, "s", r + 1)
     _, w = _quad.gl_rule(48)
     fixed = np.array(_CROSS_INNER_EDGES)
     y_fixed, half_fixed = _quad.gl_nodes(fixed[:-1], fixed[1:], 48)

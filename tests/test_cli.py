@@ -173,7 +173,7 @@ class TestCdf:
         assert rec["values"]["cdf"] == expected
         code, rec = run_json(capsys, *argv[:-1], "--r=0")
         assert code == 1
-        assert rec["errors"]["reason"] == "ValueError: rank must be >= 1, got 0"
+        assert rec["errors"]["reason"] == "DdeError: r must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("kind, a", [("perm-cycle", "1e-300"), ("largest-component", "1e-5")])
     def test_a_below_one_64th_names_a(self, capsys, kind, a):
@@ -196,7 +196,7 @@ class TestCdf:
     def test_rank_below_one_is_error(self, capsys, kind, arg, r):
         code, rec = run_json(capsys, "cdf", "--kind", kind, arg, f"--r={r}")
         assert code == 1
-        assert rec["errors"]["reason"] == f"ValueError: rank must be >= 1, got {r}"
+        assert rec["errors"]["reason"] == f"DdeError: r must be an integer >= 1, got {r}"
 
     @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "-1", "1e300"])
     def test_pavlov_c_must_be_finite_and_nonnegative(self, capsys, c):
@@ -595,7 +595,7 @@ class TestSimulateAndEnumerate:
         code, rec = run_json(capsys, *argv, f"--workers={workers}")
         assert code == 1
         assert rec["errors"]["reason"] == (
-            f"ValueError: workers must lie in [1, {MAX_WORKERS}], got {workers}"
+            f"ValueError: workers must be an integer in [1, {MAX_WORKERS}], got {workers}"
         )
 
     @pytest.mark.parametrize("value", ["2", "", "abc"])
@@ -642,7 +642,7 @@ class TestSimulateAndEnumerate:
         code, rec = run_json(capsys, "simulate", f"--n={n}", "--trials=1", "--seed=1")
         assert code == 1
         assert rec["errors"]["reason"] == (
-            f"ValueError: n must lie in [2, {mapping_sim.MAX_N}], got {n}"
+            f"ValueError: n must be an integer in [2, {mapping_sim.MAX_N}], got {n}"
         )
 
     def test_simulate_trials_above_bound_is_error(self, capsys, monkeypatch):

@@ -446,7 +446,7 @@ class TestJointDensity:
 def test_non_integer_rank_is_error(call):
     # rank 2.5 was truncated, or for connected_cycle_cdf read as rank 2, so
     # each returned its rank-2 value
-    with pytest.raises(dde.DdeError, match="integer rank, got 2.5"):
+    with pytest.raises(dde.DdeError, match="r must be an integer >= 1, got 2.5"):
         call(2.5)
     assert call(2.0) == call(2)
 

@@ -109,6 +109,18 @@ def test_no_module_reads_the_environment(source):
     assert ENV_READERS.isdisjoint(names)
 
 
+@pytest.mark.parametrize("source", [s for s in SOURCES if s != "_args.py"])
+def test_no_module_compares_a_value_with_its_int(source):
+    # "an int, or an integral float" was written out by hand ten times, and
+    # the copies disagreed; _args.integer is the one copy of that rule
+    with open(os.path.join(randmap.__path__[0], source)) as f:
+        tree = ast.parse(f.read())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Call) and getattr(side.func, "id", None) == "int"
+                     for side in (node.left, *node.comparators))]
+    assert lines == []
+
+
 def test_import_randmap_loads_no_submodule_and_no_numpy():
     out = fresh("import", "randmap")
     assert out["randmap"] == []
@@ -140,7 +152,7 @@ def test_help_and_usage_errors_load_no_numpy(argv, code):
 
 # Each cheap command, with the randmap modules it loads besides cli: only
 # the ones it runs.
-ANALYTIC = "dde _quad specfun"
+ANALYTIC = "dde _args _quad specfun"
 LAPLACE = "laplace " + ANALYTIC
 CHEAP = [
     (("eval", "--fn", "rho", "--x", "2"), ANALYTIC),
@@ -148,11 +160,11 @@ CHEAP = [
      "distributions " + ANALYTIC),
     (("invlaplace", "--transform", "cycle-cdf", "--b", "0.5", "--xi", "2", "--method", "talbot"),
      LAPLACE),
-    (("enumerate", "--n", "5", "--check-egf"), "exact_enum _kernels gfseries"),
+    (("enumerate", "--n", "5", "--check-egf"), "exact_enum _kernels _args gfseries"),
     (("constants", "--regime", "halfnormal"), "distributions moments " + ANALYTIC),
     (("divisibility", "--eta-min", "0.02", "--eta-max", "20", "--steps", "1000"), LAPLACE),
     (("invlaplace", "--transform", "erfc-gauss", "--xi", "1"), LAPLACE),
-    (("simulate", "--n", "64", "--trials", "10", "--seed", "1"), "mapping_sim _kernels"),
+    (("simulate", "--n", "64", "--trials", "10", "--seed", "1"), "mapping_sim _kernels _args"),
 ]
 
 

@@ -460,7 +460,7 @@ class TestHkAndConvolutions:
     @pytest.mark.parametrize("k", [-1, -2, 2.5, 0.5, math.nan, math.inf, -math.inf])
     def test_tower_refuses_a_level_that_is_not_an_integer(self, k):
         # -1 returned f_1(3) = ln 3, and 2.5 raised a bare TypeError
-        with pytest.raises(dde.DdeError, match=f"integer level k >= 0, got {k}"):
+        with pytest.raises(dde.DdeError, match=f"k must be an integer >= 0, got {k}"):
             dde.tower(k, 1.0, 3.0)
 
     @pytest.mark.usefixtures("no_fit")

@@ -297,9 +297,10 @@ class TestSimulate:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        with pytest.raises(ValueError, match=f"workers must lie in .*, got {workers}"):
+        message = re.escape(f"workers must be an integer in [1, {_kernels.MAX_WORKERS}], got {workers!r}")
+        with pytest.raises(ValueError, match=message):
             simulate(10, 5, seed=1, workers=workers)
-        with pytest.raises(ValueError, match="workers must lie in"):
+        with pytest.raises(ValueError, match=message):
             _kernels.worker_count(workers)
 
     def test_integral_float_worker_count_is_that_count(self):
@@ -346,16 +347,12 @@ class TestSimulate:
         monkeypatch.setattr(_kernels, "component_counts", lambda im: _kernels.batch_stats(im)[:, 5])
         assert run() == fast
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        # an expected acceptance of 10^4 sets a budget of 10^4 * 101 / 10^4
+        # attempts, far below the 100 acceptances components=12 needs
+        monkeypatch.setattr(mapping_sim, "_expected_acceptance", lambda n, m: 1e4)
         with pytest.raises(BudgetExhaustedError):
-            simulate(
-                256,
-                100,
-                constraint="components=12",
-                seed=1,
-                workers=1,
-                max_attempts=2000,
-            )
+            simulate(256, 100, constraint="components=12", seed=1, workers=1)
 
     @pytest.mark.parametrize("n, m", [(3, 50), (2, 5), (20, 20), (256, 30), (10, 10), (13, 11)])
     def test_unmeetable_constraint_fails_before_any_draw(self, monkeypatch, n, m):
@@ -366,8 +363,6 @@ class TestSimulate:
         monkeypatch.setattr(_kernels, "component_counts", no_batch)
         monkeypatch.setattr(_kernels, "batch_stats", no_batch)
         with pytest.raises(ValueError):
-            simulate(n, 1, constraint=f"components={m}", seed=1, max_attempts=10)
-        with pytest.raises(ValueError):
             simulate(n, 1, constraint=f"components={m}", seed=1)
 
     @pytest.mark.parametrize("n", [MAX_N + 1, 2**31, 10**18])
@@ -377,7 +372,7 @@ class TestSimulate:
 
         monkeypatch.setattr(mapping_sim, "_worker_run", no_draw)
         monkeypatch.setattr(_kernels, "batch_stats", no_draw)
-        with pytest.raises(ValueError, match=f"n must lie in \\[2, {MAX_N}\\], got {n}"):
+        with pytest.raises(ValueError, match=f"n must be an integer in \\[2, {MAX_N}\\], got {n}"):
             simulate(n, 1, seed=1)
 
     def test_n_at_bound_is_drawn(self, monkeypatch):
@@ -472,20 +467,18 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "args, kwargs, message",
         [
-            ((10.5, 5), {}, "n must lie in"),
-            ((float("nan"), 5), {}, "n must lie in"),
-            ((float("inf"), 5), {}, "n must lie in [2, %d], got inf" % MAX_N),
-            ((0, 5), {}, "n must lie in [2, %d], got 0" % MAX_N),
+            ((10.5, 5), {}, "n must be an integer in [2, %d], got 10.5" % MAX_N),
+            ((float("nan"), 5), {}, "n must be an integer in [2, %d], got nan" % MAX_N),
+            ((float("inf"), 5), {}, "n must be an integer in [2, %d], got inf" % MAX_N),
+            ((0, 5), {}, "n must be an integer in [2, %d], got 0" % MAX_N),
             ((100, 2.5), {}, "trials must be an integer >= 1, got 2.5"),
             ((100, float("nan")), {}, "trials must be an integer >= 1, got nan"),
             ((100, float("inf")), {}, "trials must be an integer >= 1, got inf"),
-            ((100, 5), {"constraint": "components=2.5"}, "must be an integer >= 1, got 'components=2.5'"),
+            ((100, 5), {"constraint": "components=2.5"}, "the component count in 'components=2.5' must be an integer >= 1, got 2.5"),
             ((100, 5), {"constraint": "components=inf"}, "must be an integer >= 1"),
             ((100, 5), {"seed": 1.5}, "seed must be an integer, got 1.5"),
             ((100, 5), {"seed": float("nan")}, "seed must be an integer, got nan"),
             ((100, 5), {"seed": float("inf")}, "seed must be an integer, got inf"),
-            ((100, 5), {"max_attempts": 2.5}, "max_attempts must be an integer >= 1"),
-            ((100, 5), {"max_attempts": float("nan")}, "max_attempts must be an integer >= 1, got nan"),
             ((100, 5), {"cdf_grid": (0.5, float("nan"))}, "cdf_grid must not hold NaN"),
         ],
     )
@@ -500,8 +493,8 @@ class TestSimulate:
             simulate(*args, **kwargs)
 
     def test_integral_floats_are_those_integers(self):
-        floats = simulate(100.0, 20.0, constraint="components=2.0", seed=3.0, max_attempts=1e6)
-        ints = simulate(100, 20, constraint="components=2", seed=3, max_attempts=10**6)
+        floats = simulate(100.0, 20.0, constraint="components=2.0", seed=3.0)
+        ints = simulate(100, 20, constraint="components=2", seed=3)
         assert repr(floats) == repr(ints)
 
 
@@ -525,6 +518,18 @@ class TestLimitLawAgreement:
 
     def test_corr_lambda1_n(self, big_run):
         assert abs(big_run.corr_lambda_n[1] - 0.83298010) < 0.03
+
+    def test_cross_rank_correlations_match_the_moment_layer(self, big_run):
+        # 0.03 is about 4 standard errors of a correlation over 20,000 trials
+        from randmap.distributions import Regime
+        from randmap.moments import moment_table
+
+        table = moment_table(Regime.rayleigh(), include_cross_rank=True, include_location=False)
+        assert len(table.cross_rank_corr) == 6
+        for pair, corr in table.cross_rank_corr.items():
+            assert abs(big_run.corr_lambda_pairs[pair] - corr) < 0.03, pair
+        for r in (2, 3, 4):
+            assert abs(big_run.corr_lambda_n[r] - table.corr_with_n[r]) < 0.03, r
 
     def test_connected_acceptance_rate(self):
         stats = simulate(10_000, 600, constraint="connected", seed=31337)
